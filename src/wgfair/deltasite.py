@@ -178,7 +178,9 @@ def collapse(x):
     values = []
     for cls in src_classes:
         hits = {tgt_class_of[x.dotmap[d]] for d in cls}
-        assert len(hits) == 1  # a colored run lands inside one colored run
+        if len(hits) != 1:
+            raise ValueError("colored run %r lands in target runs %r, not one"
+                             % (cls, sorted(hits)))
         values.append(hits.pop())
     return SimplexMap(len(src_classes) - 1, len(tgt_classes) - 1, values)
 
@@ -250,8 +252,11 @@ def epi_mono_lift_fat(f):
     eps_fat = mono_lift(eps_plain, f.tgt)
     pos = {d: i for i, d in enumerate(eps_fat.dotmap)}
     eta_fat = FatMap(f.src, eps_fat.src, [pos[d] for d in f.dotmap])
-    assert compose_fat(eps_fat, eta_fat) == f
-    assert collapse(eta_fat) == eta_plain and collapse(eps_fat) == eps_plain
+    if compose_fat(eps_fat, eta_fat) != f:
+        raise ValueError("the run lift does not factor %r" % (f,))
+    if collapse(eta_fat) != eta_plain or collapse(eps_fat) != eps_plain:
+        raise ValueError("the lifted factors of %r do not collapse to its"
+                         " epi-mono factors" % (f,))
     return eta_fat, eps_fat
 
 
@@ -425,7 +430,8 @@ def pushout_fat(left, right, window=TruncationWindow()):
         right_inj = class_top_section(obj)
     else:
         raise ValueError("unsupported span shape")
-    assert compose_fat(left_inj, left) == compose_fat(right_inj, right)
+    if compose_fat(left_inj, left) != compose_fat(right_inj, right):
+        raise ValueError("pushout square of (%r, %r) does not commute" % (left, right))
     universal = witness = None
     if window is not None:
         universal, witness = _verify_pushout(left, right, obj, left_inj, right_inj, window)
@@ -469,9 +475,9 @@ def reassemble(obj, window=TruncationWindow()):
                           FatMap(plain(0), piece, (0,)), window)
         results.append(res)
         acc = res.obj
-    assert acc == obj or not results
-    if results:
-        assert results[-1].obj == obj
+    # acc is the object of the last gluing
+    if results and acc != obj:
+        raise ValueError("edge pieces of %r glue to %r" % (obj, acc))
     return results
 
 
@@ -522,7 +528,8 @@ def _stack_map(src_obj, tgt_obj, a):
             dotmap[d] = tcl[w][fill[w]]
             fill[w] += 1
     out = FatMap(src_obj, tgt_obj, dotmap)
-    assert collapse(out) == a
+    if collapse(out) != a:
+        raise ValueError("stacked lift %r does not collapse to %r" % (out, a))
     return out
 
 

@@ -626,7 +626,8 @@ class FairCleavage:
 
 
 def _only(items):
-    assert len(items) == 1
+    if len(items) != 1:
+        raise ValueError("expected exactly one item, found %r" % (list(items),))
     return items[0]
 
 
@@ -886,6 +887,6 @@ def fair_from_category(base):
     as_arrow = fc.FunctorMap(units, arrows, list(base.identity), list(base.identity))
     p = from_presentation(
         points, arrows, units, src, tgt, value, as_arrow,
-        lambda f, g: base.comp[(g, f)], lambda m, n: base.comp[(n, m)],
+        lambda f, g: base.compose(g, f), lambda m, n: base.compose(n, m),
         lambda w1, w2: w1, lambda m, n: m)
     return build_fair(p)

@@ -4,6 +4,13 @@ Objects of a category are 0..n_obj-1 and morphisms 0..n_mor-1; source, target,
 identity and composition are lookup tables.  Everything downstream (double
 categories, fair structures, the comparison functors) is built out of these,
 so all checks here are brute force and exact.
+
+Composition contract: a category holds either a full table or a rule that
+computes one entry at a time (fiber products compose componentwise through
+their factors).  ``compose`` and ``inverse`` only ever work entry by entry
+and remember the entries they compute, so they never force the table;
+reading ``comp`` yields the complete plain dict, built once on first read in
+the order of a full enumeration (for each f, the g composable after it).
 """
 
 from __future__ import annotations
@@ -13,22 +20,47 @@ from dataclasses import dataclass
 
 
 class FinCat:
-    """A finite category.  ``comp[(g, f)]`` is the composite g-after-f."""
+    """A finite category.  ``comp[(g, f)]`` is the composite g-after-f.
 
-    __slots__ = ("n_obj", "src", "tgt", "identity", "comp", "_hom", "_inv")
+    Give either ``comp``, the full table, or ``rule(g, f)``, which returns
+    the composite of a composable pair.  A rule-backed category memoizes
+    the entries ``compose``/``inverse`` ask for; its ``comp`` property
+    fills in the whole table on first read and keeps it.
+    """
 
-    def __init__(self, n_obj, src, tgt, identity, comp):
+    __slots__ = ("n_obj", "src", "tgt", "identity", "_comp", "_rule", "_hom", "_inv")
+
+    def __init__(self, n_obj, src, tgt, identity, comp=None, rule=None):
+        if (comp is None) == (rule is None):
+            raise ValueError("give exactly one of a composition table and a rule")
         self.n_obj = n_obj
         self.src = tuple(src)
         self.tgt = tuple(tgt)
         self.identity = tuple(identity)
-        self.comp = dict(comp)
+        self._comp = {} if comp is None else dict(comp)
+        self._rule = rule
         self._hom = None
         self._inv = {}
 
     @property
     def n_mor(self):
         return len(self.src)
+
+    @property
+    def comp(self):
+        """The complete composition table as a plain dict."""
+        if self._rule is not None:
+            memo, rule = self._comp, self._rule
+            by_src = {}
+            for g, x in enumerate(self.src):
+                by_src.setdefault(x, []).append(g)
+            table = {}
+            for f, y in enumerate(self.tgt):
+                for g in by_src.get(y, ()):
+                    h = memo.get((g, f))
+                    table[(g, f)] = rule(g, f) if h is None else h
+            self._comp, self._rule = table, None
+        return self._comp
 
     def __eq__(self, other):
         if self is other:
@@ -51,12 +83,23 @@ class FinCat:
             self._hom = {k: tuple(v) for k, v in table.items()}
         return self._hom.get((x, y), ())
 
+    def _entry(self, g, f):
+        """The composite g after f from the table or the rule, or None."""
+        h = self._comp.get((g, f))
+        if h is None and self._rule is not None:
+            n = len(self.src)
+            if 0 <= g < n and 0 <= f < n and self.src[g] == self.tgt[f]:
+                h = self._comp[(g, f)] = self._rule(g, f)
+        return h
+
     def compose(self, g, f):
         """g after f; ValueError if the pair is not composable."""
-        try:
-            return self.comp[(g, f)]
-        except KeyError:
-            raise ValueError("morphisms %d after %d are not composable" % (g, f)) from None
+        h = self._comp.get((g, f))
+        if h is None:
+            h = self._entry(g, f)
+            if h is None:
+                raise ValueError("morphisms %d after %d are not composable" % (g, f))
+        return h
 
     def inverse(self, m):
         """Two-sided inverse of m, or None."""
@@ -65,8 +108,8 @@ class FinCat:
         x, y = self.src[m], self.tgt[m]
         found = None
         for n in self.hom(y, x):
-            if (self.comp.get((n, m)) == self.identity[x]
-                    and self.comp.get((m, n)) == self.identity[y]):
+            if (self._entry(n, m) == self.identity[x]
+                    and self._entry(m, n) == self.identity[y]):
                 found = n
                 break
         self._inv[m] = found
@@ -147,13 +190,14 @@ def validate_category(cat):
     categories that happen to break a law.
     """
     n, m = cat.n_obj, cat.n_mor
+    comp = cat.comp
     if len(cat.tgt) != m or len(cat.identity) != n:
         raise ValueError("table lengths disagree")
     if any(not 0 <= x < n for x in cat.src) or any(not 0 <= x < n for x in cat.tgt):
         raise ValueError("source/target out of range")
     if any(not 0 <= e < m for e in cat.identity):
         raise ValueError("identity table out of range")
-    for (g, f), h in cat.comp.items():
+    for (g, f), h in comp.items():
         if not (0 <= g < m and 0 <= f < m and 0 <= h < m):
             raise ValueError("composition table mentions unknown morphisms")
 
@@ -164,34 +208,34 @@ def validate_category(cat):
             problems.append("identity of object %d is not an endomorphism of it" % x)
     for g in range(m):
         for f in range(m):
-            defined = (g, f) in cat.comp
+            defined = (g, f) in comp
             composable = cat.src[g] == cat.tgt[f]
             if composable and not defined:
                 problems.append("composite of %d after %d is missing" % (g, f))
             elif defined and not composable:
                 problems.append("composite defined for non-composable pair (%d, %d)" % (g, f))
             elif defined:
-                h = cat.comp[(g, f)]
+                h = comp[(g, f)]
                 if cat.src[h] != cat.src[f] or cat.tgt[h] != cat.tgt[g]:
                     problems.append("composite %d of (%d, %d) has wrong endpoints" % (h, g, f))
     for f in range(m):
         e0, e1 = cat.identity[cat.src[f]], cat.identity[cat.tgt[f]]
-        if cat.comp.get((f, e0)) != f:
+        if comp.get((f, e0)) != f:
             problems.append("right identity law fails at morphism %d" % f)
-        if cat.comp.get((e1, f)) != f:
+        if comp.get((e1, f)) != f:
             problems.append("left identity law fails at morphism %d" % f)
     for h in range(m):
         for g in range(m):
             if cat.src[h] != cat.tgt[g]:
                 continue
-            hg = cat.comp.get((h, g))
+            hg = comp.get((h, g))
             for f in range(m):
                 if cat.src[g] != cat.tgt[f]:
                     continue
-                gf = cat.comp.get((g, f))
+                gf = comp.get((g, f))
                 if gf is None or hg is None:
                     continue
-                if cat.comp.get((h, gf)) != cat.comp.get((hg, f)):
+                if comp.get((h, gf)) != comp.get((hg, f)):
                     problems.append("associativity fails on (%d, %d, %d)" % (h, g, f))
     return problems
 
@@ -273,7 +317,9 @@ def discretize(cat):
                           [class_of[cat.src[m]] for m in range(cat.n_mor)])
     section = FunctorMap(d, cat, [cls[0] for cls in classes],
                          [cat.identity[cls[0]] for cls in classes])
-    assert compose_functors(quotient, section) == identity_functor(d)
+    if compose_functors(quotient, section) != identity_functor(d):
+        wit = next(c for c, cls in enumerate(classes) if class_of[cls[0]] != c)
+        raise ValueError("section law fails at class %d" % wit)
     return Discretization(classes, d, quotient, section)
 
 
@@ -325,8 +371,9 @@ def validate_functor(fun):
     for x in range(a.n_obj):
         if fun.mor_map[a.identity[x]] != b.identity[fun.obj_map[x]]:
             problems.append("identity of object %d is not preserved" % x)
+    bcomp = b.comp
     for (g, f), h in a.comp.items():
-        want = b.comp.get((fun.mor_map[g], fun.mor_map[f]))
+        want = bcomp.get((fun.mor_map[g], fun.mor_map[f]))
         if want != fun.mor_map[h]:
             problems.append("composition of (%d, %d) is not preserved" % (g, f))
     return problems
@@ -358,10 +405,11 @@ def validate_nat(nat):
         if b.src[c] != f.obj_map[x] or b.tgt[c] != g.obj_map[x]:
             problems.append("component at object %d has wrong endpoints" % x)
             return problems
+    bcomp = b.comp
     for m in range(a.n_mor):
         x, y = a.src[m], a.tgt[m]
-        left = b.comp.get((g.mor_map[m], nat.components[x]))
-        right = b.comp.get((nat.components[y], f.mor_map[m]))
+        left = bcomp.get((g.mor_map[m], nat.components[x]))
+        right = bcomp.get((nat.components[y], f.mor_map[m]))
         if left != right:
             problems.append("naturality square at morphism %d does not commute" % m)
     return problems
@@ -411,6 +459,11 @@ def chain_fiber_product(factors, right_maps, left_maps):
     give the matching constraints.  Objects and morphisms are the tuples that
     agree under them; composition is componentwise.  Labels and projection
     functors come along for free.
+
+    The product's composition is a rule, not a table: ``compose`` and
+    ``inverse`` compose the requested tuples through the factors' own
+    ``compose`` and remember the result, and reading ``cat.comp`` builds
+    the complete table (see the module docstring).
     """
     k = len(factors)
     if not (len(right_maps) == len(left_maps) == k - 1):
@@ -425,29 +478,26 @@ def chain_fiber_product(factors, right_maps, left_maps):
             out = [t + (v,) for t in out for v in buckets.get(right_of[i - 1](t[-1]), ())]
         return out
 
-    objs = tuples([c.n_obj for c in factors],
-                  [r.obj for r in right_maps], [l.obj for l in left_maps])
-    mors = tuples([c.n_mor for c in factors],
-                  [r.mor for r in right_maps], [l.mor for l in left_maps])
+    objs = tuple(tuples([c.n_obj for c in factors],
+                        [r.obj for r in right_maps], [l.obj for l in left_maps]))
+    mors = tuple(tuples([c.n_mor for c in factors],
+                        [r.mor for r in right_maps], [l.mor for l in left_maps]))
     obj_id = {t: i for i, t in enumerate(objs)}
     mor_id = {t: i for i, t in enumerate(mors)}
     src = [obj_id[tuple(factors[i].src[t[i]] for i in range(k))] for t in mors]
     tgt = [obj_id[tuple(factors[i].tgt[t[i]] for i in range(k))] for t in mors]
     identity = [mor_id[tuple(factors[i].identity[t[i]] for i in range(k))] for t in objs]
-    by_src = {}
-    for i, x in enumerate(src):
-        by_src.setdefault(x, []).append(i)
-    comp = {}
-    for fi, f in enumerate(mors):
-        for gi in by_src.get(tgt[fi], ()):
-            g = mors[gi]
-            comp[(gi, fi)] = mor_id[tuple(factors[i].comp[(g[i], f[i])] for i in range(k))]
-    cat = FinCat(len(objs), src, tgt, identity, comp)
+    composers = [c.compose for c in factors]
+
+    def rule(gi, fi):
+        return mor_id[tuple([c(g, f) for c, g, f in zip(composers, mors[gi], mors[fi])])]
+
+    cat = FinCat(len(objs), src, tgt, identity, rule=rule)
     projections = [
         FunctorMap(cat, factors[i], [t[i] for t in objs], [t[i] for t in mors])
         for i in range(k)
     ]
-    return FiberChain(cat, tuple(objs), tuple(mors), obj_id, mor_id, projections)
+    return FiberChain(cat, objs, mors, obj_id, mor_id, projections)
 
 
 def pullback(f, g):
@@ -488,12 +538,13 @@ def full_subcategory(cat, objects):
     keep = [m for m in range(cat.n_mor)
             if cat.src[m] in obj_new and cat.tgt[m] in obj_new]
     mor_new = {m: i for i, m in enumerate(keep)}
+    comp = cat.comp
     sub = FinCat(len(objects),
                  [obj_new[cat.src[m]] for m in keep],
                  [obj_new[cat.tgt[m]] for m in keep],
                  [mor_new[cat.identity[x]] for x in objects],
-                 {(mor_new[g], mor_new[f]): mor_new[cat.comp[(g, f)]]
-                  for (g, f) in cat.comp
+                 {(mor_new[g], mor_new[f]): mor_new[h]
+                  for (g, f), h in comp.items()
                   if g in mor_new and f in mor_new})
     incl = FunctorMap(sub, cat, objects, keep)
     return sub, incl
@@ -528,7 +579,7 @@ def boff_factorize(fun):
     comp = {}
     for t1 in labels:
         for t2 in by_src.get(t1[1], ()):
-            comp[(mor_id[t2], mor_id[t1])] = mor_id[(t1[0], t2[1], b.comp[(t2[2], t1[2])])]
+            comp[(mor_id[t2], mor_id[t1])] = mor_id[(t1[0], t2[1], b.compose(t2[2], t1[2]))]
     mid = FinCat(a.n_obj, [t[0] for t in labels], [t[1] for t in labels], identity, comp)
     to_mid = FunctorMap(a, mid, range(a.n_obj),
                         [mor_id[(a.src[m], a.tgt[m], fun.mor_map[m])] for m in range(a.n_mor)])
@@ -568,9 +619,11 @@ def retraction_pseudo_inverse(fun):
     gmor = []
     for m in range(b.n_mor):
         y0, y1 = b.src[m], b.tgt[m]
-        conj = b.comp[(b.inverse(eps[y1]), b.comp[(m, eps[y0])])]
+        conj = b.compose(b.inverse(eps[y1]), b.compose(m, eps[y0]))
         cand = [n for n in a.hom(gobj[y0], gobj[y1]) if fun.mor_map[n] == conj]
-        assert len(cand) == 1, "fully faithful transport must have a unique preimage"
+        if len(cand) != 1:
+            raise ValueError("transport of morphism %d has %d preimages, not one"
+                             % (m, len(cand)))
         gmor.append(cand[0])
     g = FunctorMap(b, a, gobj, gmor)
     counit = NatTransf(compose_functors(fun, g), identity_functor(b), eps)

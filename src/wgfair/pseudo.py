@@ -119,7 +119,9 @@ class PseudoDiagram:
             if self.site.is_identity(f) or self.site.is_identity(g):
                 composite = fc.compose_functors(self.action(f), self.action(g))
                 target = self.action(self.site.compose(g, f))
-                assert composite == target
+                if composite != target:
+                    raise ValueError("identity-leg cell at (%r, %r): the composite"
+                                     " action is not the action of the composite" % (g, f))
                 self._cells[key] = fc.NatTransf(
                     composite, target,
                     [composite.target.identity[x] for x in composite.obj_map])
@@ -212,6 +214,7 @@ def validate_pseudo(diagram, coherence=True, max_problems=20):
                 return problems
 
     if coherence:
+        comps = {a: diagram.level(a).comp for a in site.objects}
         for h, g, f in composable_triples(site):
             gf = site.compose(g, f)
             hg = site.compose(h, g)
@@ -221,7 +224,7 @@ def validate_pseudo(diagram, coherence=True, max_problems=20):
             cell_hg = diagram.cell(h, g)
             cell_hg_f = diagram.cell(hg, f)
             top = diagram.level(site.tgt(h))
-            comp = diagram.level(site.src(f)).comp
+            comp = comps[site.src(f)]
             outer, inner = cell_h_gf.components, cell_gf.components
             outer2, inner2 = cell_hg_f.components, cell_hg.components
             ah, af = act_h.obj_map, act_f.mor_map

@@ -40,6 +40,7 @@ class WGDouble:
         self._faces = {}
         self._degens = {}
         self._nerve = {}
+        self._segal = None
 
     def level(self, k):
         return (self.x0, self.x1, self.pairs.cat, self.triples.cat)[k]
@@ -276,7 +277,11 @@ def segal_data(x):
 
     hat2/hat3 are the fiber products of gamma-composable tuples; muhat_k
     embeds the strict tuples.  Requires a homotopically discrete level zero.
+    Built once per instance; a level zero that cannot be discretized raises
+    ValueError every time.
     """
+    if x._segal is not None:
+        return x._segal
     dz = fc.discretize(x.x0)
     gd0 = fc.compose_functors(dz.quotient, x.d0)
     gd1 = fc.compose_functors(dz.quotient, x.d1)
@@ -285,9 +290,14 @@ def segal_data(x):
     muhat2 = fc.mediating_functor(hat2, x.pairs.projections)
     muhat3 = fc.mediating_functor(hat3, x.triples.projections)
     # strict tuples stay distinct, so both are injective on objects
-    assert len(set(muhat2.obj_map)) == x.pairs.cat.n_obj
-    assert len(set(muhat3.obj_map)) == x.triples.cat.n_obj
-    return SegalData(dz.discrete, dz.quotient, dz.section, hat2, muhat2, hat3, muhat3)
+    for strict, muhat in ((x.pairs, muhat2), (x.triples, muhat3)):
+        first = {}
+        for o, y in enumerate(muhat.obj_map):
+            if first.setdefault(y, o) != o:
+                raise ValueError("strict tuples %r and %r have the same image"
+                                 % (strict.obj_label[first[y]], strict.obj_label[o]))
+    x._segal = SegalData(dz.discrete, dz.quotient, dz.section, hat2, muhat2, hat3, muhat3)
+    return x._segal
 
 
 def validate_catwg2(x):
@@ -401,12 +411,12 @@ def validate_cleavage(x, cl):
         for psi in range(x0.n_mor):
             if x0.tgt[psi] != x0.src[phi] or not x0.is_iso(psi):
                 continue
-            both = x0.comp[(phi, psi)]
+            both = x0.compose(phi, psi)
             if (f, both) not in cl.table or (g, psi) not in cl.table:
                 continue
             g2, lam2 = cl.table[(g, psi)]
             gb, lamb = cl.table[(f, both)]
-            if gb != g2 or lamb != x1.comp[(lam, lam2)]:
+            if gb != g2 or lamb != x1.compose(lam, lam2):
                 problems.append("pasting law fails for arrow %d along (%d, %d)"
                                 % (f, phi, psi))
     for i, (f, g) in enumerate(x.pairs.obj_label):
@@ -434,7 +444,8 @@ class Retractions:
 
 
 def _only(items):
-    assert len(items) == 1
+    if len(items) != 1:
+        raise ValueError("expected exactly one item, found %r" % (list(items),))
     return items[0]
 
 
@@ -889,8 +900,12 @@ def d2_construction(x):
         for i in range(k + 1):
             degen[(k, i)] = x.degen(k, i)
     for i in (0, 1):
-        assert fc.compose_functors(face[(1, i)], degen[(0, 0)]) == \
-            fc.identity_functor(sd.x0d)
+        back = fc.compose_functors(face[(1, i)], degen[(0, 0)])
+        if back != fc.identity_functor(sd.x0d):
+            wit = next(c for c in range(sd.x0d.n_obj)
+                       if back.obj_map[c] != c or back.mor_map[c] != c)
+            raise ValueError("rebased face %d does not undo the degeneracy at class %d"
+                             % (i, wit))
     comparison = [sd.gamma_section,
                   fc.identity_functor(x.x1),
                   fc.identity_functor(x.pairs.cat),
@@ -971,7 +986,7 @@ def generate_from_surjection(base, assignment):
     def compose_obj(i, j):
         s, b, _ = triples[i]
         _, b2, s3 = triples[j]
-        return t_id[(s, base.comp[(b2, b)], s3)]
+        return t_id[(s, base.compose(b2, b), s3)]
 
     def compose_mor(m, m2):
         return m1_id[(compose_obj(m1_src[m], m1_src[m2]),

@@ -1,5 +1,9 @@
 """Double-category laws, Segal retractions, and the strictified diagram."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -456,3 +460,23 @@ def test_random_instances_validate_and_strictify(seed):
     res = wg.tr2_strong_segalic(x, strategy="cleavage")
     assert wg.tr2_face_report(res) == []
     assert wg.tr2_segal_report(res) == []
+
+
+def test_only_raises_under_python_optimize():
+    # the result guards must survive -O, which strips assert statements
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wg.__file__)))
+    code = "\n".join([
+        "from wgfair import fair2, wgdouble",
+        "if __debug__:",
+        "    raise SystemExit('not running under -O')",
+        "for only in (wgdouble._only, fair2._only):",
+        "    try:",
+        "        only([1, 2])",
+        "    except ValueError:",
+        "        continue",
+        "    raise SystemExit('%s._only returned a value' % only.__module__)",
+    ])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr

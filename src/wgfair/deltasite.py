@@ -531,17 +531,3 @@ def _stack_map(src_obj, tgt_obj, a):
     if collapse(out) != a:
         raise ValueError("stacked lift %r does not collapse to %r" % (out, a))
     return out
-
-
-def lift_pair(f, g, window=None):
-    """Shared-middle lifts of an op-composable pair (see lift_chain)."""
-    return tuple(lift_chain([f, g], window))
-
-
-def lift_triple(f, g, h, window=None):
-    return tuple(lift_chain([f, g, h], window))
-
-
-def canonical_lift(f, window=None):
-    """The canonical single lift: plain source into the fiber-chunked target."""
-    return lift_chain([f], window)[0]

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import anchored as an
 from . import deltasite as ds
 from . import fincat as fc
 
@@ -298,6 +299,22 @@ def build_fair(p, window=None):
     return d
 
 
+def pi_star(x):
+    """The comparison functor pi* on a weakly globular double category.
+
+    Points read off level zero and arrows off level one; the units are the
+    vertical objects again, sitting at themselves and on their identity
+    arrows s0.  Arrows compose through the strict pair level, units by
+    keeping the first of a pair.  Returns the evaluated fair diagram.
+    """
+    p = from_presentation(
+        x.x0, x.x1, x.x0, x.d1, x.d0, fc.identity_functor(x.x0), x.s0,
+        lambda f, g: x.comp.obj(x.pairs.obj_id[(f, g)]),
+        lambda m, n: x.comp.mor(x.pairs.mor_id[(m, n)]),
+        lambda w1, w2: w1, lambda m, n: m)
+    return build_fair(p)
+
+
 # ---------------------------------------------------------------------------
 # The fair axioms over discrete points
 
@@ -404,13 +421,8 @@ def validate_fairwg(d):
 # Fundamental category and hom fibers
 
 
-@dataclass
-class FairPi1:
-    cat: fc.FinCat
-    point_classes: list
-    point_class_of: tuple
-    arrow_classes: list
-    arrow_class_of: tuple
+class FairPi1(an.Pi1):
+    """Fundamental category of a fair structure; obj_* are the point classes."""
 
 
 def pi1_fair(d):
@@ -422,51 +434,8 @@ def pi1_fair(d):
     guessing.
     """
     p = d.p
-    point_classes, pcof = fc.iso_classes(p.points)
-    arrow_classes, acof = fc.iso_classes(p.arrows)
-    src = [pcof[p.src.obj(cls[0])] for cls in arrow_classes]
-    tgt = [pcof[p.tgt.obj(cls[0])] for cls in arrow_classes]
-    ident = [None] * len(point_classes)
-    for w in range(p.units.n_obj):
-        c = pcof[p.value.obj(w)]
-        a = acof[p.as_arrow.obj(w)]
-        if ident[c] is None:
-            ident[c] = a
-        elif ident[c] != a:
-            raise ValueError("unit classes disagree at point class %d" % c)
-    for c, a in enumerate(ident):
-        if a is None:
-            raise ValueError("point class %d has no unit" % c)
-    table = {}
-    for i, (f, g) in enumerate(p.pair_arrows.obj_label):
-        key = (acof[g], acof[f])
-        val = acof[p.comp_arrows.obj(i)]
-        if table.setdefault(key, val) != val:
-            raise ValueError("descended composition is not single-valued at"
-                             " classes (%d, %d)" % key)
-    for mg in range(len(arrow_classes)):
-        for mf in range(len(arrow_classes)):
-            if tgt[mf] == src[mg] and (mg, mf) not in table:
-                raise ValueError("no composable representatives for classes"
-                                 " (%d, %d)" % (mg, mf))
-    pair_classes, _ = fc.iso_classes(p.pair_arrows.cat)
-    seen = set()
-    for cls in pair_classes:
-        f, g = p.pair_arrows.obj_label[cls[0]]
-        key = (acof[f], acof[g])
-        if key in seen:
-            raise ValueError("pairs level does not descend to the fiber product"
-                             " of classes at %r" % (key,))
-        seen.add(key)
-    composable = {(mf, mg) for mf in range(len(arrow_classes))
-                  for mg in range(len(arrow_classes)) if tgt[mf] == src[mg]}
-    if seen != composable:
-        raise ValueError("pairs level misses some composable class pair")
-    cat = fc.FinCat(len(point_classes), src, tgt, ident, table)
-    bad = fc.validate_category(cat)
-    if bad:
-        raise ValueError("descended category law fails: %s" % bad[0])
-    return FairPi1(cat, point_classes, pcof, arrow_classes, acof)
+    units = [(p.value.obj(w), p.as_arrow.obj(w)) for w in range(p.units.n_obj)]
+    return FairPi1(*an.pi1(p, units))
 
 
 def hom_fiber_fair(d, a, b):
@@ -474,11 +443,7 @@ def hom_fiber_fair(d, a, b):
 
     Returns (category, inclusion into the arrows).
     """
-    p = d.p
-    _, pcof = fc.iso_classes(p.points)
-    objs = [f for f in range(p.arrows.n_obj)
-            if pcof[p.src.obj(f)] == a and pcof[p.tgt.obj(f)] == b]
-    return fc.full_subcategory(p.arrows, objs)
+    return an.hom_fiber(d.p, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -556,16 +521,7 @@ def pi1_fair_map(fmap, p_src=None, p_tgt=None):
     """Functor induced on fundamental categories."""
     p_src = p_src if p_src is not None else pi1_fair(fmap.source)
     p_tgt = p_tgt if p_tgt is not None else pi1_fair(fmap.target)
-    fun = fc.FunctorMap(
-        p_src.cat, p_tgt.cat,
-        [p_tgt.point_class_of[fmap.on_points.obj(cls[0])]
-         for cls in p_src.point_classes],
-        [p_tgt.arrow_class_of[fmap.on_arrows.obj(cls[0])]
-         for cls in p_src.arrow_classes])
-    bad = fc.validate_functor(fun)
-    if bad:
-        raise ValueError("induced map is not functorial: %s" % bad[0])
-    return fun
+    return an.pi1_map(p_src, p_tgt, fmap.on_points, fmap.on_arrows)
 
 
 def is_2equivalence_fair(fmap):
@@ -575,35 +531,8 @@ def is_2equivalence_fair(fmap):
     only asks the fundamental map to be surjective on objects.
     """
     x, y = fmap.source, fmap.target
-    p_src, p_tgt = pi1_fair(x), pi1_fair(y)
-    pf = pi1_fair_map(fmap, p_src, p_tgt)
-    pflags = fc.equivalence_flags(pf)
-    fibers_ok = True
-    for a in range(len(p_src.point_classes)):
-        for b in range(len(p_src.point_classes)):
-            sub_x, incl_x = hom_fiber_fair(x, a, b)
-            if sub_x.n_obj == 0:
-                continue
-            a2, b2 = pf.obj(a), pf.obj(b)
-            sub_y, incl_y = hom_fiber_fair(y, a2, b2)
-            pos_obj = {incl_y.obj(o): o for o in range(sub_y.n_obj)}
-            pos_mor = {incl_y.mor(m): m for m in range(sub_y.n_mor)}
-            rest = fc.FunctorMap(
-                sub_x, sub_y,
-                [pos_obj[fmap.on_arrows.obj(incl_x.obj(o))]
-                 for o in range(sub_x.n_obj)],
-                [pos_mor[fmap.on_arrows.mor(incl_x.mor(m))]
-                 for m in range(sub_x.n_mor)])
-            if not fc.is_equivalence(rest):
-                fibers_ok = False
-    surj = set(pf.obj_map) == set(range(p_tgt.cat.n_obj))
-    return {
-        "hom_fiber_equivalences": fibers_ok,
-        "pi1_equivalence": pflags["is_equivalence"],
-        "pi1_surjective_on_objects": surj,
-        "is_2equivalence": fibers_ok and pflags["is_equivalence"],
-        "is_2equivalence_relaxed": fibers_ok and surj,
-    }
+    return an.is_2equivalence(x.p, y.p, pi1_fair(x), pi1_fair(y),
+                              fmap.on_points, fmap.on_arrows)
 
 
 # ---------------------------------------------------------------------------
@@ -623,12 +552,6 @@ class FairCleavage:
         self.arrows = arrows
         self.units = units
         self.unit_of = unit_of
-
-
-def _only(items):
-    if len(items) != 1:
-        raise ValueError("expected exactly one item, found %r" % (list(items),))
-    return items[0]
 
 
 def _dragged(section, class_of, xo, sf, t):
@@ -657,56 +580,13 @@ def build_fair_cleavage(p):
     a bug.
     """
     disc = fc.discretize(p.points)
-    _, class_of = fc.iso_classes(p.points)
-    members = {}
-    for o in range(p.points.n_obj):
-        members.setdefault(class_of[o], []).append(o)
-    arrows = {}
-    for f in range(p.arrows.n_obj):
-        sf, tf = p.src.obj(f), p.tgt.obj(f)
-        for xo in members[class_of[sf]]:
-            phi = _only(p.points.hom(xo, sf))
-            if xo == sf:
-                arrows[(f, phi)] = (f, p.arrows.identity[f])
-                continue
-            tf2 = _dragged(disc.section, class_of, xo, sf, tf)
-            psi = _only(p.points.hom(tf2, tf))
-            best = None
-            for lam in range(p.arrows.n_mor):
-                if p.arrows.tgt[lam] != f or not p.arrows.is_iso(lam):
-                    continue
-                g = p.arrows.src[lam]
-                if p.src.obj(g) != xo or p.tgt.obj(g) != tf2:
-                    continue
-                if p.src.mor(lam) != phi or p.tgt.mor(lam) != psi:
-                    continue
-                if best is None or (g, lam) < best:
-                    best = (g, lam)
-            if best is None:
-                raise ValueError("no transport of arrow %d along point"
-                                 " isomorphism %d" % (f, phi))
-            arrows[(f, phi)] = best
-    units = {}
-    for w in range(p.units.n_obj):
-        v = p.value.obj(w)
-        for xo in members[class_of[v]]:
-            phi = _only(p.points.hom(xo, v))
-            if xo == v:
-                units[(w, phi)] = (w, p.units.identity[w])
-                continue
-            best = None
-            for iot in range(p.units.n_mor):
-                if p.units.tgt[iot] != w or not p.units.is_iso(iot):
-                    continue
-                w2 = p.units.src[iot]
-                if p.value.obj(w2) != xo or p.value.mor(iot) != phi:
-                    continue
-                if best is None or (w2, iot) < best:
-                    best = (w2, iot)
-            if best is None:
-                raise ValueError("no transport of unit %d along point"
-                                 " isomorphism %d" % (w, phi))
-            units[(w, phi)] = best
+    arrows = an.transport_table(
+        disc, p.arrows, p.src, p.tgt, lambda f, xo: _dragged(
+            disc.section, disc.quotient.obj_map, xo, p.src.obj(f), p.tgt.obj(f)),
+        "no transport of arrow %d along point isomorphism %d")
+    # a unit starts and ends at its value, so both ends move together
+    units = an.transport_table(disc, p.units, p.value, p.value, lambda w, xo: xo,
+                               "no transport of unit %d along point isomorphism %d")
     unit_of = {}
     for w in range(p.units.n_obj):
         unit_of.setdefault(p.as_arrow.obj(w), w)
@@ -726,107 +606,42 @@ class FairRetractions:
     counit_units: fc.NatTransf
 
 
-def _arrow_walk(p, cl, hat, strict_chain):
-    """Cleavage-strategy section on class-composable arrow pairs.
-
-    Anchors the first component and transports the second to start exactly
-    where the first ends; a component that is a unit arrow is transported
-    inside the unit semi-category instead and re-embedded, which is what
-    later makes the unit embedding survive the rebasing.
-    """
-    walks = []
-    for t in hat.obj_label:
-        objs, lams = [t[0]], [p.arrows.identity[t[0]]]
-        for a in t[1:]:
-            anchor = p.tgt.obj(objs[-1])
-            w = cl.unit_of.get(a)
-            if w is not None:
-                phi = _only(p.points.hom(anchor, p.value.obj(w)))
-                w2, iot = cl.units[(w, phi)]
-                objs.append(p.as_arrow.obj(w2))
-                lams.append(p.as_arrow.mor(iot))
-            else:
-                phi = _only(p.points.hom(anchor, p.src.obj(a)))
-                g, lam = cl.arrows[(a, phi)]
-                objs.append(g)
-                lams.append(lam)
-        walks.append((tuple(objs), tuple(lams)))
-    return _walk_functor(p.arrows, walks, hat, strict_chain)
-
-
-def _unit_walk(p, cl, hat, strict_chain):
-    """Same anchoring for class-composable unit pairs."""
-    walks = []
-    for t in hat.obj_label:
-        objs, lams = [t[0]], [p.units.identity[t[0]]]
-        for w in t[1:]:
-            anchor = p.value.obj(objs[-1])
-            phi = _only(p.points.hom(anchor, p.value.obj(w)))
-            w2, iot = cl.units[(w, phi)]
-            objs.append(w2)
-            lams.append(iot)
-        walks.append((tuple(objs), tuple(lams)))
-    return _walk_functor(p.units, walks, hat, strict_chain)
-
-
-def _walk_functor(level, walks, hat, strict_chain):
-    obj_map = [strict_chain.obj_id[w[0]] for w in walks]
-    mor_map = []
-    for mt in hat.mor_label:
-        mid = hat.mor_id[mt]
-        _, lams_a = walks[hat.cat.src[mid]]
-        _, lams_b = walks[hat.cat.tgt[mid]]
-        parts = tuple(
-            level.compose(level.inverse(lams_b[j]),
-                          level.compose(mt[j], lams_a[j]))
-            for j in range(len(mt)))
-        mor_map.append(strict_chain.mor_id[parts])
-    nu = fc.FunctorMap(hat.cat, strict_chain.cat, obj_map, mor_map)
-    counit = [hat.mor_id[lams] for _, lams in walks]
-    return nu, counit
-
-
 def pair_retractions(d, strategy="cleavage", cleavage=None):
     """Chosen retractions of the pair embeddings over the point classes.
 
     Both the arrow pairs and the unit pairs get a section nu with
     nu . muhat the identity on the nose and an invertible counit
-    muhat . nu => Id; strategy "cleavage" uses the anchored transport walk,
-    "retraction" the generic minimal-identity retraction.
+    muhat . nu => Id.  Strategy "cleavage" anchors the first component of a
+    pair and transports the second to start exactly where the first ends; a
+    unit arrow is transported inside the unit semi-category instead and
+    re-embedded, which is what later makes the unit embedding survive the
+    rebasing.  "retraction" is the generic minimal-identity retraction.
     """
     p = d.p
-    gamma = d.discretization().quotient
-    hat_a = fc.chain_fiber_product(
-        [p.arrows, p.arrows],
-        [fc.compose_functors(gamma, p.tgt)], [fc.compose_functors(gamma, p.src)])
-    hat_u = fc.chain_fiber_product(
-        [p.units, p.units],
-        [fc.compose_functors(gamma, p.value)],
-        [fc.compose_functors(gamma, p.value)])
-    mu_a = fc.mediating_functor(hat_a, p.pair_arrows.projections)
-    mu_u = fc.mediating_functor(hat_u, p.pair_units.projections)
-    if strategy == "retraction":
-        ra, ru = fc.retraction_pseudo_inverse(mu_a), fc.retraction_pseudo_inverse(mu_u)
-        out = FairRetractions(strategy, hat_a, mu_a, ra.backward, ra.counit,
-                              hat_u, mu_u, ru.backward, ru.counit)
-    elif strategy == "cleavage":
+    shapes = [ds.parse_ordinal("o-o-o"), ds.parse_ordinal("o=o=o")]
+    hat_a, hat_u = [class_chain(d, s) for s in shapes]
+    # induced_segal would build each class chain a second time
+    mu_a, mu_u = [fc.mediating_functor(hat, d.chain(s).projections)
+                  for hat, s in zip((hat_a, hat_u), shapes)]
+
+    def walks():
         cl = cleavage if cleavage is not None else build_fair_cleavage(p)
-        nu_a, ca = _arrow_walk(p, cl, hat_a, p.pair_arrows)
-        nu_u, cu = _unit_walk(p, cl, hat_u, p.pair_units)
-        out = FairRetractions(
-            strategy, hat_a, mu_a, nu_a,
-            fc.NatTransf(fc.compose_functors(mu_a, nu_a),
-                         fc.identity_functor(hat_a.cat), ca),
-            hat_u, mu_u, nu_u,
-            fc.NatTransf(fc.compose_functors(mu_u, nu_u),
-                         fc.identity_functor(hat_u.cat), cu))
-    else:
-        raise ValueError("unknown strategy %r" % (strategy,))
-    for nu, mu, level in ((out.nu_arrows, mu_a, p.pair_arrows.cat),
-                          (out.nu_units, mu_u, p.pair_units.cat)):
-        if fc.compose_functors(nu, mu) != fc.identity_functor(level):
-            raise ValueError("section law fails for the %s strategy" % strategy)
-    return out
+
+        def unit_step(w, anchor):
+            return cl.units[(w, an.only(p.points.hom(anchor, p.value.obj(w))))]
+
+        def arrow_step(a, anchor):
+            w = cl.unit_of.get(a)
+            if w is None:
+                return cl.arrows[(a, an.only(p.points.hom(anchor, p.src.obj(a))))]
+            w2, iot = unit_step(w, anchor)
+            return p.as_arrow.obj(w2), p.as_arrow.mor(iot)
+
+        return [an.walk_section(p.arrows, p.tgt, hat_a, d.chain(shapes[0]), arrow_step),
+                an.walk_section(p.units, p.value, hat_u, d.chain(shapes[1]), unit_step)]
+
+    (nu_a, ca), (nu_u, cu) = an.sections(strategy, [mu_a, mu_u], walks)
+    return FairRetractions(strategy, hat_a, mu_a, nu_a, ca, hat_u, mu_u, nu_u, cu)
 
 
 def discretize_fair(d, strategy="cleavage", cleavage=None):

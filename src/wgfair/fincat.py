@@ -354,15 +354,21 @@ def compose_functors(g, f):
                       [g.mor_map[m] for m in f.mor_map])
 
 
-def validate_functor(fun):
-    """Functor laws as a violation list; malformed maps raise ValueError."""
+def _check_functor_shape(fun):
+    """ValueError unless the maps have the source's lengths and land in the target."""
     a, b = fun.source, fun.target
     if len(fun.obj_map) != a.n_obj or len(fun.mor_map) != a.n_mor:
         raise ValueError("functor map lengths disagree with the source")
-    if any(not 0 <= x < b.n_obj for x in fun.obj_map):
+    if fun.obj_map and not 0 <= min(fun.obj_map) <= max(fun.obj_map) < b.n_obj:
         raise ValueError("object map out of range")
-    if any(not 0 <= m < b.n_mor for m in fun.mor_map):
+    if fun.mor_map and not 0 <= min(fun.mor_map) <= max(fun.mor_map) < b.n_mor:
         raise ValueError("morphism map out of range")
+
+
+def validate_functor(fun):
+    """Functor laws as a violation list; malformed maps raise ValueError."""
+    _check_functor_shape(fun)
+    a, b = fun.source, fun.target
     problems = []
     for m in range(a.n_mor):
         fm = fun.mor_map[m]
@@ -420,7 +426,11 @@ def is_nat_iso(nat):
 
 
 def equivalence_flags(fun):
-    """Fully-faithful / essentially-surjective / injective-on-objects flags."""
+    """Fully-faithful / essentially-surjective / injective-on-objects flags.
+
+    Malformed maps raise ValueError, as in ``validate_functor``.
+    """
+    _check_functor_shape(fun)
     a, b = fun.source, fun.target
     ff = True
     for x in range(a.n_obj):
@@ -514,9 +524,9 @@ def mediating_functor(chain, cone_maps):
     maps (ValueError otherwise); the projections are jointly injective, so
     uniqueness is forced and the mediating functor is the tuple pairing.
     """
-    t = cone_maps[0].source
     if len(cone_maps) != len(chain.projections):
         raise ValueError("one cone leg per factor is required")
+    t = cone_maps[0].source
     obj_map, mor_map = [], []
     for x in range(t.n_obj):
         lab = tuple(c.obj_map[x] for c in cone_maps)

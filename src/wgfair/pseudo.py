@@ -52,35 +52,6 @@ class OrdinalSite:
         return f == ds.identity_simplex(f.src_rank)
 
 
-class ColoredSite:
-    """All colored ordinals within a truncation window, with all colored maps."""
-
-    def __init__(self, window=None):
-        self.window = window or ds.TruncationWindow()
-        self.objects = ds.window_objects(self.window)
-        self._hom = {}
-
-    def hom(self, a, b):
-        if (a, b) not in self._hom:
-            self._hom[(a, b)] = ds.enumerate_hom(a, b)
-        return self._hom[(a, b)]
-
-    def compose(self, g, f):
-        return ds.compose_fat(g, f)
-
-    def identity(self, a):
-        return ds.fat_identity(a)
-
-    def src(self, f):
-        return f.src
-
-    def tgt(self, f):
-        return f.tgt
-
-    def is_identity(self, f):
-        return f == ds.fat_identity(f.src)
-
-
 class PseudoDiagram:
     """Contravariant pseudo-functor on a finite site, normalized at identities.
 

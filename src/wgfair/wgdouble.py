@@ -15,9 +15,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from . import anchored as an
 from . import deltasite as ds
 from . import fincat as fc
 from . import pseudo as ps
+from .anchored import Pi1
 
 
 class WGDouble:
@@ -44,6 +46,10 @@ class WGDouble:
 
     def level(self, k):
         return (self.x0, self.x1, self.pairs.cat, self.triples.cat)[k]
+
+    def chain(self, k):
+        """The strict fiber product of composable k-tuples, k in (2, 3)."""
+        return self.pairs if k == 2 else self.triples
 
     def face(self, k, i):
         """The i-th face functor level(k) -> level(k-1)."""
@@ -89,22 +95,22 @@ class WGDouble:
     def obj_tuple(self, k, o):
         if k == 1:
             return (o,)
-        return (self.pairs if k == 2 else self.triples).obj_label[o]
+        return self.chain(k).obj_label[o]
 
     def mor_tuple(self, k, m):
         if k == 1:
             return (m,)
-        return (self.pairs if k == 2 else self.triples).mor_label[m]
+        return self.chain(k).mor_label[m]
 
     def pack_obj(self, k, parts):
         if k == 1:
             return parts[0]
-        return (self.pairs if k == 2 else self.triples).obj_id[tuple(parts)]
+        return self.chain(k).obj_id[tuple(parts)]
 
     def pack_mor(self, k, parts):
         if k == 1:
             return parts[0]
-        return (self.pairs if k == 2 else self.triples).mor_id[tuple(parts)]
+        return self.chain(k).mor_id[tuple(parts)]
 
     def nerve_action(self, f):
         """Contravariant action of a weakly increasing map on the nerve.
@@ -363,35 +369,10 @@ def build_cleavage(x):
     Raises ValueError when some arrow has no transport along some vertical
     isomorphism; that is an honest obstruction of the instance, not a bug.
     """
-    fc.discretize(x.x0)
-    table = {}
-    _, class_of = fc.iso_classes(x.x0)
-    members = {}
-    for o in range(x.x0.n_obj):
-        members.setdefault(class_of[o], []).append(o)
-    for f in range(x.x1.n_obj):
-        sf, tf = x.d1.obj(f), x.d0.obj(f)
-        for xo in members[class_of[sf]]:
-            phi = _only(x.x0.hom(xo, sf))
-            if xo == sf:
-                table[(f, phi)] = (f, x.x1.identity[f])
-                continue
-            best = None
-            for lam in range(x.x1.n_mor):
-                if x.x1.tgt[lam] != f or not x.x1.is_iso(lam):
-                    continue
-                g = x.x1.src[lam]
-                if x.d1.obj(g) != xo or x.d0.obj(g) != tf:
-                    continue
-                if x.d1.mor(lam) != phi or x.d0.mor(lam) != x.x0.identity[tf]:
-                    continue
-                if best is None or (g, lam) < best:
-                    best = (g, lam)
-            if best is None:
-                raise ValueError("no transport of horizontal arrow %d along"
-                                 " vertical isomorphism %d" % (f, phi))
-            table[(f, phi)] = best
-    return Cleavage(x, table)
+    # the target stays put, so its cell component is an identity
+    return Cleavage(x, an.transport_table(
+        fc.discretize(x.x0), x.x1, x.d1, x.d0, lambda f, xo: x.d0.obj(f),
+        "no transport of horizontal arrow %d along vertical isomorphism %d"))
 
 
 def validate_cleavage(x, cl):
@@ -443,82 +424,32 @@ class Retractions:
     counit3: fc.NatTransf
 
 
-def _only(items):
-    if len(items) != 1:
-        raise ValueError("expected exactly one item, found %r" % (list(items),))
-    return items[0]
-
-
-def _anchor_walk(x, cl, hat, strict_chain):
-    """Cleavage-strategy section of an induced Segal map.
-
-    Walks each gamma-composable tuple left to right, anchoring the first
-    component and transporting the rest to start exactly where the previous
-    one ends; components that are identity arrows are absorbed into the
-    identity at the anchor instead of transported.  The connecting cells
-    assemble into the counit.
-    """
-    s0img = {x.s0.obj(o): o for o in range(x.x0.n_obj)}
-    walks = []
-    for t in hat.obj_label:
-        objs, lams = [t[0]], [x.x1.identity[t[0]]]
-        for a in t[1:]:
-            anchor = x.d0.obj(objs[-1])
-            if a in s0img:
-                iota = _only(x.x0.hom(anchor, s0img[a]))
-                objs.append(x.s0.obj(anchor))
-                lams.append(x.s0.mor(iota))
-            else:
-                phi = _only(x.x0.hom(anchor, x.d1.obj(a)))
-                g, lam = cl.act(a, phi)
-                objs.append(g)
-                lams.append(lam)
-        walks.append((tuple(objs), tuple(lams)))
-    obj_map = [strict_chain.obj_id[w[0]] for w, _t in zip(walks, hat.obj_label)]
-    mor_map = []
-    for mt in hat.mor_label:
-        mid = hat.mor_id[mt]
-        _, lams_a = walks[hat.cat.src[mid]]
-        _, lams_b = walks[hat.cat.tgt[mid]]
-        parts = tuple(
-            x.x1.compose(x.x1.inverse(lams_b[j]), x.x1.compose(mt[j], lams_a[j]))
-            for j in range(len(mt)))
-        mor_map.append(strict_chain.mor_id[parts])
-    nu = fc.FunctorMap(hat.cat, strict_chain.cat, obj_map, mor_map)
-    counit = [hat.mor_id[lams] for _, lams in walks]
-    return nu, counit
-
-
 def segal_retractions(x, sd, strategy="cleavage", cleavage=None):
     """Chosen pseudo-inverses nu_k to the induced Segal maps, with counits.
 
-    strategy "cleavage" uses the anchored transport walk; "retraction" uses
-    the generic minimal-identity retraction.  Either way nu_k . muhat_k is
-    the identity on the nose and the counit muhat_k . nu_k => Id is an
-    invertible natural transformation.
+    strategy "cleavage" walks each gamma-composable tuple left to right,
+    anchoring the first component and transporting the rest to start
+    exactly where the previous one ends; components that are identity
+    arrows are absorbed into the identity at the anchor instead of
+    transported, and the connecting cells assemble into the counit.
+    "retraction" uses the generic minimal-identity retraction.  Either way
+    nu_k . muhat_k is the identity on the nose and the counit
+    muhat_k . nu_k => Id is an invertible natural transformation.
     """
-    if strategy == "retraction":
-        r2 = fc.retraction_pseudo_inverse(sd.muhat2)
-        r3 = fc.retraction_pseudo_inverse(sd.muhat3)
-        out = Retractions(strategy, r2.backward, r2.counit, r3.backward, r3.counit)
-    elif strategy == "cleavage":
+    def walks():
         cl = cleavage if cleavage is not None else build_cleavage(x)
-        nu2, c2 = _anchor_walk(x, cl, sd.hat2, x.pairs)
-        nu3, c3 = _anchor_walk(x, cl, sd.hat3, x.triples)
-        out = Retractions(
-            strategy, nu2,
-            fc.NatTransf(fc.compose_functors(sd.muhat2, nu2),
-                         fc.identity_functor(sd.hat2.cat), c2),
-            nu3,
-            fc.NatTransf(fc.compose_functors(sd.muhat3, nu3),
-                         fc.identity_functor(sd.hat3.cat), c3))
-    else:
-        raise ValueError("unknown strategy %r" % (strategy,))
-    for nu, muhat, level in ((out.nu2, sd.muhat2, x.pairs.cat),
-                             (out.nu3, sd.muhat3, x.triples.cat)):
-        if fc.compose_functors(nu, muhat) != fc.identity_functor(level):
-            raise ValueError("section law fails for the %s strategy" % strategy)
-    return out
+        s0img = {x.s0.obj(o): o for o in range(x.x0.n_obj)}
+
+        def step(a, anchor):
+            if a in s0img:
+                return x.s0.obj(anchor), x.s0.mor(an.only(x.x0.hom(anchor, s0img[a])))
+            return cl.act(a, an.only(x.x0.hom(anchor, x.d1.obj(a))))
+
+        return [an.walk_section(x.x1, x.d0, hat, x.chain(k), step)
+                for k, hat in ((2, sd.hat2), (3, sd.hat3))]
+
+    (nu2, c2), (nu3, c3) = an.sections(strategy, [sd.muhat2, sd.muhat3], walks)
+    return Retractions(strategy, nu2, c2, nu3, c3)
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +548,7 @@ def tr2_strong_segalic(x, strategy="cleavage", cleavage=None):
                 steps.append(tf.mor(ag[y]))
             if b == 0:
                 w = x.nerve_action(g).obj(e[c].obj(y))
-                kap = _only(x.x0.hom(sd.gamma_section.obj(sd.gamma.obj(w)), w))
+                kap = an.only(x.x0.hom(sd.gamma_section.obj(sd.gamma.obj(w)), w))
                 steps.append(whisker(f).mor(kap))
             if agf is not None:
                 steps.append(bottom.inverse(agf[y]))
@@ -732,31 +663,17 @@ def level_map(fmap, k):
         return fmap.f0
     if k == 1:
         return fmap.f1
-    chain = fmap.target.pairs if k == 2 else fmap.target.triples
-    source = fmap.source.pairs if k == 2 else fmap.source.triples
-    legs = [fc.compose_functors(fmap.f1, pr) for pr in source.projections]
-    return fc.mediating_functor(chain, legs)
+    legs = [fc.compose_functors(fmap.f1, pr) for pr in fmap.source.chain(k).projections]
+    return fc.mediating_functor(fmap.target.chain(k), legs)
 
 
 def identity_double_map(x):
     return DoubleMap(x, x, fc.identity_functor(x.x0), fc.identity_functor(x.x1))
 
 
-def compose_double_maps(g, f):
-    if g.source is not f.target and g.source != f.target:
-        raise ValueError("double maps are not composable")
-    return DoubleMap(f.source, g.target,
-                     fc.compose_functors(g.f0, f.f0),
-                     fc.compose_functors(g.f1, f.f1))
-
-
-@dataclass
-class Pi1:
-    cat: fc.FinCat
-    obj_classes: list
-    obj_class_of: tuple
-    arrow_classes: list
-    arrow_class_of: tuple
+def _anchored(x):
+    """The double category as arrows anchored at points (see ``anchored``)."""
+    return an.Anchored(x.x0, x.x1, x.d1, x.d0, x.pairs, x.comp)
 
 
 def pi1_double(x):
@@ -767,55 +684,15 @@ def pi1_double(x):
     both can genuinely fail off the weakly globular world, and then this
     raises ValueError rather than guessing.
     """
-    obj_classes, ocof = fc.iso_classes(x.x0)
-    arrow_classes, acof = fc.iso_classes(x.x1)
-    src = [ocof[x.d1.obj(cls[0])] for cls in arrow_classes]
-    tgt = [ocof[x.d0.obj(cls[0])] for cls in arrow_classes]
-    ident = [acof[x.s0.obj(cls[0])] for cls in obj_classes]
-    table = {}
-    for i, (f, g) in enumerate(x.pairs.obj_label):
-        key = (acof[g], acof[f])
-        val = acof[x.comp.obj(i)]
-        if table.setdefault(key, val) != val:
-            raise ValueError("descended composition is not single-valued at"
-                             " classes (%d, %d)" % key)
-    for mg in range(len(arrow_classes)):
-        for mf in range(len(arrow_classes)):
-            if tgt[mf] == src[mg] and (mg, mf) not in table:
-                raise ValueError("no composable representatives for classes"
-                                 " (%d, %d)" % (mg, mf))
-    pair_classes, _ = fc.iso_classes(x.pairs.cat)
-    seen = set()
-    for cls in pair_classes:
-        f, g = x.pairs.obj_label[cls[0]]
-        key = (acof[f], acof[g])
-        if key in seen:
-            raise ValueError("pairs level does not descend to the fiber product"
-                             " of classes at %r" % (key,))
-        seen.add(key)
-    composable = {(mf, mg) for mf in range(len(arrow_classes))
-                  for mg in range(len(arrow_classes)) if tgt[mf] == src[mg]}
-    if seen != composable:
-        raise ValueError("pairs level misses some composable class pair")
-    cat = fc.FinCat(len(obj_classes), src, tgt, ident, table)
-    bad = fc.validate_category(cat)
-    if bad:
-        raise ValueError("descended category law fails: %s" % bad[0])
-    return Pi1(cat, obj_classes, ocof, arrow_classes, acof)
+    units = [(o, x.s0.obj(o)) for o in range(x.x0.n_obj)]
+    return Pi1(*an.pi1(_anchored(x), units))
 
 
 def pi1_map(fmap, p_src=None, p_tgt=None):
     """Functor induced on fundamental categories."""
     p_src = p_src if p_src is not None else pi1_double(fmap.source)
     p_tgt = p_tgt if p_tgt is not None else pi1_double(fmap.target)
-    fun = fc.FunctorMap(
-        p_src.cat, p_tgt.cat,
-        [p_tgt.obj_class_of[fmap.f0.obj(cls[0])] for cls in p_src.obj_classes],
-        [p_tgt.arrow_class_of[fmap.f1.obj(cls[0])] for cls in p_src.arrow_classes])
-    bad = fc.validate_functor(fun)
-    if bad:
-        raise ValueError("induced map is not functorial: %s" % bad[0])
-    return fun
+    return an.pi1_map(p_src, p_tgt, fmap.f0, fmap.f1)
 
 
 def hom_fiber(x, a, b):
@@ -823,10 +700,7 @@ def hom_fiber(x, a, b):
 
     Returns (category, inclusion into level one).
     """
-    _, ocof = fc.iso_classes(x.x0)
-    objs = [f for f in range(x.x1.n_obj)
-            if ocof[x.d1.obj(f)] == a and ocof[x.d0.obj(f)] == b]
-    return fc.full_subcategory(x.x1, objs)
+    return an.hom_fiber(_anchored(x), a, b)
 
 
 def is_2equivalence_double(fmap):
@@ -836,33 +710,8 @@ def is_2equivalence_double(fmap):
     surjectivity on its objects, which the fiber conditions then upgrade.
     """
     x, y = fmap.source, fmap.target
-    p_src, p_tgt = pi1_double(x), pi1_double(y)
-    pf = pi1_map(fmap, p_src, p_tgt)
-    pflags = fc.equivalence_flags(pf)
-    fibers_ok = True
-    for a in range(len(p_src.obj_classes)):
-        for b in range(len(p_src.obj_classes)):
-            sub_x, incl_x = hom_fiber(x, a, b)
-            if sub_x.n_obj == 0:
-                continue
-            a2, b2 = pf.obj(a), pf.obj(b)
-            sub_y, incl_y = hom_fiber(y, a2, b2)
-            pos_obj = {incl_y.obj(o): o for o in range(sub_y.n_obj)}
-            pos_mor = {incl_y.mor(m): m for m in range(sub_y.n_mor)}
-            rest = fc.FunctorMap(
-                sub_x, sub_y,
-                [pos_obj[fmap.f1.obj(incl_x.obj(o))] for o in range(sub_x.n_obj)],
-                [pos_mor[fmap.f1.mor(incl_x.mor(m))] for m in range(sub_x.n_mor)])
-            if not fc.is_equivalence(rest):
-                fibers_ok = False
-    surj = set(pf.obj_map) == set(range(p_tgt.cat.n_obj))
-    return {
-        "hom_fiber_equivalences": fibers_ok,
-        "pi1_equivalence": pflags["is_equivalence"],
-        "pi1_surjective_on_objects": surj,
-        "is_2equivalence": fibers_ok and pflags["is_equivalence"],
-        "is_2equivalence_relaxed": fibers_ok and surj,
-    }
+    return an.is_2equivalence(_anchored(x), _anchored(y), pi1_double(x), pi1_double(y),
+                              fmap.f0, fmap.f1)
 
 
 # ---------------------------------------------------------------------------

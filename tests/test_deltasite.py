@@ -328,7 +328,7 @@ def test_lift_chain_identities_and_monos():
 
     down = ds.SimplexMap(1, 2, (0, 2))
     up = ds.SimplexMap(0, 1, (1,))
-    lifted_down, lifted_up = ds.lift_pair(down, up)
+    lifted_down, lifted_up = ds.lift_chain([down, up])
     assert lifted_down == ds.FatMap(o("o-o"), o("o-o-o"), (0, 2))
     assert lifted_up == ds.FatMap(o("o"), o("o-o"), (1,))
 
@@ -336,7 +336,7 @@ def test_lift_chain_identities_and_monos():
 def test_lift_pair_epi_then_mono():
     drop = ds.SimplexMap(1, 0, (0, 0))
     pick = ds.SimplexMap(0, 1, (1,))
-    lifted_drop, lifted_pick = ds.lift_pair(drop, pick)
+    lifted_drop, lifted_pick = ds.lift_chain([drop, pick])
     assert lifted_pick == ds.FatMap(o("o"), o("o-o"), (1,))
     assert lifted_drop == ds.FatMap(o("o-o"), o("o=o"), (0, 1))
     assert ds.collapse(lifted_drop) == drop and ds.collapse(lifted_pick) == pick
@@ -364,7 +364,7 @@ def test_lift_chain_collapse_roundtrip(n0, n1, n2, data):
 
     f = any_map(n1, n0)
     g = any_map(n2, n1)
-    lf, lg = ds.lift_pair(f, g)
+    lf, lg = ds.lift_chain([f, g])
     assert ds.collapse(lf) == f and ds.collapse(lg) == g
     assert lf.src == lg.tgt
     assert ds.collapse(ds.compose_fat(lf, lg)) == ds.compose_simplex(f, g)
@@ -372,6 +372,6 @@ def test_lift_chain_collapse_roundtrip(n0, n1, n2, data):
 
 def test_canonical_lift_of_epi():
     f = ds.SimplexMap(2, 1, (0, 0, 1))
-    lift = ds.canonical_lift(f)
+    (lift,) = ds.lift_chain([f])
     assert lift == ds.FatMap(o("o-o-o"), o("o=o-o"), (0, 1, 2))
     assert ds.collapse(lift) == f

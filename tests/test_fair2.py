@@ -18,17 +18,6 @@ def cyclic3():
                      {(i, j): (i + j) % 3 for i in range(3) for j in range(3)})
 
 
-def pi_star_diagram(x):
-    # the fat-window evaluation of a double category: arrows and units read
-    # off X1 and X0, compositions from the strict pair level
-    p = f2.from_presentation(
-        x.x0, x.x1, x.x0, x.d1, x.d0, fc.identity_functor(x.x0), x.s0,
-        lambda f, g: x.comp.obj(x.pairs.obj_id[(f, g)]),
-        lambda m, n: x.comp.mor(x.pairs.mor_id[(m, n)]),
-        lambda w1, w2: w1, lambda m, n: m)
-    return f2.build_fair(p)
-
-
 @pytest.fixture(scope="module")
 def arrow_fair():
     return f2.fair_from_category(free_arrow_base())
@@ -42,7 +31,7 @@ def family():
 @pytest.fixture(scope="module")
 def family_fair(family):
     x, _ = family
-    return pi_star_diagram(x)
+    return f2.pi_star(x)
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +43,7 @@ def family_discrete(family_fair):
 def tf2_fair():
     x, _ = wg.generate_from_surjection(fc.thin_from_preorder(1, [(0, 0)]),
                                        [0, 0])
-    return pi_star_diagram(x)
+    return f2.pi_star(x)
 
 
 # -- presentations and window evaluation -------------------------------------
@@ -170,8 +159,17 @@ def test_family_plain_actions_match_the_nerve(family, family_fair):
 
 
 def test_family_pi1_matches_the_double_pi1(family, family_fair):
-    x, _ = family
-    assert f2.pi1_fair(family_fair).cat == wg.pi1_double(x).cat
+    # one anchored-arrows core serves both sides: pi* must not move pi1, the
+    # hom fibers or the 2-equivalence verdict of the identity
+    random_wg, _ = wg.generate_random_wg(4)
+    for x, d in ((family[0], family_fair), (random_wg, f2.pi_star(random_wg))):
+        classes = wg.pi1_double(x).cat
+        assert f2.pi1_fair(d).cat == classes
+        for a in range(classes.n_obj):
+            for b in range(classes.n_obj):
+                assert f2.hom_fiber_fair(d, a, b) == wg.hom_fiber(x, a, b)
+        assert f2.is_2equivalence_fair(f2.identity_fair_map(d)) == \
+            wg.is_2equivalence_double(wg.identity_double_map(x))
 
 
 def test_family_hom_fibers(family_fair):
@@ -183,7 +181,7 @@ def test_family_hom_fibers(family_fair):
 
 
 def test_micro_counterexample_fails_axiom_c_and_pi1():
-    d = pi_star_diagram(wg.micro_counterexample())
+    d = f2.pi_star(wg.micro_counterexample())
     problems = f2.validate_fairwg(d)
     assert len(problems) == 5
     assert problems[0] == ("axiom (c): induced Segal map at o-o-o is not an"
@@ -268,7 +266,7 @@ def test_rebasing_obstruction_over_a_chaotic_base():
     # is a raise (exhaustive search result recorded outside the package)
     chaotic2 = fc.thin_from_preorder(2, [(0, 0), (0, 1), (1, 0), (1, 1)])
     x, _ = wg.generate_from_surjection(chaotic2, [0, 0, 1])
-    d = pi_star_diagram(x)
+    d = f2.pi_star(x)
     assert f2.validate_fairwg(d) == []
     with pytest.raises(ValueError,
                        match=r"not associative at triple \(0, 5, 6\)"):
@@ -344,7 +342,7 @@ def test_identity_and_composition_of_fair_maps(family, family_fair,
 @given(st.integers(min_value=0, max_value=10 ** 6))
 def test_random_wg_instances_discretize_lawfully(seed):
     x, _ = wg.generate_random_wg(seed, max_base_objects=3, max_fiber=2)
-    d = pi_star_diagram(x)
+    d = f2.pi_star(x)
     assert f2.validate_fairwg(d) == []
     dd = f2.discretize_fair(d)
     assert f2.validate_fair2(dd) == []

@@ -180,6 +180,20 @@ def test_mediating_functor_rejects_non_cone():
         fc.mediating_functor(chain, [qa, qb])
 
 
+def test_mediating_functor_rejects_an_empty_cone():
+    a = free_arrow()
+    chain = fc.pullback(fc.identity_functor(a), fc.identity_functor(a))
+    with pytest.raises(ValueError, match="one cone leg per factor"):
+        fc.mediating_functor(chain, [])
+
+
+def test_equivalence_flags_rejects_malformed_maps():
+    with pytest.raises(ValueError, match="out of range"):
+        fc.equivalence_flags(fc.FunctorMap(fc.discrete(2), fc.discrete(1), [0, 5], [0, 5]))
+    with pytest.raises(ValueError, match="lengths disagree"):
+        fc.equivalence_flags(fc.FunctorMap(fc.discrete(2), fc.discrete(1), [0], [0, 0]))
+
+
 def test_equivalence_flags_examples():
     flags = fc.equivalence_flags(fc.identity_functor(fc.chaotic(3)))
     assert all(flags.values())

@@ -11,8 +11,6 @@ from wgfair import fair2 as f2
 from wgfair import fincat as fc
 from wgfair import wgdouble as wg
 
-from test_fair2 import pi_star_diagram
-
 # products with at most this many morphisms get every non-composable pair
 # checked; larger ones get one per (morphism, foreign object)
 EXHAUSTIVE_MOR = 200
@@ -116,7 +114,7 @@ def _nerve_products():
 
 def _family_fair_products():
     x, _ = wg.generate_from_surjection(free_arrow(), [0, 0, 1])
-    d = pi_star_diagram(x)
+    d = f2.pi_star(x)
     f2.validate_fairwg(d)
     f2.discretize_fair(d)
 

@@ -114,11 +114,13 @@ def pi1_map(p_src, p_tgt, on_points, on_arrows):
     return fun
 
 
-def hom_fiber(a, i, j):
-    """(full subcategory of the arrows from point class i to j, inclusion)."""
-    _, ocof = fc.iso_classes(a.points)
+def hom_fiber(a, i, j, class_of):
+    """(full subcategory of the arrows from point class i to j, inclusion).
+
+    class_of maps each point to its iso class, as ``obj_class_of`` does.
+    """
     objs = [f for f in range(a.arrows.n_obj)
-            if ocof[a.src.obj(f)] == i and ocof[a.tgt.obj(f)] == j]
+            if class_of[a.src.obj(f)] == i and class_of[a.tgt.obj(f)] == j]
     return fc.full_subcategory(a.arrows, objs)
 
 
@@ -129,16 +131,22 @@ def is_2equivalence(a, b, p_src, p_tgt, on_points, on_arrows):
     fibers_ok = True
     for i in range(len(p_src.obj_classes)):
         for j in range(len(p_src.obj_classes)):
-            sub_x, incl_x = hom_fiber(a, i, j)
+            sub_x, incl_x = hom_fiber(a, i, j, p_src.obj_class_of)
             if sub_x.n_obj == 0:
                 continue
-            sub_y, incl_y = hom_fiber(b, pf.obj(i), pf.obj(j))
-            pos_obj = {incl_y.obj(o): o for o in range(sub_y.n_obj)}
-            pos_mor = {incl_y.mor(m): m for m in range(sub_y.n_mor)}
-            rest = fc.FunctorMap(
-                sub_x, sub_y,
-                [pos_obj[on_arrows.obj(incl_x.obj(o))] for o in range(sub_x.n_obj)],
-                [pos_mor[on_arrows.mor(incl_x.mor(m))] for m in range(sub_x.n_mor)])
+            sub_y, incl_y = hom_fiber(b, pf.obj(i), pf.obj(j), p_tgt.obj_class_of)
+            maps = []
+            for what, incl, into, on in (
+                    ("arrow", incl_x.obj_map, incl_y.obj_map, on_arrows.obj_map),
+                    ("cell", incl_x.mor_map, incl_y.mor_map, on_arrows.mor_map)):
+                pos = {e: k for k, e in enumerate(into)}
+                for e in incl:
+                    if on[e] not in pos:
+                        raise ValueError("%s %d over classes (%d, %d) is sent to %d, outside"
+                                         " hom fiber (%d, %d)"
+                                         % (what, e, i, j, on[e], pf.obj(i), pf.obj(j)))
+                maps.append([pos[on[e]] for e in incl])
+            rest = fc.FunctorMap(sub_x, sub_y, *maps)
             if not fc.is_equivalence(rest):
                 fibers_ok = False
     surj = set(pf.obj_map) == set(range(p_tgt.cat.n_obj))

@@ -119,12 +119,10 @@ def from_presentation(points, arrows, units, src, tgt, value, as_arrow,
 # Evaluation on the colored ordinal window
 
 
-def _fold(chain, comp, entries, use_mor):
-    ids = chain.mor_id if use_mor else chain.obj_id
-    app = comp.mor if use_mor else comp.obj
+def _fold(ids, comp, entries):
     acc = entries[0]
     for e in entries[1:]:
-        acc = app(ids[(acc, e)])
+        acc = comp[ids[(acc, e)]]
     return acc
 
 
@@ -165,57 +163,17 @@ class FairDiagram:
         return self.p.value if i in shape.colored else self.p.tgt
 
     def chain(self, shape):
+        """Edgewise fiber product of a shape with at least one edge."""
         if shape not in self._chains:
-            n = shape.dots - 1
-            self._chains[shape] = fc.chain_fiber_product(
-                self.edge_cats(shape),
-                [self.right_anchor(shape, i) for i in range(n - 1)],
-                [self.left_anchor(shape, i + 1) for i in range(n - 1)])
+            cats, n = self.edge_cats(shape), shape.dots - 1
+            self._chains[shape] = fc.single_chain(cats[0]) if n == 1 else \
+                fc.chain_fiber_product(
+                    cats, [self.right_anchor(shape, i) for i in range(n - 1)],
+                    [self.left_anchor(shape, i + 1) for i in range(n - 1)])
         return self._chains[shape]
 
     def level(self, shape):
-        n = shape.dots - 1
-        if n == 0:
-            return self.p.points
-        if n == 1:
-            return self.edge_cats(shape)[0]
-        return self.chain(shape).cat
-
-    def obj_entries(self, shape, o):
-        if shape.dots == 2:
-            return (o,)
-        return self.chain(shape).obj_label[o]
-
-    def mor_entries(self, shape, m):
-        if shape.dots == 2:
-            return (m,)
-        return self.chain(shape).mor_label[m]
-
-    def pack_obj(self, shape, parts):
-        if shape.dots == 2:
-            return parts[0]
-        return self.chain(shape).obj_id[tuple(parts)]
-
-    def pack_mor(self, shape, parts):
-        if shape.dots == 2:
-            return parts[0]
-        return self.chain(shape).mor_id[tuple(parts)]
-
-    def dot_obj(self, shape, o, d):
-        if shape.dots == 1:
-            return o
-        t = self.obj_entries(shape, o)
-        if d < shape.dots - 1:
-            return self.left_anchor(shape, d).obj(t[d])
-        return self.right_anchor(shape, d - 1).obj(t[d - 1])
-
-    def dot_mor(self, shape, m, d):
-        if shape.dots == 1:
-            return m
-        t = self.mor_entries(shape, m)
-        if d < shape.dots - 1:
-            return self.left_anchor(shape, d).mor(t[d])
-        return self.right_anchor(shape, d - 1).mor(t[d - 1])
+        return self.p.points if shape.dots == 1 else self.chain(shape).cat
 
     def action(self, fat):
         """Functor induced on levels, against the direction of the map."""
@@ -224,52 +182,54 @@ class FairDiagram:
         return self._actions[fat]
 
     def _build_action(self, fat):
-        top = self.level(fat.tgt)
-        if fat.src.dots == 1:
+        src, tgt, p = fat.src, fat.tgt, self.p
+        if tgt.dots == 1:
+            return fc.identity_functor(p.points)
+        strings = self.chain(tgt)
+        if src.dots == 1:
+            # a dot is read off the edge leaving it, the last dot off the
+            # edge entering it
             d = fat.dotmap[0]
-            return fc.FunctorMap(
-                top, self.p.points,
-                [self.dot_obj(fat.tgt, o, d) for o in range(top.n_obj)],
-                [self.dot_mor(fat.tgt, m, d) for m in range(top.n_mor)])
-        obj_map = [self.pack_obj(fat.src,
-                                 self._pull(fat, self.obj_entries(fat.tgt, o), False))
-                   for o in range(top.n_obj)]
-        mor_map = [self.pack_mor(fat.src,
-                                 self._pull(fat, self.mor_entries(fat.tgt, m), True))
-                   for m in range(top.n_mor)]
-        return fc.FunctorMap(top, self.level(fat.src), obj_map, mor_map)
-
-    def _pull(self, fat, entries, use_mor):
-        out = []
-        for j in range(fat.src.dots - 1):
+            edge = min(d, tgt.dots - 2)
+            anchor = self.left_anchor(tgt, d) if d == edge else self.right_anchor(tgt, edge)
+            return fc.FunctorMap(strings.cat, p.points, *[
+                [read[t[edge]] for t in labels] for labels, read in
+                ((strings.obj_label, anchor.obj_map), (strings.mor_label, anchor.mor_map))])
+        tuples = self.chain(src)
+        # per source edge, the target path it covers cut into plain entries
+        # and colored runs (a run is a unit pushed into the arrows); a
+        # colored edge only ever covers colored edges and folds units alone
+        plan = []
+        for j in range(src.dots - 1):
             lo, hi = fat.dotmap[j], fat.dotmap[j + 1]
-            path = [(entries[i], i in fat.tgt.colored) for i in range(lo, hi)]
-            out.append(self._composite(path, j in fat.src.colored, use_mor))
-        return out
-
-    def _composite(self, path, into_units, use_mor):
-        p = self.p
-        if into_units:
-            # a colored edge only ever covers colored edges
-            return _fold(p.pair_units, p.comp_units,
-                         [e for e, _c in path], use_mor)
-        pieces, run = [], []
-        for e, colored in path:
-            if colored:
-                run.append(e)
-            else:
-                if run:
-                    pieces.append(self._realize(run, use_mor))
-                    run = []
-                pieces.append(e)
-        if run:
-            pieces.append(self._realize(run, use_mor))
-        return _fold(p.pair_arrows, p.comp_arrows, pieces, use_mor)
-
-    def _realize(self, run, use_mor):
-        p = self.p
-        w = _fold(p.pair_units, p.comp_units, run, use_mor)
-        return (p.as_arrow.mor if use_mor else p.as_arrow.obj)(w)
+            pieces = []
+            for i in range(lo, hi):
+                if i in tgt.colored and pieces and pieces[-1][2]:
+                    pieces[-1] = (pieces[-1][0], i + 1, True)
+                else:
+                    pieces.append((i, i + 1, i in tgt.colored))
+            plan.append((j in src.colored, pieces))
+        maps = []
+        for labels, ids, upair, ucomp, apair, acomp, unit in (
+                (strings.obj_label, tuples.obj_id, p.pair_units.obj_id, p.comp_units.obj_map,
+                 p.pair_arrows.obj_id, p.comp_arrows.obj_map, p.as_arrow.obj_map),
+                (strings.mor_label, tuples.mor_id, p.pair_units.mor_id, p.comp_units.mor_map,
+                 p.pair_arrows.mor_id, p.comp_arrows.mor_map, p.as_arrow.mor_map)):
+            out = []
+            for t in labels:
+                parts = []
+                for units_only, pieces in plan:
+                    if units_only:
+                        a, b, _ = pieces[0]
+                        parts.append(_fold(upair, ucomp, t[a:b]))
+                        continue
+                    row = []
+                    for a, b, run in pieces:
+                        row.append(unit[_fold(upair, ucomp, t[a:b])] if run else t[a])
+                    parts.append(_fold(apair, acomp, row))
+                out.append(ids[tuple(parts)])
+            maps.append(out)
+        return fc.FunctorMap(strings.cat, tuples.cat, *maps)
 
 
 def build_fair(p, window=None):
@@ -443,7 +403,7 @@ def hom_fiber_fair(d, a, b):
 
     Returns (category, inclusion into the arrows).
     """
-    return an.hom_fiber(d.p, a, b)
+    return an.hom_fiber(d.p, a, b, fc.iso_classes(d.p.points)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -468,19 +428,22 @@ def validate_fair_map(fmap):
         bad = fc.validate_functor(fun)
         if bad:
             problems.append("%s component is not a functor: %s" % (tag, bad[0]))
-    for name, ax, ay, comp in (("source", x.src, y.src, fmap.on_arrows),
-                               ("target", x.tgt, y.tgt, fmap.on_arrows),
-                               ("value", x.value, y.value, fmap.on_units)):
-        if fc.compose_functors(ay, comp) != fc.compose_functors(fmap.on_points, ax):
-            problems.append("%s square does not commute" % name)
+    ends = [name for name, ax, ay, comp in (("source", x.src, y.src, fmap.on_arrows),
+                                            ("target", x.tgt, y.tgt, fmap.on_arrows),
+                                            ("value", x.value, y.value, fmap.on_units))
+            if fc.compose_functors(ay, comp) != fc.compose_functors(fmap.on_points, ax)]
+    problems.extend("%s square does not commute" % name for name in ends)
     if fc.compose_functors(fmap.on_arrows, x.as_arrow) != \
             fc.compose_functors(y.as_arrow, fmap.on_units):
         problems.append("unit embedding square does not commute")
-    for tag, chx, chy, cx, cy, comp in (
-            ("", x.pair_arrows, y.pair_arrows, x.comp_arrows, y.comp_arrows,
-             fmap.on_arrows),
-            ("unit ", x.pair_units, y.pair_units, x.comp_units, y.comp_units,
-             fmap.on_units)):
+    # composable pairs only map to composable pairs when both ends commute
+    for tag, anchors, chx, chy, cx, cy, comp in (
+            ("", {"source", "target"}, x.pair_arrows, y.pair_arrows, x.comp_arrows,
+             y.comp_arrows, fmap.on_arrows),
+            ("unit ", {"value"}, x.pair_units, y.pair_units, x.comp_units,
+             y.comp_units, fmap.on_units)):
+        if anchors.intersection(ends):
+            continue
         legs = [fc.compose_functors(comp, pr) for pr in chx.projections]
         two = fc.mediating_functor(chy, legs)
         if fc.compose_functors(cy, two) != fc.compose_functors(comp, cx):
@@ -495,8 +458,6 @@ def level_map_fair(fmap, shape):
         return fmap.on_points
     comps = [fmap.on_units if i in shape.colored else fmap.on_arrows
              for i in range(n)]
-    if n == 1:
-        return comps[0]
     legs = [fc.compose_functors(comps[i], fmap.source.chain(shape).projections[i])
             for i in range(n)]
     return fc.mediating_functor(fmap.target.chain(shape), legs)

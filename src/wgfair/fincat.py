@@ -11,6 +11,10 @@ their factors).  ``compose`` and ``inverse`` only ever work entry by entry
 and remember the entries they compute, so they never force the table;
 reading ``comp`` yields the complete plain dict, built once on first read in
 the order of a full enumeration (for each f, the g composable after it).
+
+Chains of composable tuples are ``FiberChain`` values.  Rank one is the
+chain of a single factor, ``single_chain``: the category itself with 1-tuple
+labels, so code over levels of any positive rank needs no one-edge branch.
 """
 
 from __future__ import annotations
@@ -454,6 +458,12 @@ def is_equivalence(fun):
 
 @dataclass
 class FiberChain:
+    """An iterated fiber product with its tuple labels and projections.
+
+    Built by ``chain_fiber_product``; the one-factor chain of rank one is
+    ``single_chain``, which keeps the factor itself as ``cat``.
+    """
+
     cat: FinCat
     obj_label: tuple
     mor_label: tuple
@@ -508,6 +518,14 @@ def chain_fiber_product(factors, right_maps, left_maps):
         for i in range(k)
     ]
     return FiberChain(cat, objs, mors, obj_id, mor_id, projections)
+
+
+def single_chain(cat):
+    """The one-factor chain on cat: cat itself, 1-tuple labels, identity projection."""
+    objs = tuple((v,) for v in range(cat.n_obj))
+    mors = tuple((m,) for m in range(cat.n_mor))
+    return FiberChain(cat, objs, mors, {t: t[0] for t in objs},
+                      {t: t[0] for t in mors}, [identity_functor(cat)])
 
 
 def pullback(f, g):

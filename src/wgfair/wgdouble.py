@@ -39,17 +39,18 @@ class WGDouble:
         self.comp = comp
         self.pairs = pairs
         self.triples = triples
+        self.edges = fc.single_chain(x1)
         self._faces = {}
         self._degens = {}
         self._nerve = {}
         self._segal = None
 
     def level(self, k):
-        return (self.x0, self.x1, self.pairs.cat, self.triples.cat)[k]
+        return self.x0 if k == 0 else self.chain(k).cat
 
     def chain(self, k):
-        """The strict fiber product of composable k-tuples, k in (2, 3)."""
-        return self.pairs if k == 2 else self.triples
+        """The strict fiber product of composable k-tuples, k in (1, 2, 3)."""
+        return {1: self.edges, 2: self.pairs, 3: self.triples}[k]
 
     def face(self, k, i):
         """The i-th face functor level(k) -> level(k-1)."""
@@ -92,26 +93,6 @@ class WGDouble:
             self._degens[(k, i)] = fun
         return self._degens[(k, i)]
 
-    def obj_tuple(self, k, o):
-        if k == 1:
-            return (o,)
-        return self.chain(k).obj_label[o]
-
-    def mor_tuple(self, k, m):
-        if k == 1:
-            return (m,)
-        return self.chain(k).mor_label[m]
-
-    def pack_obj(self, k, parts):
-        if k == 1:
-            return parts[0]
-        return self.chain(k).obj_id[tuple(parts)]
-
-    def pack_mor(self, k, parts):
-        if k == 1:
-            return parts[0]
-        return self.chain(k).mor_id[tuple(parts)]
-
     def nerve_action(self, f):
         """Contravariant action of a weakly increasing map on the nerve.
 
@@ -122,54 +103,42 @@ class WGDouble:
         if f in self._nerve:
             return self._nerve[f]
         m, n = f.src_rank, f.tgt_rank
-        source = self.level(n)
-
-        def vertex_obj(t, o, j):
-            if n == 0:
-                return o
-            return self.d1.obj(t[0]) if j == 0 else self.d0.obj(t[j - 1])
-
-        def vertex_mor(t, mm, j):
-            if n == 0:
-                return mm
-            return self.d1.mor(t[0]) if j == 0 else self.d0.mor(t[j - 1])
-
-        def fold(parts, tab, pack):
-            c = parts[0]
-            for nxt in parts[1:]:
-                c = tab[pack((c, nxt))]
-            return c
-
-        obj_map, mor_map = [], []
-        for o in range(source.n_obj):
-            t = None if n == 0 else self.obj_tuple(n, o)
-            if m == 0:
-                obj_map.append(vertex_obj(t, o, f.values[0]))
-                continue
-            parts = []
-            for i in range(1, m + 1):
-                lo, hi = f.values[i - 1], f.values[i]
-                if lo == hi:
-                    parts.append(self.s0.obj(vertex_obj(t, o, lo)))
-                else:
-                    parts.append(fold(t[lo:hi], self.comp.obj_map,
-                                      self.pairs.obj_id.__getitem__))
-            obj_map.append(self.pack_obj(m, parts))
-        for mm in range(source.n_mor):
-            t = None if n == 0 else self.mor_tuple(n, mm)
-            if m == 0:
-                mor_map.append(vertex_mor(t, mm, f.values[0]))
-                continue
-            parts = []
-            for i in range(1, m + 1):
-                lo, hi = f.values[i - 1], f.values[i]
-                if lo == hi:
-                    parts.append(self.s0.mor(vertex_mor(t, mm, lo)))
-                else:
-                    parts.append(fold(t[lo:hi], self.comp.mor_map,
-                                      self.pairs.mor_id.__getitem__))
-            mor_map.append(self.pack_mor(m, parts))
-        fun = fc.FunctorMap(source, self.level(m), obj_map, mor_map)
+        vals = f.values
+        spans = list(zip(vals, vals[1:]))
+        source, target = self.level(n), self.level(m)
+        # level zero holds no strings and packs no tuples: a point is its own vertex
+        strings = self.chain(n) if n else None
+        tuples = self.chain(m) if m else None
+        maps = []
+        for count, labels, ids, pair_id, comp, d1, d0, s0 in (
+                (source.n_obj, strings and strings.obj_label, tuples and tuples.obj_id,
+                 self.pairs.obj_id, self.comp.obj_map, self.d1.obj_map,
+                 self.d0.obj_map, self.s0.obj_map),
+                (source.n_mor, strings and strings.mor_label, tuples and tuples.mor_id,
+                 self.pairs.mor_id, self.comp.mor_map, self.d1.mor_map,
+                 self.d0.mor_map, self.s0.mor_map)):
+            out = []
+            for e in range(count):
+                if n == 0:
+                    out.append(e if m == 0 else ids[(s0[e],) * m])
+                    continue
+                t = labels[e]
+                if m == 0:
+                    j = vals[0]
+                    out.append(d1[t[0]] if j == 0 else d0[t[j - 1]])
+                    continue
+                parts = []
+                for lo, hi in spans:
+                    if lo == hi:
+                        parts.append(s0[d1[t[0]] if lo == 0 else d0[t[lo - 1]]])
+                        continue
+                    c = t[lo]
+                    for g in t[lo + 1:hi]:
+                        c = comp[pair_id[(c, g)]]
+                    parts.append(c)
+                out.append(ids[tuple(parts)])
+            maps.append(out)
+        fun = fc.FunctorMap(source, target, *maps)
         self._nerve[f] = fun
         return fun
 
@@ -314,9 +283,9 @@ def validate_catwg2(x):
         problems.append("axiom (a): level zero is not homotopically discrete"
                         " (witness morphism %d)" % wit)
     for k, chain in ((2, x.pairs), (3, x.triples)):
-        expected_obj = _strict_tuples(x, k, objects=True)
-        expected_mor = _strict_tuples(x, k, objects=False)
-        if set(chain.obj_label) != expected_obj or set(chain.mor_label) != expected_mor:
+        sides = ((chain.obj_label, x.x1.n_obj, x.d0.obj_map, x.d1.obj_map),
+                 (chain.mor_label, x.x1.n_mor, x.d0.mor_map, x.d1.mor_map))
+        if any(set(lab) != _strict_tuples(k, n, d0, d1) for lab, n, d0, d1 in sides):
             problems.append("axiom (b): level-%d Segal map is not an isomorphism" % k)
     if flag:
         sd = segal_data(x)
@@ -332,14 +301,11 @@ def validate_catwg2(x):
     return problems
 
 
-def _strict_tuples(x, k, objects):
-    if objects:
-        items, d0, d1 = range(x.x1.n_obj), x.d0.obj_map, x.d1.obj_map
-    else:
-        items, d0, d1 = range(x.x1.n_mor), x.d0.mor_map, x.d1.mor_map
-    out = {(a,) for a in items}
+def _strict_tuples(k, count, d0, d1):
+    """Every k-tuple of level-one elements (objects or morphisms) matching d0 to d1."""
+    out = {(a,) for a in range(count)}
     for _ in range(k - 1):
-        out = {t + (b,) for t in out for b in items if d0[t[-1]] == d1[b]}
+        out = {t + (b,) for t in out for b in range(count) if d0[t[-1]] == d1[b]}
     return out
 
 
@@ -379,9 +345,18 @@ def validate_cleavage(x, cl):
     """Cleavage laws by enumeration: identities, pasting, composition."""
     problems = []
     x0, x1 = x.x0, x.x1
+    isos_into = {}
+    for phi in range(x0.n_mor):
+        if x0.is_iso(phi):
+            isos_into.setdefault(x0.tgt[phi], []).append(phi)
+    # transports missing or with wrong endpoints, reported once each
+    broken = {(f, phi) for f in range(x1.n_obj) for phi in isos_into.get(x.d1.obj(f), ())
+              if (f, phi) not in cl.table}
+    problems.extend("no transport of (%d, %d)" % key for key in sorted(broken))
     for (f, phi), (g, lam) in cl.table.items():
         if x.d1.obj(g) != x0.src[phi] or x.d0.obj(g) != x.d0.obj(f):
             problems.append("transport of (%d, %d) has wrong endpoints" % (f, phi))
+            broken.add((f, phi))
         if not x1.is_iso(lam) or x1.src[lam] != g or x1.tgt[lam] != f:
             problems.append("cell of (%d, %d) is not an isomorphism onto the arrow" % (f, phi))
         elif x.d1.mor(lam) != phi or x.d0.mor(lam) != x0.identity[x.d0.obj(f)]:
@@ -402,8 +377,8 @@ def validate_cleavage(x, cl):
                                 % (f, phi, psi))
     for i, (f, g) in enumerate(x.pairs.obj_label):
         c = x.comp.obj(i)
-        for phi in range(x0.n_mor):
-            if x0.tgt[phi] != x.d1.obj(f) or not x0.is_iso(phi):
+        for phi in isos_into.get(x.d1.obj(f), ()):
+            if (f, phi) in broken or (c, phi) in broken:
                 continue
             cf, lamf = cl.table[(f, phi)]
             cc, lamc = cl.table[(c, phi)]
@@ -646,13 +621,14 @@ def validate_double_map(fmap):
         bad = fc.validate_functor(fun)
         if bad:
             problems.append("%s component is not a functor: %s" % (tag, bad[0]))
-    for name, dx, dy in (("source", x.d1, y.d1), ("target", x.d0, y.d0)):
-        if fc.compose_functors(dy, fmap.f1) != fc.compose_functors(fmap.f0, dx):
-            problems.append("%s square does not commute" % name)
+    ends = [name for name, dx, dy in (("source", x.d1, y.d1), ("target", x.d0, y.d0))
+            if fc.compose_functors(dy, fmap.f1) != fc.compose_functors(fmap.f0, dx)]
+    problems.extend("%s square does not commute" % name for name in ends)
     if fc.compose_functors(fmap.f1, x.s0) != fc.compose_functors(y.s0, fmap.f0):
         problems.append("identity square does not commute")
-    two = level_map(fmap, 2)
-    if fc.compose_functors(y.comp, two) != fc.compose_functors(fmap.f1, x.comp):
+    # composable pairs only map to composable pairs when both ends commute
+    if not ends and fc.compose_functors(y.comp, level_map(fmap, 2)) != \
+            fc.compose_functors(fmap.f1, x.comp):
         problems.append("composition square does not commute")
     return problems
 
@@ -661,8 +637,6 @@ def level_map(fmap, k):
     """The induced functor on level k."""
     if k == 0:
         return fmap.f0
-    if k == 1:
-        return fmap.f1
     legs = [fc.compose_functors(fmap.f1, pr) for pr in fmap.source.chain(k).projections]
     return fc.mediating_functor(fmap.target.chain(k), legs)
 
@@ -700,7 +674,7 @@ def hom_fiber(x, a, b):
 
     Returns (category, inclusion into level one).
     """
-    return an.hom_fiber(_anchored(x), a, b)
+    return an.hom_fiber(_anchored(x), a, b, fc.iso_classes(x.x0)[1])
 
 
 def is_2equivalence_double(fmap):
@@ -736,7 +710,7 @@ def d2_construction(x):
     equivalence, witnessed by the returned flags.
     """
     sd = segal_data(x)
-    levels = [sd.x0d, x.x1, x.pairs.cat, x.triples.cat]
+    levels = [sd.x0d] + [x.level(k) for k in (1, 2, 3)]
     face = {}
     for k in (1, 2, 3):
         for i in range(k + 1):
@@ -755,10 +729,7 @@ def d2_construction(x):
                        if back.obj_map[c] != c or back.mor_map[c] != c)
             raise ValueError("rebased face %d does not undo the degeneracy at class %d"
                              % (i, wit))
-    comparison = [sd.gamma_section,
-                  fc.identity_functor(x.x1),
-                  fc.identity_functor(x.pairs.cat),
-                  fc.identity_functor(x.triples.cat)]
+    comparison = [sd.gamma_section] + [fc.identity_functor(lv) for lv in levels[1:]]
     flags = [fc.equivalence_flags(c) for c in comparison]
     return DiscretizedNerve(levels, face, degen, comparison, flags)
 

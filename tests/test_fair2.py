@@ -322,6 +322,31 @@ def test_collapse_map_is_a_2equivalence(family, family_fair, arrow_fair):
     assert fc.equivalence_flags(f2.pi1_fair_map(cmap))["is_equivalence"]
 
 
+def moved_arrow_fair_map(x, d):
+    """The identity of pi*(x), except that arrow 1 goes to the first arrow
+    whose end classes differ from those of arrow 0 (arrow 1 shares arrow 0's)."""
+    cls = f2.pi1_fair(d).obj_class_of
+    ends = [(cls[x.d1.obj(a)], cls[x.d0.obj(a)]) for a in range(x.x1.n_obj)]
+    assert ends[1] == ends[0]
+    f1 = list(range(x.x1.n_obj))
+    f1[1] = next(a for a in range(x.x1.n_obj) if ends[a] != ends[0])
+    ident = fc.identity_functor(x.x0)
+    return f2.FairMap(d, d, ident, fc.FunctorMap(x.x1, x.x1, f1, range(x.x1.n_mor)), ident)
+
+
+def test_2equivalence_fair_rejects_an_arrow_moved_out_of_its_hom_fiber(family, family_fair):
+    fmap = moved_arrow_fair_map(family[0], family_fair)
+    with pytest.raises(ValueError, match=r"arrow 1 over classes \(0, 0\) is sent to 2,"
+                                         r" outside hom fiber \(0, 0\)"):
+        f2.is_2equivalence_fair(fmap)
+
+
+def test_validate_fair_map_lists_failed_squares_without_raising(family, family_fair):
+    problems = f2.validate_fair_map(moved_arrow_fair_map(family[0], family_fair))
+    assert problems[0].startswith("arrow component is not a functor")
+    assert problems[1:] == ["target square does not commute"]
+
+
 def test_identity_and_composition_of_fair_maps(family, family_fair,
                                                arrow_fair):
     ident = f2.identity_fair_map(family_fair)

@@ -207,6 +207,25 @@ def test_tf2_cleavage_is_lawful(tf2):
     assert wg.validate_cleavage(x, wg.build_cleavage(x)) == []
 
 
+def test_validate_cleavage_reports_a_missing_transport(family):
+    x, _ = family
+    table = dict(wg.build_cleavage(x).table)
+    assert table[(0, 2)] != (0, x.x1.identity[0])
+    del table[(0, 2)]
+    assert wg.validate_cleavage(x, wg.Cleavage(x, table)) == ["no transport of (0, 2)"]
+
+
+def test_validate_cleavage_reports_a_transport_with_the_wrong_target(family):
+    x, _ = family
+    table = dict(wg.build_cleavage(x).table)
+    g, lam = table[(0, 2)]
+    far = next(a for a in range(x.x1.n_obj) if x.d0.obj(a) != x.d0.obj(g))
+    table[(0, 2)] = (far, lam)
+    problems = wg.validate_cleavage(x, wg.Cleavage(x, table))
+    assert "transport of (0, 2) has wrong endpoints" in problems
+    assert not any(p.startswith("composition") for p in problems)
+
+
 # -- retraction strategies ---------------------------------------------------
 
 
@@ -406,6 +425,31 @@ def test_point_inclusion_is_not_a_2equivalence(nerve):
     assert not flags["pi1_equivalence"]
     assert not flags["is_2equivalence"]
     assert not flags["is_2equivalence_relaxed"]
+
+
+def moved_arrow_map(x):
+    """The identity, except that arrow 1 goes to the first arrow whose end
+    classes differ from those of arrow 0 (arrow 1 shares arrow 0's)."""
+    cls = wg.pi1_double(x).obj_class_of
+    ends = [(cls[x.d1.obj(a)], cls[x.d0.obj(a)]) for a in range(x.x1.n_obj)]
+    assert ends[1] == ends[0]
+    f1 = list(range(x.x1.n_obj))
+    f1[1] = next(a for a in range(x.x1.n_obj) if ends[a] != ends[0])
+    return wg.DoubleMap(x, x, fc.identity_functor(x.x0),
+                        fc.FunctorMap(x.x1, x.x1, f1, range(x.x1.n_mor)))
+
+
+def test_2equivalence_rejects_an_arrow_moved_out_of_its_hom_fiber(family):
+    fmap = moved_arrow_map(family[0])
+    with pytest.raises(ValueError, match=r"arrow 1 over classes \(0, 0\) is sent to 2,"
+                                         r" outside hom fiber \(0, 0\)"):
+        wg.is_2equivalence_double(fmap)
+
+
+def test_validate_double_map_lists_failed_squares_without_raising(family):
+    problems = wg.validate_double_map(moved_arrow_map(family[0]))
+    assert problems[0].startswith("horizontal component is not a functor")
+    assert problems[1:] == ["target square does not commute"]
 
 
 # -- rebasing level zero -----------------------------------------------------

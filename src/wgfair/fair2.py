@@ -492,8 +492,9 @@ def is_2equivalence_fair(fmap):
     only asks the fundamental map to be surjective on objects.
     """
     x, y = fmap.source, fmap.target
-    return an.is_2equivalence(x.p, y.p, pi1_fair(x), pi1_fair(y),
-                              fmap.on_points, fmap.on_arrows)
+    p_src = pi1_fair(x)
+    p_tgt = p_src if y is x else pi1_fair(y)
+    return an.is_2equivalence(x.p, y.p, p_src, p_tgt, fmap.on_points, fmap.on_arrows)
 
 
 # ---------------------------------------------------------------------------

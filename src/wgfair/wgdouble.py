@@ -363,12 +363,15 @@ def validate_cleavage(x, cl):
             problems.append("cell of (%d, %d) has the wrong vertical shadow" % (f, phi))
         if phi == x0.identity[x.d1.obj(f)] and (g != f or lam != x1.identity[f]):
             problems.append("identity transport of arrow %d is not trivial" % f)
+    # pasting reads three transports; skip any already reported as broken
     for (f, phi), (g, lam) in cl.table.items():
+        if (f, phi) in broken:
+            continue
         for psi in range(x0.n_mor):
             if x0.tgt[psi] != x0.src[phi] or not x0.is_iso(psi):
                 continue
             both = x0.compose(phi, psi)
-            if (f, both) not in cl.table or (g, psi) not in cl.table:
+            if any(key not in cl.table or key in broken for key in ((f, both), (g, psi))):
                 continue
             g2, lam2 = cl.table[(g, psi)]
             gb, lamb = cl.table[(f, both)]
@@ -684,8 +687,9 @@ def is_2equivalence_double(fmap):
     surjectivity on its objects, which the fiber conditions then upgrade.
     """
     x, y = fmap.source, fmap.target
-    return an.is_2equivalence(_anchored(x), _anchored(y), pi1_double(x), pi1_double(y),
-                              fmap.f0, fmap.f1)
+    p_src = pi1_double(x)
+    p_tgt = p_src if y is x else pi1_double(y)
+    return an.is_2equivalence(_anchored(x), _anchored(y), p_src, p_tgt, fmap.f0, fmap.f1)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wgfair import anchored as an
 from wgfair import deltasite as ds
 from wgfair import fincat as fc
 from wgfair import fair2 as f2
@@ -170,6 +171,30 @@ def test_family_pi1_matches_the_double_pi1(family, family_fair):
                 assert f2.hom_fiber_fair(d, a, b) == wg.hom_fiber(x, a, b)
         assert f2.is_2equivalence_fair(f2.identity_fair_map(d)) == \
             wg.is_2equivalence_double(wg.identity_double_map(x))
+
+
+def test_identity_2equivalence_computes_pi1_once(family, family_fair, monkeypatch):
+    # an endomap has one fundamental category: one descent serves both ends
+    x = family[0]
+    dmap, fmap = wg.identity_double_map(x), f2.identity_fair_map(family_fair)
+    expected = [
+        an.is_2equivalence(wg._anchored(x), wg._anchored(x), wg.pi1_double(x),
+                           wg.pi1_double(x), dmap.f0, dmap.f1),
+        an.is_2equivalence(family_fair.p, family_fair.p, f2.pi1_fair(family_fair),
+                           f2.pi1_fair(family_fair), fmap.on_points, fmap.on_arrows)]
+    descents = []
+    pi1 = an.pi1
+
+    def counted(*args):
+        descents.append(args)
+        return pi1(*args)
+
+    monkeypatch.setattr(an, "pi1", counted)
+    for verdict, check in zip(expected, (lambda: wg.is_2equivalence_double(dmap),
+                                         lambda: f2.is_2equivalence_fair(fmap))):
+        descents.clear()
+        assert check() == verdict
+        assert len(descents) == 1
 
 
 def test_family_hom_fibers(family_fair):

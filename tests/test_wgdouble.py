@@ -224,6 +224,7 @@ def test_validate_cleavage_reports_a_transport_with_the_wrong_target(family):
     problems = wg.validate_cleavage(x, wg.Cleavage(x, table))
     assert "transport of (0, 2) has wrong endpoints" in problems
     assert not any(p.startswith("composition") for p in problems)
+    assert not any(p.startswith("pasting") for p in problems)
 
 
 # -- retraction strategies ---------------------------------------------------

@@ -134,9 +134,8 @@ class FairDiagram:
     is a functor between levels.
     """
 
-    def __init__(self, p, window=None):
+    def __init__(self, p):
         self.p = p
-        self.window = window if window is not None else ds.TruncationWindow()
         self._shapes = None
         self._chains = {}
         self._actions = {}
@@ -144,7 +143,7 @@ class FairDiagram:
 
     def shapes(self):
         if self._shapes is None:
-            self._shapes = ds.window_objects(self.window)
+            self._shapes = ds.window_objects()
         return self._shapes
 
     def discretization(self):
@@ -232,14 +231,14 @@ class FairDiagram:
         return fc.FunctorMap(strings.cat, tuples.cat, *maps)
 
 
-def build_fair(p, window=None):
+def build_fair(p):
     """Evaluate a presentation and verify functoriality on the window.
 
     Every composable pair of window maps is checked; a failure names the
     pair.  With the presentation laws already enforced this is a defense
     line, not an expected exit.
     """
-    d = FairDiagram(p, window)
+    d = FairDiagram(p)
     shapes = d.shapes()
     homs = {}
     for a in shapes:
@@ -293,10 +292,10 @@ def unit_generator_maps():
     ]
 
 
-def vertical_window_maps(window):
+def vertical_window_maps():
     """Window maps that collapse to an identity, identities excluded."""
     out = []
-    shapes = ds.window_objects(window)
+    shapes = ds.window_objects()
     for a in shapes:
         for b in shapes:
             for f in ds.enumerate_hom(a, b):
@@ -324,7 +323,7 @@ def validate_fair2(d):
                 % (name, flags["fully_faithful"], flags["essentially_surjective"]))
     # the five generators force every unit-inserting map to an equivalence;
     # sweeping them all keeps that consequence honest
-    for fat in vertical_window_maps(d.window):
+    for fat in vertical_window_maps():
         if fat not in named and not fc.is_equivalence(d.action(fat)):
             problems.append("vertical map %r is not sent to an equivalence"
                             % (fat,))
@@ -478,11 +477,10 @@ def compose_fair_maps(g, f):
                    fc.compose_functors(g.on_units, f.on_units))
 
 
-def pi1_fair_map(fmap, p_src=None, p_tgt=None):
+def pi1_fair_map(fmap):
     """Functor induced on fundamental categories."""
-    p_src = p_src if p_src is not None else pi1_fair(fmap.source)
-    p_tgt = p_tgt if p_tgt is not None else pi1_fair(fmap.target)
-    return an.pi1_map(p_src, p_tgt, fmap.on_points, fmap.on_arrows)
+    return an.pi1_map(pi1_fair(fmap.source), pi1_fair(fmap.target),
+                      fmap.on_points, fmap.on_arrows)
 
 
 def is_2equivalence_fair(fmap):
@@ -499,21 +497,6 @@ def is_2equivalence_fair(fmap):
 
 # ---------------------------------------------------------------------------
 # Rebasing onto the point classes
-
-
-class FairCleavage:
-    """Chosen transports of arrows and units along point isomorphisms.
-
-    arrows maps (arrow, iso into its source point) to a transported arrow
-    with that source and an invertible connecting cell; units maps (unit,
-    iso into its value) likewise inside the unit semi-category.  unit_of
-    remembers the least preimage of each unit arrow.
-    """
-
-    def __init__(self, arrows, units, unit_of):
-        self.arrows = arrows
-        self.units = units
-        self.unit_of = unit_of
 
 
 def _dragged(section, class_of, xo, sf, t):
@@ -537,9 +520,12 @@ def _dragged(section, class_of, xo, sf, t):
 def build_fair_cleavage(p):
     """Search lawful transports, least transported object and cell first.
 
-    Raises ValueError when an arrow or unit has no transport along some
-    point isomorphism; that is an honest obstruction of the instance, not
-    a bug.
+    Returns (arrows, units): arrows maps (arrow, iso into its source point)
+    to a transported arrow with that source and an invertible connecting
+    cell; units maps (unit, iso into its value) likewise inside the unit
+    semi-category.  Raises ValueError when an arrow or unit has no
+    transport along some point isomorphism; that is an honest obstruction
+    of the instance, not a bug.
     """
     disc = fc.discretize(p.points)
     arrows = an.transport_table(
@@ -549,10 +535,7 @@ def build_fair_cleavage(p):
     # a unit starts and ends at its value, so both ends move together
     units = an.transport_table(disc, p.units, p.value, p.value, lambda w, xo: xo,
                                "no transport of unit %d along point isomorphism %d")
-    unit_of = {}
-    for w in range(p.units.n_obj):
-        unit_of.setdefault(p.as_arrow.obj(w), w)
-    return FairCleavage(arrows, units, unit_of)
+    return arrows, units
 
 
 @dataclass
@@ -568,7 +551,7 @@ class FairRetractions:
     counit_units: fc.NatTransf
 
 
-def pair_retractions(d, strategy="cleavage", cleavage=None):
+def pair_retractions(d, strategy="cleavage"):
     """Chosen retractions of the pair embeddings over the point classes.
 
     Both the arrow pairs and the unit pairs get a section nu with
@@ -587,15 +570,19 @@ def pair_retractions(d, strategy="cleavage", cleavage=None):
                   for hat, s in zip((hat_a, hat_u), shapes)]
 
     def walks():
-        cl = cleavage if cleavage is not None else build_fair_cleavage(p)
+        arrows, units = build_fair_cleavage(p)
+        # the least unit sitting on each unit arrow
+        unit_of = {}
+        for w in range(p.units.n_obj):
+            unit_of.setdefault(p.as_arrow.obj(w), w)
 
         def unit_step(w, anchor):
-            return cl.units[(w, an.only(p.points.hom(anchor, p.value.obj(w))))]
+            return units[(w, an.only(p.points.hom(anchor, p.value.obj(w))))]
 
         def arrow_step(a, anchor):
-            w = cl.unit_of.get(a)
+            w = unit_of.get(a)
             if w is None:
-                return cl.arrows[(a, an.only(p.points.hom(anchor, p.src.obj(a))))]
+                return arrows[(a, an.only(p.points.hom(anchor, p.src.obj(a))))]
             w2, iot = unit_step(w, anchor)
             return p.as_arrow.obj(w2), p.as_arrow.mor(iot)
 
@@ -606,7 +593,7 @@ def pair_retractions(d, strategy="cleavage", cleavage=None):
     return FairRetractions(strategy, hat_a, mu_a, nu_a, ca, hat_u, mu_u, nu_u, cu)
 
 
-def discretize_fair(d, strategy="cleavage", cleavage=None):
+def discretize_fair(d, strategy="cleavage"):
     """Rebase a weakly globular fair structure onto its point classes.
 
     The arrow and unit levels stay what they were; only the anchors move to
@@ -618,7 +605,7 @@ def discretize_fair(d, strategy="cleavage", cleavage=None):
     """
     p = d.p
     disc = d.discretization()
-    retr = pair_retractions(d, strategy, cleavage)
+    retr = pair_retractions(d, strategy)
     gamma = disc.quotient
 
     # the rebased pair chains re-enumerate exactly the class-composable
@@ -640,7 +627,7 @@ def discretize_fair(d, strategy="cleavage", cleavage=None):
         fc.compose_functors(gamma, p.src), fc.compose_functors(gamma, p.tgt),
         fc.compose_functors(gamma, p.value), p.as_arrow,
         comp_arrow_obj, comp_arrow_mor, comp_unit_obj, comp_unit_mor)
-    return build_fair(out, d.window)
+    return build_fair(out)
 
 
 # ---------------------------------------------------------------------------

@@ -274,13 +274,6 @@ def iso_classes(cat):
     return classes, tuple(class_of)
 
 
-def iso_classes_map(fun):
-    """Action of a functor on iso classes: class index of source -> of target."""
-    classes_a, _ = iso_classes(fun.source)
-    _, class_of_b = iso_classes(fun.target)
-    return tuple(class_of_b[fun.obj_map[cls[0]]] for cls in classes_a)
-
-
 def is_homotopically_discrete(cat):
     """(flag, witness): at most one morphism per ordered pair, all invertible.
 
@@ -576,43 +569,6 @@ def full_subcategory(cat, objects):
                   if g in mor_new and f in mor_new})
     incl = FunctorMap(sub, cat, objects, keep)
     return sub, incl
-
-
-@dataclass
-class Boff:
-    mid: FinCat
-    to_mid: FunctorMap
-    from_mid: FunctorMap
-    mor_label: tuple
-    mor_id: dict
-
-
-def boff_factorize(fun):
-    """Factor a functor as (fully faithful) . (bijective on objects).
-
-    The middle category keeps the source's objects; its morphism x -> y
-    labelled (x, y, m) is a target morphism m between the images.
-    """
-    a, b = fun.source, fun.target
-    labels = []
-    for x in range(a.n_obj):
-        for y in range(a.n_obj):
-            labels.extend((x, y, m) for m in b.hom(fun.obj_map[x], fun.obj_map[y]))
-    labels.sort()
-    mor_id = {t: i for i, t in enumerate(labels)}
-    identity = [mor_id[(x, x, b.identity[fun.obj_map[x]])] for x in range(a.n_obj)]
-    by_src = {}
-    for t in labels:
-        by_src.setdefault(t[0], []).append(t)
-    comp = {}
-    for t1 in labels:
-        for t2 in by_src.get(t1[1], ()):
-            comp[(mor_id[t2], mor_id[t1])] = mor_id[(t1[0], t2[1], b.compose(t2[2], t1[2]))]
-    mid = FinCat(a.n_obj, [t[0] for t in labels], [t[1] for t in labels], identity, comp)
-    to_mid = FunctorMap(a, mid, range(a.n_obj),
-                        [mor_id[(a.src[m], a.tgt[m], fun.mor_map[m])] for m in range(a.n_mor)])
-    from_mid = FunctorMap(mid, b, fun.obj_map, [t[2] for t in labels])
-    return Boff(mid, to_mid, from_mid, tuple(labels), mor_id)
 
 
 @dataclass

@@ -313,36 +313,24 @@ def _strict_tuples(k, count, d0, d1):
 # Cleavages and the two retraction strategies
 
 
-class Cleavage:
-    """Chosen transports of horizontal arrows along vertical isomorphisms.
-
-    For an arrow f and a vertical isomorphism phi : x -> src(f) the table
-    holds a transported arrow with source exactly x and the same target,
-    together with the connecting invertible cell onto f.
-    """
-
-    def __init__(self, x, table):
-        self.x = x
-        self.table = table
-
-    def act(self, f, phi):
-        return self.table[(f, phi)]
-
-
 def build_cleavage(x):
     """Search a lawful cleavage, least transported arrow and cell first.
 
-    Raises ValueError when some arrow has no transport along some vertical
+    The cleavage is a dict of chosen transports of horizontal arrows along
+    vertical isomorphisms: for an arrow f and a vertical isomorphism
+    phi : x -> src(f), the entry at (f, phi) is (g, cell), g an arrow with
+    source exactly x and the same target, cell invertible onto f.  Raises
+    ValueError when some arrow has no transport along some vertical
     isomorphism; that is an honest obstruction of the instance, not a bug.
     """
     # the target stays put, so its cell component is an identity
-    return Cleavage(x, an.transport_table(
+    return an.transport_table(
         fc.discretize(x.x0), x.x1, x.d1, x.d0, lambda f, xo: x.d0.obj(f),
-        "no transport of horizontal arrow %d along vertical isomorphism %d"))
+        "no transport of horizontal arrow %d along vertical isomorphism %d")
 
 
-def validate_cleavage(x, cl):
-    """Cleavage laws by enumeration: identities, pasting, composition."""
+def validate_cleavage(x, table):
+    """Cleavage laws of a transport dict by enumeration: identities, pasting, composition."""
     problems = []
     x0, x1 = x.x0, x.x1
     isos_into = {}
@@ -351,9 +339,9 @@ def validate_cleavage(x, cl):
             isos_into.setdefault(x0.tgt[phi], []).append(phi)
     # transports missing or with wrong endpoints, reported once each
     broken = {(f, phi) for f in range(x1.n_obj) for phi in isos_into.get(x.d1.obj(f), ())
-              if (f, phi) not in cl.table}
+              if (f, phi) not in table}
     problems.extend("no transport of (%d, %d)" % key for key in sorted(broken))
-    for (f, phi), (g, lam) in cl.table.items():
+    for (f, phi), (g, lam) in table.items():
         if x.d1.obj(g) != x0.src[phi] or x.d0.obj(g) != x.d0.obj(f):
             problems.append("transport of (%d, %d) has wrong endpoints" % (f, phi))
             broken.add((f, phi))
@@ -364,17 +352,17 @@ def validate_cleavage(x, cl):
         if phi == x0.identity[x.d1.obj(f)] and (g != f or lam != x1.identity[f]):
             problems.append("identity transport of arrow %d is not trivial" % f)
     # pasting reads three transports; skip any already reported as broken
-    for (f, phi), (g, lam) in cl.table.items():
+    for (f, phi), (g, lam) in table.items():
         if (f, phi) in broken:
             continue
         for psi in range(x0.n_mor):
             if x0.tgt[psi] != x0.src[phi] or not x0.is_iso(psi):
                 continue
             both = x0.compose(phi, psi)
-            if any(key not in cl.table or key in broken for key in ((f, both), (g, psi))):
+            if any(key not in table or key in broken for key in ((f, both), (g, psi))):
                 continue
-            g2, lam2 = cl.table[(g, psi)]
-            gb, lamb = cl.table[(f, both)]
+            g2, lam2 = table[(g, psi)]
+            gb, lamb = table[(f, both)]
             if gb != g2 or lamb != x1.compose(lam, lam2):
                 problems.append("pasting law fails for arrow %d along (%d, %d)"
                                 % (f, phi, psi))
@@ -383,8 +371,8 @@ def validate_cleavage(x, cl):
         for phi in isos_into.get(x.d1.obj(f), ()):
             if (f, phi) in broken or (c, phi) in broken:
                 continue
-            cf, lamf = cl.table[(f, phi)]
-            cc, lamc = cl.table[(c, phi)]
+            cf, lamf = table[(f, phi)]
+            cc, lamc = table[(c, phi)]
             want = x.comp.obj(x.pairs.obj_id[(cf, g)])
             wantcell = x.comp.mor(x.pairs.mor_id[(lamf, x1.identity[g])])
             if cc != want or lamc != wantcell:
@@ -402,7 +390,7 @@ class Retractions:
     counit3: fc.NatTransf
 
 
-def segal_retractions(x, sd, strategy="cleavage", cleavage=None):
+def segal_retractions(x, sd, strategy="cleavage"):
     """Chosen pseudo-inverses nu_k to the induced Segal maps, with counits.
 
     strategy "cleavage" walks each gamma-composable tuple left to right,
@@ -415,13 +403,13 @@ def segal_retractions(x, sd, strategy="cleavage", cleavage=None):
     muhat_k . nu_k => Id is an invertible natural transformation.
     """
     def walks():
-        cl = cleavage if cleavage is not None else build_cleavage(x)
+        table = build_cleavage(x)
         s0img = {x.s0.obj(o): o for o in range(x.x0.n_obj)}
 
         def step(a, anchor):
             if a in s0img:
                 return x.s0.obj(anchor), x.s0.mor(an.only(x.x0.hom(anchor, s0img[a])))
-            return cl.act(a, an.only(x.x0.hom(anchor, x.d1.obj(a))))
+            return table[(a, an.only(x.x0.hom(anchor, x.d1.obj(a))))]
 
         return [an.walk_section(x.x1, x.d0, hat, x.chain(k), step)
                 for k, hat in ((2, sd.hat2), (3, sd.hat3))]
@@ -443,7 +431,7 @@ class Tr2Result:
     strategy: str
 
 
-def tr2_strong_segalic(x, strategy="cleavage", cleavage=None):
+def tr2_strong_segalic(x, strategy="cleavage"):
     """Segalic pseudo-functor on the truncated ordinal site.
 
     Levels are the discretized level zero, level one, and the fiber products
@@ -456,7 +444,7 @@ def tr2_strong_segalic(x, strategy="cleavage", cleavage=None):
     if problems:
         raise ValueError("not weakly globular: %s" % problems[0])
     sd = segal_data(x)
-    retr = segal_retractions(x, sd, strategy, cleavage)
+    retr = segal_retractions(x, sd, strategy)
     site = ps.OrdinalSite(3)
     levels = {0: sd.x0d, 1: x.x1, 2: sd.hat2.cat, 3: sd.hat3.cat}
     e = {0: sd.gamma_section, 1: fc.identity_functor(x.x1),
@@ -665,11 +653,10 @@ def pi1_double(x):
     return Pi1(*an.pi1(_anchored(x), units))
 
 
-def pi1_map(fmap, p_src=None, p_tgt=None):
+def pi1_map(fmap):
     """Functor induced on fundamental categories."""
-    p_src = p_src if p_src is not None else pi1_double(fmap.source)
-    p_tgt = p_tgt if p_tgt is not None else pi1_double(fmap.target)
-    return an.pi1_map(p_src, p_tgt, fmap.f0, fmap.f1)
+    return an.pi1_map(pi1_double(fmap.source), pi1_double(fmap.target),
+                      fmap.f0, fmap.f1)
 
 
 def hom_fiber(x, a, b):

@@ -52,7 +52,7 @@ def tf2_fair():
 
 def test_terminal_everything_gives_terminal_levels():
     d = f2.fair_from_category(fc.discrete(1))
-    for shape in ds.window_objects(ds.TruncationWindow()):
+    for shape in ds.window_objects():
         lv = d.level(shape)
         assert lv.n_obj == 1 and lv.n_mor == 1
 
@@ -118,7 +118,7 @@ def test_unit_generator_maps_cover_the_five_anchors():
 
 
 def test_vertical_window_maps_collapse_to_identities():
-    vert = f2.vertical_window_maps(ds.TruncationWindow())
+    vert = f2.vertical_window_maps()
     assert vert
     for fat in vert:
         coll = ds.collapse(fat)
@@ -151,7 +151,7 @@ def test_family_levels_reuse_the_double_levels(family, family_fair):
 
 def test_family_plain_actions_match_the_nerve(family, family_fair):
     x, _ = family
-    shapes = [ds.plain(r) for r in range(4)]
+    shapes = [ds.parse_ordinal(t) for t in ("o", "o-o", "o-o-o", "o-o-o-o")]
     for a in shapes:
         for b in shapes:
             for fat in ds.enumerate_hom(a, b):

@@ -85,11 +85,6 @@ def test_iso_classes_examples():
     assert class_of == (0, 0, 1)
 
 
-def test_iso_classes_map_collapses_chaotic():
-    f = chaotic_functor(2, 1, (0, 0))
-    assert fc.iso_classes_map(f) == (0,)
-
-
 def test_homotopically_discrete_examples():
     assert fc.is_homotopically_discrete(fc.chaotic(2)) == (True, None)
     flag, witness = fc.is_homotopically_discrete(cyclic_group(2))
@@ -207,25 +202,6 @@ def test_equivalence_flags_examples():
     assert flags["fully_faithful"] and not flags["essentially_surjective"]
 
 
-def test_boff_identity_and_chaotic_collapse():
-    f = fc.identity_functor(fc.chaotic(2))
-    res = fc.boff_factorize(f)
-    assert res.to_mid == f and res.from_mid == f
-
-    collapse = chaotic_functor(2, 1, (0, 0))
-    res = fc.boff_factorize(collapse)
-    # hom-sets of the middle are the target's: exactly one morphism each way
-    assert res.mid.n_mor == 4
-    assert all(len(res.mid.hom(x, y)) == 1 for x in range(2) for y in range(2))
-    assert fc.is_equivalence(res.from_mid)
-    assert fc.compose_functors(res.from_mid, res.to_mid) == collapse
-
-    empty = fc.FinCat(0, (), (), (), {})
-    res = fc.boff_factorize(fc.FunctorMap(empty, fc.discrete(1), (), ()))
-    assert res.mid.n_obj == 0
-    assert fc.equivalence_flags(res.from_mid)["fully_faithful"]
-
-
 def test_retraction_identity_and_point_inclusion():
     r = fc.retraction_pseudo_inverse(fc.identity_functor(fc.chaotic(2)))
     assert r.backward == fc.identity_functor(fc.chaotic(2))
@@ -284,20 +260,6 @@ def test_iso_classes_preserve_pullbacks_over_discrete(d_size, a_blocks, b_blocks
     assert fc.validate_category(chain.cat) == []
     want = sum(1 for (_, fa) in a_blocks for (_, fb) in b_blocks if fa == fb)
     assert len(fc.iso_classes(chain.cat)[0]) == want
-
-
-@given(st.integers(1, 3), st.integers(1, 3), st.data())
-def test_boff_factorization_properties(na, nb, data):
-    obj_map = [data.draw(st.integers(0, nb - 1)) for _ in range(na)]
-    f = chaotic_functor(na, nb, obj_map)
-    res = fc.boff_factorize(f)
-    assert fc.validate_category(res.mid) == []
-    assert fc.validate_functor(res.to_mid) == [] and fc.validate_functor(res.from_mid) == []
-    assert fc.compose_functors(res.from_mid, res.to_mid) == f
-    assert res.to_mid.obj_map == tuple(range(na))  # identity on objects
-    assert fc.equivalence_flags(res.from_mid)["fully_faithful"]
-    if fc.is_equivalence(f):
-        assert fc.is_equivalence(res.from_mid)
 
 
 @given(st.lists(st.integers(1, 3), min_size=1, max_size=3), st.data())

@@ -191,11 +191,11 @@ def test_nerve_action_functorial_on_generating_maps(family, tf2, which):
 
 def test_family_cleavage_is_lawful_and_canonical(family):
     x, aux = family
-    cl = wg.build_cleavage(x)
-    assert wg.validate_cleavage(x, cl) == []
+    table = wg.build_cleavage(x)
+    assert wg.validate_cleavage(x, table) == []
     # transport along a fiber switch keeps the base arrow and the target
     triples = aux["triples"]
-    for (f, phi), (g, _lam) in cl.table.items():
+    for (f, phi), (g, _lam) in table.items():
         s, b, s2 = triples[f]
         u, b2, u2 = triples[g]
         assert (b2, u2) == (b, s2)
@@ -209,19 +209,19 @@ def test_tf2_cleavage_is_lawful(tf2):
 
 def test_validate_cleavage_reports_a_missing_transport(family):
     x, _ = family
-    table = dict(wg.build_cleavage(x).table)
+    table = wg.build_cleavage(x)
     assert table[(0, 2)] != (0, x.x1.identity[0])
     del table[(0, 2)]
-    assert wg.validate_cleavage(x, wg.Cleavage(x, table)) == ["no transport of (0, 2)"]
+    assert wg.validate_cleavage(x, table) == ["no transport of (0, 2)"]
 
 
 def test_validate_cleavage_reports_a_transport_with_the_wrong_target(family):
     x, _ = family
-    table = dict(wg.build_cleavage(x).table)
+    table = wg.build_cleavage(x)
     g, lam = table[(0, 2)]
     far = next(a for a in range(x.x1.n_obj) if x.d0.obj(a) != x.d0.obj(g))
     table[(0, 2)] = (far, lam)
-    problems = wg.validate_cleavage(x, wg.Cleavage(x, table))
+    problems = wg.validate_cleavage(x, table)
     assert "transport of (0, 2) has wrong endpoints" in problems
     assert not any(p.startswith("composition") for p in problems)
     assert not any(p.startswith("pasting") for p in problems)
@@ -408,6 +408,7 @@ def test_collapse_is_a_2equivalence(family, nerve):
     flags = wg.is_2equivalence_double(fmap)
     assert flags["is_2equivalence"]
     assert flags["is_2equivalence_relaxed"]
+    assert fc.equivalence_flags(wg.pi1_map(fmap))["is_equivalence"]
     ident = wg.identity_double_map(family[0])
     assert wg.is_2equivalence_double(ident)["is_2equivalence"]
 

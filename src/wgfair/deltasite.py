@@ -160,6 +160,14 @@ def collapse(x):
     return SimplexMap(len(src_classes) - 1, len(tgt_classes) - 1, values)
 
 
+def class_top_section(obj, rank=None):
+    """Canonical section of the collapse: class j's dot is the top of run j."""
+    cls = classes(obj)
+    if rank is not None and rank != len(cls) - 1:
+        raise ValueError("rank mismatch: object collapses to %d" % (len(cls) - 1))
+    return FatMap(ColoredOrdinal(len(cls), frozenset()), obj, [c[-1] for c in cls])
+
+
 def enumerate_hom(src, tgt):
     """All colored maps src -> tgt, ordered lexicographically by dot map."""
     out = []

@@ -274,6 +274,13 @@ def iso_classes(cat):
     return classes, tuple(class_of)
 
 
+def iso_classes_map(fun):
+    """Action of a functor on iso classes: class index of source -> of target."""
+    classes_a, _ = iso_classes(fun.source)
+    _, class_of_b = iso_classes(fun.target)
+    return tuple(class_of_b[fun.obj_map[cls[0]]] for cls in classes_a)
+
+
 def is_homotopically_discrete(cat):
     """(flag, witness): at most one morphism per ordered pair, all invertible.
 

@@ -85,6 +85,11 @@ def test_iso_classes_examples():
     assert class_of == (0, 0, 1)
 
 
+def test_iso_classes_map_collapses_chaotic():
+    f = chaotic_functor(2, 1, (0, 0))
+    assert fc.iso_classes_map(f) == (0,)
+
+
 def test_homotopically_discrete_examples():
     assert fc.is_homotopically_discrete(fc.chaotic(2)) == (True, None)
     flag, witness = fc.is_homotopically_discrete(cyclic_group(2))

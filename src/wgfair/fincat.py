@@ -244,6 +244,47 @@ def validate_category(cat):
     return problems
 
 
+def generators(cat):
+    """A generating set of morphisms, chosen greedily in id order.
+
+    A morphism joins unless it is already a composite of the ones chosen
+    before it (identities are free), so every morphism of cat is an identity
+    or a composite of the returned ones.  The generated subcategory is grown
+    by composing generators on the left: each member is found once and
+    multiplied once by every generator that leaves its target.
+    """
+    src, tgt, compose = cat.src, cat.tgt, cat.compose
+    inside = [False] * cat.n_mor
+    for e in cat.identity:
+        inside[e] = True
+    gens, gens_from = [], [[] for _ in range(cat.n_obj)]
+    ending_at = [[] for _ in range(cat.n_obj)]   # non-identity members by target
+    for m in range(cat.n_mor):
+        if inside[m]:
+            continue
+        gens.append(m)
+        gens_from[src[m]].append(m)
+        inside[m] = True
+        ending_at[tgt[m]].append(m)
+        todo = [m]
+        # members found before m get m on the left here; later ones in the loop
+        for x in ending_at[src[m]][:]:
+            y = compose(m, x)
+            if not inside[y]:
+                inside[y] = True
+                ending_at[tgt[y]].append(y)
+                todo.append(y)
+        while todo:
+            x = todo.pop()
+            for s in gens_from[tgt[x]]:
+                y = compose(s, x)
+                if not inside[y]:
+                    inside[y] = True
+                    ending_at[tgt[y]].append(y)
+                    todo.append(y)
+    return gens
+
+
 def iso_classes(cat):
     """Isomorphism classes of objects.
 
@@ -400,10 +441,12 @@ class NatTransf:
 
 
 def validate_nat(nat):
-    """Naturality as a violation list; malformed components raise ValueError."""
+    """Naturality as a violation list; malformed functors or components raise ValueError."""
     f, g = nat.source, nat.target
     if f.source != g.source or f.target != g.target:
         raise ValueError("the two functors are not parallel")
+    _check_functor_shape(f)
+    _check_functor_shape(g)
     a, b = f.source, f.target
     if len(nat.components) != a.n_obj:
         raise ValueError("one component per source object is required")
@@ -526,13 +569,6 @@ def single_chain(cat):
     mors = tuple((m,) for m in range(cat.n_mor))
     return FiberChain(cat, objs, mors, {t: t[0] for t in objs},
                       {t: t[0] for t in mors}, [identity_functor(cat)])
-
-
-def pullback(f, g):
-    """Fiber product of the cospan f : A -> C <- B : g."""
-    if f.target != g.target:
-        raise ValueError("the cospan legs land in different categories")
-    return chain_fiber_product([f.source, g.source], [f], [g])
 
 
 def mediating_functor(chain, cone_maps):

@@ -3,8 +3,15 @@
 A diagram assigns a category to every site object and a contravariant functor
 to every site map, together with invertible comparison cells measuring how
 composition is preserved.  Identity maps act as identity functors and cells
-with an identity leg are identities; everything else is checked by explicit
-enumeration, which is the whole point.
+with an identity leg are identities.
+
+Validation is exact, with no sampling.  Endpoints, identities, invertibility
+and identity legs are checked on every map, pair and object.  Composition of
+actions, naturality of cells and coherence are checked on generators (of the
+levels, and of the site), which decides the same laws because every level is
+a category; ``validate_pseudo`` states why.  When a generator check fails,
+the exhaustive check of that item runs and words the problems, so the
+report is that of full enumeration.
 """
 
 from __future__ import annotations
@@ -50,6 +57,15 @@ class OrdinalSite:
 
     def is_identity(self, f):
         return f.src_rank == f.tgt_rank and f.values == tuple(range(f.src_rank + 1))
+
+    def generators(self):
+        """The cofaces and codegeneracies; every other map is a composite of them."""
+        top = self.max_level
+        cofaces = [ds.SimplexMap(n - 1, n, [j + (j >= i) for j in range(n)])
+                   for n in range(1, top + 1) for i in range(n + 1)]
+        codegeneracies = [ds.SimplexMap(n + 1, n, [j - (j > i) for j in range(n + 2)])
+                          for n in range(top) for i in range(n + 1)]
+        return cofaces + codegeneracies
 
 
 class PseudoDiagram:
@@ -116,8 +132,60 @@ def composable_pairs(site):
                         yield g, f
 
 
+def _level_generators(cat):
+    """A level's generators with their endpoints, and every (g, s, g.s) with s one of them."""
+    comp = cat.comp   # the whole table first, so generators read it, not a memo
+    gens = fc.generators(cat)
+    out_of = [[] for _ in range(cat.n_obj)]
+    for m, x in enumerate(cat.src):
+        out_of[x].append(m)
+    squares = [(s, cat.src[s], cat.tgt[s]) for s in gens]
+    pairs = [(g, s, comp[(g, s)]) for s in gens for g in out_of[cat.tgt[s]]]
+    return squares, pairs
+
+
+def _is_functor_on(fun, pairs):
+    """Whether fun is a functor, with composition tried only on the given pairs.
+
+    Endpoints and identities are checked everywhere.  When the pairs are
+    (g, s, g.s) for every s of a generating set, this is exact: write a
+    morphism as f'.s and induct on its length.  Malformed maps raise
+    ValueError, as in ``fincat.validate_functor``.
+    """
+    fc._check_functor_shape(fun)
+    a, b = fun.source, fun.target
+    om, mm = fun.obj_map, fun.mor_map
+    bsrc, btgt = b.src, b.tgt
+    if any(bsrc[mm[m]] != om[x] or btgt[mm[m]] != om[y]
+           for m, (x, y) in enumerate(zip(a.src, a.tgt))):
+        return False
+    if any(mm[e] != b.identity[om[x]] for x, e in enumerate(a.identity)):
+        return False
+    get = b.comp.get
+    return all(get((mm[g], mm[s])) == mm[h] for g, s, h in pairs)
+
+
+def _is_natural_on(nat, squares):
+    """Whether nat is natural, with squares tried only at the given morphisms.
+
+    Both functors must be lawful and parallel: then squares paste, and
+    squares at a generating set give naturality everywhere.  Components out
+    of shape give False, so ``fincat.validate_nat`` can word the failure.
+    """
+    f, g = nat.source, nat.target
+    b = f.target
+    comps = nat.components
+    if len(comps) != f.source.n_obj or (comps and not 0 <= min(comps) <= max(comps) < b.n_mor):
+        return False
+    fo, go = f.obj_map, g.obj_map
+    if any(b.src[c] != fo[x] or b.tgt[c] != go[x] for x, c in enumerate(comps)):
+        return False
+    get, fm, gm = b.comp.get, f.mor_map, g.mor_map
+    return all(get((gm[m], comps[x])) == get((comps[y], fm[m])) for m, x, y in squares)
+
+
 def validate_pseudo(diagram, coherence=True, max_problems=20):
-    """Exhaustively check the pseudo-functor axioms; list of problems.
+    """Check the pseudo-functor axioms exactly; list of problems.
 
     Checks every action is a functor with the right endpoints, identities act
     as identities, every comparison cell is an invertible natural
@@ -125,52 +193,88 @@ def validate_pseudo(diagram, coherence=True, max_problems=20):
     cells, and (unless coherence=False) the two ways of pasting cells agree
     on every composable triple of site maps.
 
-    The check is exhaustive: every map, every composable pair and triple and
-    every object of each level is visited, with no sampling.  Problems are
-    listed in that visiting order (triples by f, then g, then h) and the
-    list stops at max_problems entries; a max_problems below one stops at
-    the first problem.  For the coherence check the site maps are numbered
-    once per call, and the actions and cells it reads are put into flat
-    lists indexed by those numbers.
+    Precondition: every level is a category (the ``FinCat`` contract).  The
+    answer is the one of the exhaustive walk, but three laws are checked on
+    generators, each computed once per level per call:
+
+    - An action's endpoints and identities are checked in full, composition
+      only at pairs (g, s) with s a generator of its source level
+      (``fincat.generators``); F(g.f'.s) = F(g.f')F(s) = F(g)F(f')F(s) by
+      induction on the length of f = f'.s.
+    - While no problem has been recorded, every action is a functor, so a
+      cell's naturality squares are checked at the generators of its source
+      level only: squares paste.
+    - If the pair checks recorded no problem, the coherence walk first takes
+      as its first map f only identities and the site's generators
+      (``OrdinalSite.generators``); if those triples all pass, every triple
+      does.  For composable k, h, g, f the pentagon of their five
+      bracketings gives the law at (k, h, g.f) from those at (h, g, f),
+      (k.h, g, f), (k, h.g, f) and (k, h, g), given natural invertible
+      cells that are identities on identity legs; induct on the length of
+      the first map.
+
+    Whenever one of these finds a failure, the exhaustive check of that item
+    (``fincat.validate_functor``, ``fincat.validate_nat``, or the coherence
+    walk over every first map) writes the messages, so the list, its order
+    and its truncation are those of the exhaustive walk.  Problems are listed
+    in visiting order (triples by f, then g, then h) and the list stops at
+    max_problems entries; a max_problems below one stops at the first
+    problem.  Pairs and triples that read an action reported with wrong
+    endpoints are skipped, and so are triples whose pastings do not compose
+    (a cell already reported as malformed).  For the coherence check the
+    site maps are numbered once per call, and the actions and cells it reads
+    are put into flat lists indexed by those numbers.
     """
     site = diagram.site
     problems = []
+    generated = {}
 
     def note(msg):
         problems.append(msg)
         return len(problems) >= max_problems
+
+    def level_generators(a):
+        if a not in generated:
+            generated[a] = _level_generators(diagram.level(a))
+        return generated[a]
 
     for a in site.objects:
         ident = site.identity(a)
         if diagram.action(ident) != fc.identity_functor(diagram.level(a)):
             if note("identity of %r does not act as the identity functor" % (a,)):
                 return problems
+    broken = set()
     for a in site.objects:
         for b in site.objects:
             for f in site.hom(a, b):
                 act = diagram.action(f)
                 if act.source != diagram.level(b) or act.target != diagram.level(a):
+                    broken.add(f)
                     if note("action of %r has wrong endpoints" % (f,)):
                         return problems
                     continue
-                bad = fc.validate_functor(act)
-                if bad:
+                if not _is_functor_on(act, level_generators(b)[1]):
+                    bad = fc.validate_functor(act)
                     if note("action of %r is not a functor: %s" % (f, bad[0])):
                         return problems
 
     for g, f in composable_pairs(site):
+        gf = site.compose(g, f)
+        if broken and (f in broken or g in broken or gf in broken):
+            continue
         cell = diagram.cell(g, f)
         composite = fc.compose_functors(diagram.action(f), diagram.action(g))
-        target = diagram.action(site.compose(g, f))
+        target = diagram.action(gf)
         if cell.source != composite or cell.target != target:
             if note("cell at (%r, %r) has wrong endpoints" % (g, f)):
                 return problems
             continue
-        bad = fc.validate_nat(cell)
-        if bad:
-            if note("cell at (%r, %r) is not natural: %s" % (g, f, bad[0])):
-                return problems
-            continue
+        if problems or not _is_natural_on(cell, level_generators(site.tgt(g))[0]):
+            bad = fc.validate_nat(cell)
+            if bad:
+                if note("cell at (%r, %r) is not natural: %s" % (g, f, bad[0])):
+                    return problems
+                continue
         dcat = cell.source.target
         if not all(dcat.is_iso(c) for c in cell.components):
             if note("cell at (%r, %r) is not invertible" % (g, f)):
@@ -182,7 +286,7 @@ def validate_pseudo(diagram, coherence=True, max_problems=20):
                 return problems
 
     if coherence:
-        # number the site maps once: the triple loop then reads flat lists
+        # number the site maps once: the triple walk then reads flat lists
         # indexed by g*n + f instead of hashing the maps themselves
         maps = [f for a in site.objects for b in site.objects for f in site.hom(a, b)]
         n = len(maps)
@@ -193,30 +297,56 @@ def validate_pseudo(diagram, coherence=True, max_problems=20):
         acts = [diagram.action(f) for f in maps]
         obj_maps = [act.obj_map for act in acts]
         mor_maps = [act.mor_map for act in acts]
+        # triples reading an action with wrong endpoints are skipped, as pairs are
+        ok = [f not in broken for f in maps]
         after, comps_of = [None] * (n * n), [None] * (n * n)
         for fi, f in enumerate(maps):
             for gi in out_of[site.tgt(f)]:
                 k = gi * n + fi
                 after[k] = index[site.compose(maps[gi], f)]
-                comps_of[k] = diagram.cell(maps[gi], f).components
-        for fi, f in enumerate(maps):
-            get = diagram.level(site.src(f)).comp.__getitem__
-            af = mor_maps[fi].__getitem__
-            for gi in out_of[site.tgt(f)]:
-                gf = after[gi * n + fi]
-                inner = comps_of[gi * n + fi].__getitem__
-                for hi in out_of[site.tgt(maps[gi])]:
-                    # cell(h, g.f) after cell(g, f) whiskered by h, against
-                    # cell(h.g, f) after cell(h, g) whiskered by f, per object
-                    one = list(map(get, zip(comps_of[hi * n + gf], map(inner, obj_maps[hi]))))
-                    two = list(map(get, zip(comps_of[after[hi * n + gi] * n + fi],
-                                            map(af, comps_of[hi * n + gi]))))
-                    if one == two:
+                if ok[fi] and ok[gi] and ok[after[k]]:
+                    comps_of[k] = diagram.cell(maps[gi], f).components
+
+        def failures(firsts):
+            """(h, g, f, object) of every failing triple whose f is numbered in firsts."""
+            for fi in firsts:
+                f = maps[fi]
+                get = diagram.level(site.src(f)).comp.__getitem__
+                af = mor_maps[fi].__getitem__
+                for gi in out_of[site.tgt(f)]:
+                    gf = after[gi * n + fi]
+                    if comps_of[gi * n + fi] is None:
                         continue
-                    for y, (u, v) in enumerate(zip(one, two)):
-                        if u != v and note("coherence fails at (%r, %r, %r) on object %d"
-                                           % (maps[hi], maps[gi], maps[fi], y)):
-                            return problems
+                    inner = comps_of[gi * n + fi].__getitem__
+                    hs = out_of[site.tgt(maps[gi])]
+                    if broken:
+                        hs = [hi for hi in hs if ok[hi] and ok[after[hi * n + gi]]
+                              and ok[after[hi * n + gf]]]
+                    for hi in hs:
+                        # cell(h, g.f) after cell(g, f) whiskered by h, against
+                        # cell(h.g, f) after cell(h, g) whiskered by f, per object
+                        try:
+                            one = list(map(get, zip(comps_of[hi * n + gf],
+                                                    map(inner, obj_maps[hi]))))
+                            two = list(map(get, zip(comps_of[after[hi * n + gi] * n + fi],
+                                                    map(af, comps_of[hi * n + gi]))))
+                        except KeyError:
+                            # a cell reported above does not compose: no pasting
+                            continue
+                        if one != two:
+                            for y, (u, v) in enumerate(zip(one, two)):
+                                if u != v:
+                                    yield hi, gi, fi, y
+
+        if not problems:
+            gens = set(site.generators())
+            firsts = [i for i, f in enumerate(maps) if f in gens or site.is_identity(f)]
+            if next(failures(firsts), None) is None:
+                return problems
+        for hi, gi, fi, y in failures(range(n)):
+            if note("coherence fails at (%r, %r, %r) on object %d"
+                    % (maps[hi], maps[gi], maps[fi], y)):
+                return problems
     return problems
 
 

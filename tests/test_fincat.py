@@ -122,7 +122,8 @@ def test_discretize_union_and_rejection():
 
 def test_pullback_over_terminal_is_product():
     a, b, t = free_arrow(), fc.chaotic(2), fc.discrete(1)
-    chain = fc.pullback(constant_functor(a, t, 0), constant_functor(b, t, 0))
+    fa, fb = constant_functor(a, t, 0), constant_functor(b, t, 0)
+    chain = fc.chain_fiber_product([a, b], [fa], [fb])
     assert chain.cat.n_obj == a.n_obj * b.n_obj
     assert chain.cat.n_mor == a.n_mor * b.n_mor
     assert fc.validate_category(chain.cat) == []
@@ -133,7 +134,7 @@ def test_pullback_over_terminal_is_product():
 def test_pullback_along_identity_is_source():
     a, b = fc.discrete(2), fc.chaotic(2)
     f = fc.FunctorMap(a, b, (0, 1), (b.identity[0], b.identity[1]))
-    chain = fc.pullback(f, fc.identity_functor(b))
+    chain = fc.chain_fiber_product([a, b], [f], [fc.identity_functor(b)])
     assert chain.obj_label == tuple((x, f.obj_map[x]) for x in range(a.n_obj))
     assert chain.cat.n_mor == a.n_mor
 
@@ -146,7 +147,7 @@ def test_pullback_over_discrete_splits_fiberwise():
     fa = fc.FunctorMap(a, d, (0, 0, 1), (0, 0, 0, 0, 1))
     fb = fc.FunctorMap(b, d, (0, 0, 1, 1), (0, 0, 1, 1, 1, 1))
     assert fc.validate_functor(fa) == [] and fc.validate_functor(fb) == []
-    chain = fc.pullback(fa, fb)
+    chain = fc.chain_fiber_product([a, b], [fa], [fb])
     # oracle: the product formula per fiber
     assert chain.cat.n_obj == 2 * 2 + 1 * 2
     assert chain.cat.n_mor == 4 * 2 + 1 * 4
@@ -157,7 +158,8 @@ def test_pullback_over_discrete_splits_fiberwise():
 
 def test_mediating_functor_recovers_cone():
     a, b, t = free_arrow(), fc.chaotic(2), fc.discrete(1)
-    chain = fc.pullback(constant_functor(a, t, 0), constant_functor(b, t, 0))
+    fa, fb = constant_functor(a, t, 0), constant_functor(b, t, 0)
+    chain = fc.chain_fiber_product([a, b], [fa], [fb])
     u = fc.mediating_functor(chain, chain.projections)
     assert u == fc.identity_functor(chain.cat)
 
@@ -172,7 +174,7 @@ def test_mediating_functor_recovers_cone():
 def test_mediating_functor_rejects_non_cone():
     b = fc.chaotic(2)
     f = fc.FunctorMap(fc.discrete(2), b, (0, 1), (b.identity[0], b.identity[1]))
-    chain = fc.pullback(f, f)
+    chain = fc.chain_fiber_product([f.source, f.source], [f], [f])
     point = fc.discrete(1)
     qa = fc.FunctorMap(point, chain.projections[0].target, (0,), (0,))
     qb = fc.FunctorMap(point, chain.projections[1].target, (1,), (1,))
@@ -182,7 +184,8 @@ def test_mediating_functor_rejects_non_cone():
 
 def test_mediating_functor_rejects_an_empty_cone():
     a = free_arrow()
-    chain = fc.pullback(fc.identity_functor(a), fc.identity_functor(a))
+    ida = fc.identity_functor(a)
+    chain = fc.chain_fiber_product([a, a], [ida], [ida])
     with pytest.raises(ValueError, match="one cone leg per factor"):
         fc.mediating_functor(chain, [])
 
@@ -261,7 +264,8 @@ def test_iso_classes_preserve_pullbacks_over_discrete(d_size, a_blocks, b_blocks
                 obj[x] = fib
         return fc.FunctorMap(cat, d, obj, [obj[cat.src[m]] for m in range(cat.n_mor)])
 
-    chain = fc.pullback(to_base(a, a_off, a_blocks), to_base(b, b_off, b_blocks))
+    chain = fc.chain_fiber_product([a, b], [to_base(a, a_off, a_blocks)],
+                                   [to_base(b, b_off, b_blocks)])
     assert fc.validate_category(chain.cat) == []
     want = sum(1 for (_, fa) in a_blocks for (_, fb) in b_blocks if fa == fb)
     assert len(fc.iso_classes(chain.cat)[0]) == want
@@ -307,6 +311,30 @@ def test_nat_transf_validation():
     assert fc.validate_nat(bad) != []
     with pytest.raises(ValueError):
         fc.validate_nat(fc.NatTransf(ident, ident, (0,)))
+
+
+def test_nat_validation_rejects_malformed_functors():
+    b = fc.chaotic(2)
+    ident = fc.identity_functor(b)
+    units = (b.identity[0], b.identity[1])
+    short = fc.FunctorMap(b, b, (0, 1), (0, 1, 2))
+    for nat in (fc.NatTransf(ident, short, units), fc.NatTransf(short, ident, units)):
+        with pytest.raises(ValueError, match="lengths disagree"):
+            fc.validate_nat(nat)
+        with pytest.raises(ValueError, match="lengths disagree"):
+            fc.is_nat_iso(nat)
+    wild = fc.FunctorMap(b, b, (0, 5), (0, 1, 2, 3))
+    with pytest.raises(ValueError, match="object map out of range"):
+        fc.validate_nat(fc.NatTransf(ident, wild, units))
+
+
+def test_generators_are_chosen_greedily_in_id_order():
+    # chaotic(3): morphism 3x + y goes x -> y; 5 = 1.3 and 7 = 1.6 come later
+    assert fc.generators(fc.chaotic(3)) == [1, 2, 3, 6]
+    assert fc.generators(cyclic_group(2)) == [1]
+    assert fc.generators(cyclic_group(6)) == [1]
+    assert fc.generators(fc.discrete(3)) == []
+    assert fc.generators(free_arrow()) == [2]
 
 
 def test_functor_validation_reports_and_raises():

@@ -132,15 +132,15 @@ def _micro_products():
 def _pullback_products():
     # the cospans of the pullback tests in test_fincat
     a, b, t, d = free_arrow(), fc.chaotic(2), fc.discrete(1), fc.discrete(2)
-    fc.pullback(fc.FunctorMap(a, t, (0, 0), (0, 0, 0)),
-                fc.FunctorMap(b, t, (0, 0), (0, 0, 0, 0)))
+    fc.chain_fiber_product([a, b], [fc.FunctorMap(a, t, (0, 0), (0, 0, 0))],
+                           [fc.FunctorMap(b, t, (0, 0), (0, 0, 0, 0))])
     f = fc.FunctorMap(d, b, (0, 1), (b.identity[0], b.identity[1]))
-    fc.pullback(f, fc.identity_functor(b))
-    fc.pullback(f, f)
+    fc.chain_fiber_product([d, b], [f], [fc.identity_functor(b)])
+    fc.chain_fiber_product([d, d], [f], [f])
     a2, _, _ = fc.disjoint_union([fc.chaotic(2), fc.discrete(1)])
     b2, _, _ = fc.disjoint_union([fc.discrete(2), fc.chaotic(2)])
-    fc.pullback(fc.FunctorMap(a2, d, (0, 0, 1), (0, 0, 0, 0, 1)),
-                fc.FunctorMap(b2, d, (0, 0, 1, 1), (0, 0, 1, 1, 1, 1)))
+    fc.chain_fiber_product([a2, b2], [fc.FunctorMap(a2, d, (0, 0, 1), (0, 0, 0, 0, 1))],
+                           [fc.FunctorMap(b2, d, (0, 0, 1, 1), (0, 0, 1, 1, 1, 1))])
 
 
 @pytest.mark.parametrize("build", [

@@ -1,11 +1,15 @@
-"""The coherence check of validate_pseudo against a per-triple reference."""
+"""validate_pseudo against an exhaustive reference, and the generators it uses."""
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from wgfair import deltasite as ds
 from wgfair import fincat as fc
 from wgfair import pseudo as ps
+from wgfair import wgdouble as wg
 
 # the one-object category of Z/2: morphism 0 is the identity, 1 the generator
 Z2 = fc.FinCat(1, [0, 0], [0, 0], [0], {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0})
@@ -59,19 +63,8 @@ def twisted_swap(site):
 DIAGRAMS = {"z2": twisted_constant, "swap": twisted_swap}
 
 
-def triples(site):
-    for a in site.objects:
-        for b in site.objects:
-            for f in site.hom(a, b):
-                for c in site.objects:
-                    for g in site.hom(b, c):
-                        for d in site.objects:
-                            for h in site.hom(c, d):
-                                yield h, g, f
-
-
-def reference_coherence(diagram, max_problems):
-    """The per-triple loop validate_pseudo used before numbering the maps."""
+def reference_pairs(diagram, max_problems):
+    """Every check but coherence, by exhaustive enumeration of each item."""
     site = diagram.site
     problems = []
 
@@ -79,28 +72,104 @@ def reference_coherence(diagram, max_problems):
         problems.append(msg)
         return len(problems) >= max_problems
 
-    comps = {a: diagram.level(a).comp for a in site.objects}
-    for h, g, f in triples(site):
-        gf = site.compose(g, f)
-        hg = site.compose(h, g)
-        act_f, act_h = diagram.action(f), diagram.action(h)
-        cell_gf = diagram.cell(g, f)
-        cell_h_gf = diagram.cell(h, gf)
-        cell_hg = diagram.cell(h, g)
-        cell_hg_f = diagram.cell(hg, f)
-        top = diagram.level(site.tgt(h))
-        comp = comps[site.src(f)]
-        outer, inner = cell_h_gf.components, cell_gf.components
-        outer2, inner2 = cell_hg_f.components, cell_hg.components
-        ah, af = act_h.obj_map, act_f.mor_map
-        for y in range(top.n_obj):
-            one = comp[(outer[y], inner[ah[y]])]
-            two = comp[(outer2[y], af[inner2[y]])]
-            if one != two:
-                if note("coherence fails at (%r, %r, %r) on object %d" % (h, g, f, y)):
-                    break
-        if len(problems) >= max_problems:
-            return problems
+    for a in site.objects:
+        if diagram.action(site.identity(a)) != fc.identity_functor(diagram.level(a)):
+            if note("identity of %r does not act as the identity functor" % (a,)):
+                return problems
+    broken = set()
+    for a in site.objects:
+        for b in site.objects:
+            for f in site.hom(a, b):
+                act = diagram.action(f)
+                if act.source != diagram.level(b) or act.target != diagram.level(a):
+                    broken.add(f)
+                    if note("action of %r has wrong endpoints" % (f,)):
+                        return problems
+                    continue
+                bad = fc.validate_functor(act)
+                if bad and note("action of %r is not a functor: %s" % (f, bad[0])):
+                    return problems
+    for g, f in ps.composable_pairs(site):
+        if broken & {f, g, site.compose(g, f)}:
+            continue
+        cell = diagram.cell(g, f)
+        composite = fc.compose_functors(diagram.action(f), diagram.action(g))
+        if cell.source != composite or cell.target != diagram.action(site.compose(g, f)):
+            if note("cell at (%r, %r) has wrong endpoints" % (g, f)):
+                return problems
+            continue
+        bad = fc.validate_nat(cell)
+        if bad:
+            if note("cell at (%r, %r) is not natural: %s" % (g, f, bad[0])):
+                return problems
+            continue
+        if not all(cell.source.target.is_iso(c) for c in cell.components):
+            if note("cell at (%r, %r) is not invertible" % (g, f)):
+                return problems
+        if (site.is_identity(f) or site.is_identity(g)) and any(
+                c != composite.target.identity[composite.obj_map[x]]
+                for x, c in enumerate(cell.components)):
+            if note("cell with an identity leg at (%r, %r) is not the identity" % (g, f)):
+                return problems
+    return problems
+
+
+def reference_pseudo(diagram, max_problems=20):
+    """validate_pseudo by exhaustive enumeration: every pair, square and triple."""
+    problems = reference_pairs(diagram, max_problems)
+    if len(problems) >= max(max_problems, 1):
+        return problems
+    return problems + reference_coherence(diagram, max_problems - len(problems))
+
+
+def reference_coherence(diagram, max_problems):
+    """Coherence triple by triple and object by object, in (f, g, h) order.
+
+    The maps are numbered so that the loop hashes small tuples, not maps;
+    triples reading an action with wrong endpoints, or whose pastings do
+    not compose, are skipped.
+    """
+    site = diagram.site
+    problems = []
+
+    def note(msg):
+        problems.append(msg)
+        return len(problems) >= max_problems
+
+    maps = [f for a in site.objects for b in site.objects for f in site.hom(a, b)]
+    index = {f: i for i, f in enumerate(maps)}
+    out_of = {a: [i for i, f in enumerate(maps) if site.src(f) == a] for a in site.objects}
+    acts = [diagram.action(f) for f in maps]
+    broken = {i for i, f in enumerate(maps)
+              if acts[i].source != diagram.level(site.tgt(f))
+              or acts[i].target != diagram.level(site.src(f))}
+    after, cells = {}, {}
+    for g, f in ps.composable_pairs(site):
+        key = (index[g], index[f])
+        after[key] = index[site.compose(g, f)]
+        if not broken & {key[0], key[1], after[key]}:
+            cells[key] = diagram.cell(g, f).components
+    for fi, f in enumerate(maps):
+        comp = diagram.level(site.src(f)).comp
+        af = acts[fi].mor_map
+        for gi in out_of[site.tgt(f)]:
+            gf = after[(gi, fi)]
+            for hi in out_of[site.tgt(maps[gi])]:
+                hg = after[(hi, gi)]
+                if broken and broken & {fi, gi, hi, gf, hg, after[(hi, gf)]}:
+                    continue
+                ah = acts[hi].obj_map
+                outer, inner = cells[(hi, gf)], cells[(gi, fi)]
+                outer2, inner2 = cells[(hg, fi)], cells[(hi, gi)]
+                pastings = [(comp.get((outer[y], inner[ah[y]])),
+                             comp.get((outer2[y], af[inner2[y]])))
+                            for y in range(len(ah))]
+                if any(None in pair for pair in pastings):
+                    continue
+                for y, (one, two) in enumerate(pastings):
+                    if one != two and note("coherence fails at (%r, %r, %r) on object %d"
+                                           % (maps[hi], maps[gi], f, y)):
+                        return problems
     return problems
 
 
@@ -133,3 +202,204 @@ def test_is_identity_matches_the_identity_simplex():
         for b in site.objects:
             for f in site.hom(a, b):
                 assert site.is_identity(f) == (f == site.identity(a))
+
+
+# -- generators, and the checks made on them ---------------------------------
+
+
+def free_arrow_base():
+    return fc.thin_from_preorder(2, [(0, 0), (0, 1), (1, 1)])
+
+
+@pytest.fixture(scope="module")
+def diagrams():
+    """Tr2 of the nerve, the [0,0,1] family and tf2, under both strategies."""
+    point = fc.thin_from_preorder(1, [(0, 0)])
+    sources = {
+        "nerve": wg.from_base_category(free_arrow_base())[0],
+        "family": wg.generate_from_surjection(free_arrow_base(), [0, 0, 1])[0],
+        "tf2": wg.generate_from_surjection(point, [0, 0])[0],
+    }
+    return {(name, s): wg.tr2_strong_segalic(x, strategy=s).diagram
+            for name, x in sources.items() for s in ("cleavage", "retraction")}
+
+
+def closure(gens, units, compose, composable):
+    """Everything reached from units and gens by composing with gens on either side."""
+    found = set(units) | set(gens)
+    todo = list(found)
+    while todo:
+        x = todo.pop()
+        for s in gens:
+            for y in ([compose(s, x)] if composable(s, x) else []) + (
+                    [compose(x, s)] if composable(x, s) else []):
+                if y not in found:
+                    found.add(y)
+                    todo.append(y)
+    return found
+
+
+def test_site_generators_generate_every_map():
+    site = ps.OrdinalSite(3)
+    gens = site.generators()
+    assert len(gens) == len(set(gens)) == 15
+    assert not any(site.is_identity(s) for s in gens)
+    maps = [f for a in site.objects for b in site.objects for f in site.hom(a, b)]
+    assert len(maps) == 121
+    reached = closure(gens, [site.identity(a) for a in site.objects], site.compose,
+                      lambda g, f: site.src(g) == site.tgt(f))
+    assert reached == set(maps)
+
+
+def generated(cat, gens):
+    return closure(gens, cat.identity, cat.compose, lambda g, f: cat.src[g] == cat.tgt[f])
+
+
+@pytest.mark.parametrize("name", ["nerve", "family", "tf2"])
+def test_level_generators_generate_every_morphism(diagrams, name):
+    d = diagrams[(name, "cleavage")]
+    for a in d.site.objects:
+        cat = d.level(a)
+        assert generated(cat, fc.generators(cat)) == set(range(cat.n_mor))
+
+
+@pytest.mark.parametrize("cat", [fc.chaotic(3), Z2], ids=["chaotic3", "z2"])
+def test_generators_generate_and_each_is_needed_by_the_earlier_ones(cat):
+    gens = fc.generators(cat)
+    assert generated(cat, gens) == set(range(cat.n_mor))
+    for i, m in enumerate(gens):
+        assert m not in generated(cat, gens[:i])
+
+
+@pytest.mark.parametrize("strategy", ["cleavage", "retraction"])
+def test_nerve_matches_the_exhaustive_reference(diagrams, strategy):
+    d = diagrams[("nerve", strategy)]
+    assert ps.validate_pseudo(d) == reference_pseudo(d) == []
+
+
+def twisted_off_generators(site, seed):
+    """Constant Z/2 diagram with the generator on random pairs (g, f), f no generator.
+
+    Neither leg is an identity, so every check but coherence passes, and the
+    generator walk only ever sees identity cells at its first map.
+    """
+    ident = fc.identity_functor(Z2)
+    rng = random.Random(seed)
+    gens = set(site.generators())
+    twisted = {(g, f) for g, f in ps.composable_pairs(site)
+               if f not in gens and not site.is_identity(f) and not site.is_identity(g)
+               and rng.random() < 0.5}
+
+    def cell(g, f):
+        return fc.NatTransf(ident, ident, [1]) if (g, f) in twisted else None
+
+    return ps.PseudoDiagram(site, lambda a: Z2, lambda f: ident, cell)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_twists_off_the_site_generators_are_found(seed):
+    d = twisted_off_generators(ps.OrdinalSite(2), seed)
+    assert ps.validate_pseudo(d, coherence=False) == []
+    expected = reference_pseudo(d, 10**6)
+    assert expected
+    for max_problems in (1, 20, 10**6):
+        assert ps.validate_pseudo(d, max_problems=max_problems) == expected[:max_problems]
+
+
+def retarget(diagram, f_star, act):
+    """diagram with act as the action of f_star; cells into it keep their components."""
+    site = diagram.site
+
+    def action(f):
+        return act if f == f_star else diagram.action(f)
+
+    def cell(g, f):
+        made = diagram.cell(g, f)
+        if site.compose(g, f) == f_star:
+            return fc.NatTransf(made.source, act, made.components)
+        return made
+
+    return ps.PseudoDiagram(site, diagram.level, action, cell)
+
+
+def test_swap_action_broken_at_a_composite_matches_the_reference():
+    # the square of the generator of the first copy of Z/3 is morphism 2; an
+    # action sending it to the generator itself breaks composition only at
+    # (1, 1), and the cells into it fail naturality only at morphism 2
+    d = twisted_swap(ps.OrdinalSite(2))
+    f_star = ds.SimplexMap(1, 1, (0, 0))
+    act = d.action(f_star)
+    gens = fc.generators(act.source)
+    assert 2 not in gens and 1 in gens
+    mor_map = list(act.mor_map)
+    mor_map[2] = act.mor_map[1]
+    broken = fc.FunctorMap(act.source, act.target, act.obj_map, mor_map)
+    bd = retarget(d, f_star, broken)
+    expected = reference_pseudo(bd, 10**6)
+    assert "action of %r is not a functor: composition of (1, 1) is not preserved" % (
+        f_star,) in expected
+    assert any("naturality square at morphism 2 does not commute" in p for p in expected)
+    for max_problems in (1, 2, 20, 10**6):
+        assert ps.validate_pseudo(bd, max_problems=max_problems) == expected[:max_problems]
+
+
+def test_tf2_action_broken_off_the_generators_is_reported(diagrams):
+    d = diagrams[("tf2", "cleavage")]
+    f_star = ds.SimplexMap(2, 3, (0, 1, 3))
+    act = d.action(f_star)
+    cat = act.source
+    h = next(m for m in range(cat.n_mor)
+             if m not in fc.generators(cat) and m not in cat.identity)
+    mor_map = list(act.mor_map)
+    mor_map[h] = act.target.identity[act.obj_map[cat.src[h]]]
+    broken = fc.FunctorMap(cat, act.target, act.obj_map, mor_map)
+    assert fc.validate_functor(broken)
+    bd = retarget(d, f_star, broken)
+    assert ps.validate_pseudo(bd, coherence=False, max_problems=1) == [
+        "action of %r is not a functor: %s" % (f_star, fc.validate_functor(broken)[0])]
+
+
+def test_tf2_cell_failing_off_the_generators_is_reported(diagrams):
+    # f_star = s0 d1 on [1]; the second pair out of [1] composes to it, and
+    # every pair before that leaves the tampered action out
+    d = diagrams[("tf2", "cleavage")]
+    f_star = ds.SimplexMap(1, 1, (0, 0))
+    g, f = ds.SimplexMap(0, 1, (0,)), ds.SimplexMap(1, 0, (0, 0))
+    act = d.action(f_star)
+    cat = act.source
+    gens = fc.generators(cat)
+    h = next(m for m in range(cat.n_mor) if m not in gens and m not in cat.identity)
+    out = act.target
+    wrong = next(m for m in range(out.n_mor) if out.src[m] == act.obj_map[cat.src[h]]
+                 and out.tgt[m] != act.obj_map[cat.tgt[h]])
+    mor_map = list(act.mor_map)
+    mor_map[h] = wrong
+    broken = fc.FunctorMap(cat, act.target, act.obj_map, mor_map)
+    bd = retarget(d, f_star, broken)
+    cell = bd.cell(g, f)
+    assert fc.validate_nat(cell) == ["naturality square at morphism %d does not commute" % h]
+    assert ps.validate_pseudo(bd, coherence=False, max_problems=2) == [
+        "action of %r is not a functor: %s" % (f_star, fc.validate_functor(broken)[0]),
+        "cell at (%r, %r) is not natural: %s" % (g, f, fc.validate_nat(cell)[0])]
+
+
+def test_an_action_with_wrong_endpoints_does_not_stop_the_report():
+    # acting by the identity of level 1 makes (1,) : [0] -> [1] land in the
+    # wrong level; pairs through it used to raise "functors are not composable"
+    levels = {0: fc.discrete(1), 1: fc.discrete(2)}
+
+    def constant(a, b, obj):
+        src, tgt = levels[a], levels[b]
+        return fc.FunctorMap(src, tgt, [obj] * src.n_obj, [tgt.identity[obj]] * src.n_mor)
+
+    def action(f):
+        if f.values == (1,):
+            return fc.identity_functor(levels[1])
+        return constant(f.tgt_rank, f.src_rank, f.values[-1] if f.src_rank else 0)
+
+    d = ps.PseudoDiagram(ps.OrdinalSite(1), levels.__getitem__, action, lambda g, f: None)
+    first = "action of %r has wrong endpoints" % (ds.SimplexMap(0, 1, (1,)),)
+    assert ps.validate_pseudo(d, max_problems=1) == [first]
+    report = ps.validate_pseudo(d)
+    assert report[0] == first
+    assert report == reference_pseudo(d)

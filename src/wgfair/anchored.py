@@ -13,6 +13,10 @@ identity classes of the fundamental category come from (the unit pairs
 passed to ``pi1``) and in where a transport moves the end of an arrow
 (the ``moved_end`` passed to ``transport_table``); the walks take a
 per-side ``step``.
+
+The law-checked assembly both builders run lives here too: ``check_maps``
+for the anchoring functors, ``compose_pairs`` for the strict pair chain
+and its composition, ``check_associative`` over the composable triples.
 """
 
 from __future__ import annotations
@@ -36,6 +40,46 @@ def only(items):
     if len(items) != 1:
         raise ValueError("expected exactly one item, found %r" % (list(items),))
     return items[0]
+
+
+# ---------------------------------------------------------------------------
+# Assembly with law checks
+
+
+def check_maps(maps):
+    """ValueError unless each (name, functor, source, target) is a functor between them."""
+    for name, fun, source, target in maps:
+        if fun.source != source or fun.target != target:
+            raise ValueError("%s map has wrong endpoints" % name)
+        bad = fc.validate_functor(fun)
+        if bad:
+            raise ValueError("%s map is not a functor: %s" % (name, bad[0]))
+
+
+def compose_pairs(level, end, start, compose_obj, compose_mor, tag):
+    """(chain of pairs (f, g) with end(f) == start(g), composition functor onto level).
+
+    compose_obj / compose_mor give the composite of a pair in diagram order;
+    one that is not a functor raises ValueError, its message prefixed by tag.
+    """
+    pairs = fc.chain_fiber_product([level, level], [end], [start])
+    comp = fc.FunctorMap(pairs.cat, level,
+                         [compose_obj(*t) for t in pairs.obj_label],
+                         [compose_mor(*t) for t in pairs.mor_label])
+    bad = fc.validate_functor(comp)
+    if bad:
+        raise ValueError("%scomposition is not functorial: %s" % (tag, bad[0]))
+    return pairs, comp
+
+
+def check_associative(triples, pairs, comp, tag):
+    """ValueError at the first triple, objects before morphisms, where comp does not associate."""
+    for labels, pid, c in ((triples.obj_label, pairs.obj_id, comp.obj_map),
+                           (triples.mor_label, pairs.mor_id, comp.mor_map)):
+        for t in labels:
+            f, g, h = t
+            if c[pid[(c[pid[(f, g)]], h)]] != c[pid[(f, c[pid[(g, h)]])]]:
+                raise ValueError("%scomposition is not associative at triple %r" % (tag, t))
 
 
 # ---------------------------------------------------------------------------

@@ -54,33 +54,16 @@ def from_presentation(points, arrows, units, src, tgt, value, as_arrow,
     laws to check; associativity, anchor compatibility and the unit
     embedding being a semi-functor all raise ValueError with a witness.
     """
-    for name, fun, fsrc, ftgt in (("source", src, arrows, points),
-                                  ("target", tgt, arrows, points),
-                                  ("value", value, units, points),
-                                  ("unit", as_arrow, units, arrows)):
-        if fun.source != fsrc or fun.target != ftgt:
-            raise ValueError("%s map has wrong endpoints" % name)
-        bad = fc.validate_functor(fun)
-        if bad:
-            raise ValueError("%s map is not a functor: %s" % (name, bad[0]))
+    an.check_maps((("source", src, arrows, points), ("target", tgt, arrows, points),
+                   ("value", value, units, points), ("unit", as_arrow, units, arrows)))
     for name, anchor in (("start", src), ("end", tgt)):
         if fc.compose_functors(anchor, as_arrow) != value:
             raise ValueError("unit arrows do not %s at their point" % name)
 
-    pair_arrows = fc.chain_fiber_product([arrows, arrows], [tgt], [src])
-    comp_arrows = fc.FunctorMap(
-        pair_arrows.cat, arrows,
-        [compose_arrow_obj(*t) for t in pair_arrows.obj_label],
-        [compose_arrow_mor(*t) for t in pair_arrows.mor_label])
-    pair_units = fc.chain_fiber_product([units, units], [value], [value])
-    comp_units = fc.FunctorMap(
-        pair_units.cat, units,
-        [compose_unit_obj(*t) for t in pair_units.obj_label],
-        [compose_unit_mor(*t) for t in pair_units.mor_label])
-    for tag, comp in (("", comp_arrows), ("unit ", comp_units)):
-        bad = fc.validate_functor(comp)
-        if bad:
-            raise ValueError("%scomposition is not functorial: %s" % (tag, bad[0]))
+    pair_arrows, comp_arrows = an.compose_pairs(
+        arrows, tgt, src, compose_arrow_obj, compose_arrow_mor, "")
+    pair_units, comp_units = an.compose_pairs(
+        units, value, value, compose_unit_obj, compose_unit_mor, "unit ")
     pr = pair_arrows.projections
     if fc.compose_functors(src, comp_arrows) != fc.compose_functors(src, pr[0]):
         raise ValueError("composition does not start where the first factor starts")
@@ -90,18 +73,11 @@ def from_presentation(points, arrows, units, src, tgt, value, as_arrow,
     if fc.compose_functors(value, comp_units) != fc.compose_functors(value, pru[0]):
         raise ValueError("unit composition does not stay over its point")
 
-    for tag, fac, chain, comp in (("", arrows, pair_arrows, comp_arrows),
-                                  ("unit ", units, pair_units, comp_units)):
-        anchors = (tgt, src) if tag == "" else (value, value)
-        tri = fc.chain_fiber_product([fac] * 3, [anchors[0]] * 2, [anchors[1]] * 2)
-        for lab, pid, cid in ((tri.obj_label, chain.obj_id, comp.obj),
-                              (tri.mor_label, chain.mor_id, comp.mor)):
-            for t in lab:
-                f, g, h = t
-                fg, gh = cid(pid[(f, g)]), cid(pid[(g, h)])
-                if cid(pid[(fg, h)]) != cid(pid[(f, gh)]):
-                    raise ValueError("%scomposition is not associative at"
-                                     " triple %r" % (tag, t))
+    for tag, level, end, start, chain, comp in (
+            ("", arrows, tgt, src, pair_arrows, comp_arrows),
+            ("unit ", units, value, value, pair_units, comp_units)):
+        triples = fc.chain_fiber_product([level] * 3, [end] * 2, [start] * 2)
+        an.check_associative(triples, chain, comp, tag)
     for lab, pid, uid, cu, ca in (
             (pair_units.obj_label, pair_arrows.obj_id, as_arrow.obj,
              comp_units.obj, comp_arrows.obj),
@@ -443,8 +419,7 @@ def validate_fair_map(fmap):
              y.comp_units, fmap.on_units)):
         if anchors.intersection(ends):
             continue
-        legs = [fc.compose_functors(comp, pr) for pr in chx.projections]
-        two = fc.mediating_functor(chy, legs)
+        two = fc.chain_map(chx, chy, [comp, comp])
         if fc.compose_functors(cy, two) != fc.compose_functors(comp, cx):
             problems.append("%scomposition square does not commute" % tag)
     return problems
@@ -455,11 +430,9 @@ def level_map_fair(fmap, shape):
     n = shape.dots - 1
     if n == 0:
         return fmap.on_points
-    comps = [fmap.on_units if i in shape.colored else fmap.on_arrows
-             for i in range(n)]
-    legs = [fc.compose_functors(comps[i], fmap.source.chain(shape).projections[i])
-            for i in range(n)]
-    return fc.mediating_functor(fmap.target.chain(shape), legs)
+    return fc.chain_map(fmap.source.chain(shape), fmap.target.chain(shape),
+                        [fmap.on_units if i in shape.colored else fmap.on_arrows
+                         for i in range(n)])
 
 
 def identity_fair_map(d):

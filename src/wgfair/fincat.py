@@ -12,6 +12,9 @@ and remember the entries they compute, so they never force the table;
 reading ``comp`` yields the complete plain dict, built once on first read in
 the order of a full enumeration (for each f, the g composable after it).
 
+Thin categories, ``discrete`` and ``chaotic`` too, come from
+``thin_from_preorder``, one morphism per pair numbered in sorted pair order.
+
 Chains of composable tuples are ``FiberChain`` values.  Rank one is the
 chain of a single factor, ``single_chain``: the category itself with 1-tuple
 labels, so code over levels of any positive rank needs no one-edge branch.
@@ -124,47 +127,42 @@ class FinCat:
 
 
 def discrete(n):
-    ids = tuple(range(n))
-    return FinCat(n, ids, ids, ids, {(i, i): i for i in ids})
+    """Only identities: the thin category of the discrete preorder."""
+    return thin_from_preorder(n, [(x, x) for x in range(n)])
 
 
 def chaotic(n):
     """Exactly one morphism between each ordered pair of objects."""
-    src = tuple(m // n for m in range(n * n))
-    tgt = tuple(m % n for m in range(n * n))
-    identity = tuple(x * n + x for x in range(n))
-    comp = {}
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                comp[(y * n + z, x * n + y)] = x * n + z
-    return FinCat(n, src, tgt, identity, comp)
+    return thin_from_preorder(n, itertools.product(range(n), repeat=2))
 
 
 def thin_from_preorder(n, pairs):
     """Thin category on 0..n-1 with one morphism x -> y per pair (x, y).
 
-    pairs must be reflexive and transitive; ValueError otherwise.
+    Morphisms are numbered in sorted pair order, and the composition table
+    is enumerated the usual way: for each f, the g leaving its target in id
+    order.  pairs must lie in 0..n-1 and be reflexive and transitive;
+    ValueError naming the first offending pair or object otherwise.
     """
-    pairs = set(pairs)
-    for x in range(n):
-        if (x, x) not in pairs:
-            raise ValueError("preorder is not reflexive at %d" % x)
-    for (x, y) in pairs:
-        for (y2, z) in pairs:
-            if y2 == y and (x, z) not in pairs:
-                raise ValueError("preorder is not transitive")
-    labels = sorted(pairs)
-    mor_id = {t: i for i, t in enumerate(labels)}
-    src = tuple(t[0] for t in labels)
-    tgt = tuple(t[1] for t in labels)
-    identity = tuple(mor_id[(x, x)] for x in range(n))
-    comp = {}
+    labels = sorted(set(pairs))
     for (x, y) in labels:
-        for (y2, z) in labels:
-            if y2 == y:
-                comp[(mor_id[(y, z)], mor_id[(x, y)])] = mor_id[(x, z)]
-    return FinCat(n, src, tgt, identity, comp)
+        if not (0 <= x < n and 0 <= y < n):
+            raise ValueError("pair %r is outside 0..%d" % ((x, y), n - 1))
+    mor_id = {t: i for i, t in enumerate(labels)}
+    for x in range(n):
+        if (x, x) not in mor_id:
+            raise ValueError("preorder is not reflexive at %d" % x)
+    leaving = [[] for _ in range(n)]
+    for m, (x, y) in enumerate(labels):
+        leaving[x].append((m, y))
+    comp = {}
+    for f, (x, y) in enumerate(labels):
+        for g, z in leaving[y]:
+            if (x, z) not in mor_id:
+                raise ValueError("preorder is not transitive: (%d, %d) is missing" % (x, z))
+            comp[(g, f)] = mor_id[(x, z)]
+    return FinCat(n, [t[0] for t in labels], [t[1] for t in labels],
+                  [mor_id[(x, x)] for x in range(n)], comp)
 
 
 def disjoint_union(cats):
@@ -313,13 +311,6 @@ def iso_classes(cat):
         for x in cls:
             class_of[x] = i
     return classes, tuple(class_of)
-
-
-def iso_classes_map(fun):
-    """Action of a functor on iso classes: class index of source -> of target."""
-    classes_a, _ = iso_classes(fun.source)
-    _, class_of_b = iso_classes(fun.target)
-    return tuple(class_of_b[fun.obj_map[cls[0]]] for cls in classes_a)
 
 
 def is_homotopically_discrete(cat):
@@ -593,6 +584,12 @@ def mediating_functor(chain, cone_maps):
             raise ValueError("cone legs disagree on morphism %d" % m)
         mor_map.append(chain.mor_id[lab])
     return FunctorMap(t, chain.cat, obj_map, mor_map)
+
+
+def chain_map(source, target, components):
+    """Mediating functor into target of the legs components[i] . source.projections[i]."""
+    legs = [compose_functors(c, pr) for c, pr in zip(components, source.projections)]
+    return mediating_functor(target, legs)
 
 
 def full_subcategory(cat, objects):

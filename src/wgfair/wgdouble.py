@@ -187,28 +187,18 @@ def from_generators(x0, x1, d0, d1, s0, compose_obj, compose_mor):
     """
     if x0.n_obj == 0 and x1.n_obj > 0:
         raise ValueError("level zero is empty but level one is not")
-    for name, fun, src, tgt in (("target", d0, x1, x0), ("source", d1, x1, x0),
-                                ("identity", s0, x0, x1)):
-        if fun.source != src or fun.target != tgt:
-            raise ValueError("%s map has wrong endpoints" % name)
-        bad = fc.validate_functor(fun)
-        if bad:
-            raise ValueError("%s map is not a functor: %s" % (name, bad[0]))
+    an.check_maps((("target", d0, x1, x0), ("source", d1, x1, x0), ("identity", s0, x0, x1)))
     for name, fun in (("source", d1), ("target", d0)):
         if fc.compose_functors(fun, s0) != fc.identity_functor(x0):
             raise ValueError("identity map is not a section of the %s map" % name)
 
-    pairs = fc.chain_fiber_product([x1, x1], [d0], [d1])
-    comp = fc.FunctorMap(pairs.cat, x1,
-                         [compose_obj(*t) for t in pairs.obj_label],
-                         [compose_mor(*t) for t in pairs.mor_label])
-    bad = fc.validate_functor(comp)
-    if bad:
-        raise ValueError("composition is not functorial: %s" % bad[0])
-    for i, (f, g) in enumerate(pairs.obj_label):
-        c = comp.obj(i)
-        if d1.obj(c) != d1.obj(f) or d0.obj(c) != d0.obj(g):
-            raise ValueError("composite of pair %d has wrong endpoints" % i)
+    pairs, comp = an.compose_pairs(x1, d0, d1, compose_obj, compose_mor, "")
+    for what, labels, cm, e1, e0 in (
+            ("pair", pairs.obj_label, comp.obj_map, d1.obj_map, d0.obj_map),
+            ("cell pair", pairs.mor_label, comp.mor_map, d1.mor_map, d0.mor_map)):
+        for i, (f, g) in enumerate(labels):
+            if e1[cm[i]] != e1[f] or e0[cm[i]] != e0[g]:
+                raise ValueError("composite of %s %d has wrong endpoints" % (what, i))
 
     triples = fc.chain_fiber_product([x1, x1, x1], [d0, d0], [d1, d1])
     x = WGDouble(x0, x1, d0, d1, s0, comp, pairs, triples)
@@ -216,16 +206,12 @@ def from_generators(x0, x1, d0, d1, s0, compose_obj, compose_mor):
     for i, tag in ((0, "left"), (1, "right")):
         unit = fc.compose_functors(comp, x.degen(1, i))
         if unit != fc.identity_functor(x1):
-            wit = next(o for o in range(x1.n_obj)
-                       if unit.obj_map[o] != o or unit.mor_map[x1.identity[o]] != x1.identity[o])
-            raise ValueError("%s unit law fails at horizontal arrow %d" % (tag, wit))
-    left = fc.compose_functors(comp, x.face(3, 1))
-    right = fc.compose_functors(comp, x.face(3, 2))
-    if left != right:
-        wit = next(i for i in range(triples.cat.n_obj)
-                   if left.obj_map[i] != right.obj_map[i])
-        raise ValueError("composition is not associative at triple %r"
-                         % (triples.obj_label[wit],))
+            # an arrow or its identity cell first, then any cell
+            wits = [("horizontal arrow", o) for o in range(x1.n_obj) if unit.obj_map[o] != o
+                    or unit.mor_map[x1.identity[o]] != x1.identity[o]]
+            wits += [("cell", m) for m in range(x1.n_mor) if unit.mor_map[m] != m]
+            raise ValueError("%s unit law fails at %s %d" % ((tag,) + wits[0]))
+    an.check_associative(triples, pairs, comp, "")
     report = simplicial_identity_report(x)
     if report:
         raise ValueError("simplicial identity fails: %s" % report[0])
@@ -552,8 +538,7 @@ def tr2_map(fmap, res_src, res_tgt):
     comps = {0: fc.FunctorMap(sds.x0d, sdt.x0d, class_map, class_map),
              1: fmap.f1}
     for k, hat_s, hat_t in ((2, sds.hat2, sdt.hat2), (3, sds.hat3, sdt.hat3)):
-        legs = [fc.compose_functors(fmap.f1, pr) for pr in hat_s.projections]
-        comps[k] = fc.mediating_functor(hat_t, legs)
+        comps[k] = fc.chain_map(hat_s, hat_t, [fmap.f1] * k)
     report = []
     for k in (1, 2, 3):
         for i in range(k + 1):
@@ -628,8 +613,7 @@ def level_map(fmap, k):
     """The induced functor on level k."""
     if k == 0:
         return fmap.f0
-    legs = [fc.compose_functors(fmap.f1, pr) for pr in fmap.source.chain(k).projections]
-    return fc.mediating_functor(fmap.target.chain(k), legs)
+    return fc.chain_map(fmap.source.chain(k), fmap.target.chain(k), [fmap.f1] * k)
 
 
 def identity_double_map(x):
@@ -735,64 +719,30 @@ def generate_from_surjection(base, assignment):
     Level zero is the chaotic equivalence relation on the fibers of the
     assignment; horizontal arrows are triples (s, b, s2) with b a base
     morphism from the fiber of s to the fiber of s2, with a unique cell
-    between triples exactly when they share b.  Returns the instance plus a
-    lookup table for the triples.
+    between triples exactly when they share b.  Both levels are thin
+    (``thin_from_preorder``), so vertical arrows and cells are numbered by
+    endpoint pair.  Returns the instance plus lookup tables for the triples
+    and for those numberings.
     """
     ns = len(assignment)
     assignment = tuple(assignment)
     if set(assignment) != set(range(base.n_obj)):
         raise ValueError("assignment is not a surjection onto the base objects")
+    x0 = fc.thin_from_preorder(ns, [(s, u) for s in range(ns) for u in range(ns)
+                                    if assignment[s] == assignment[u]])
+    triples = [(s, b, s2) for s in range(ns) for s2 in range(ns)
+               for b in base.hom(assignment[s], assignment[s2])]
+    t_id = {t: i for i, t in enumerate(triples)}
+    x1 = fc.thin_from_preorder(len(triples), [(i, j) for i, t in enumerate(triples)
+                                              for j, u in enumerate(triples) if t[1] == u[1]])
+    m0_id = {pair: m for m, pair in enumerate(zip(x0.src, x0.tgt))}
+    m1_id = {pair: m for m, pair in enumerate(zip(x1.src, x1.tgt))}
 
-    m0_id = {}
-    m0_src, m0_tgt = [], []
-    for s in range(ns):
-        for u in range(ns):
-            if assignment[s] == assignment[u]:
-                m0_id[(s, u)] = len(m0_src)
-                m0_src.append(s)
-                m0_tgt.append(u)
-    comp0 = {}
-    for (s, u), i in m0_id.items():
-        for (u2, v), j in m0_id.items():
-            if u2 == u:
-                comp0[(j, i)] = m0_id[(s, v)]
-    x0 = fc.FinCat(ns, m0_src, m0_tgt, [m0_id[(s, s)] for s in range(ns)], comp0)
-
-    triples = []
-    t_id = {}
-    for s in range(ns):
-        for s2 in range(ns):
-            for b in base.hom(assignment[s], assignment[s2]):
-                t_id[(s, b, s2)] = len(triples)
-                triples.append((s, b, s2))
-    m1_id = {}
-    m1_src, m1_tgt = [], []
-    for i, (s, b, s2) in enumerate(triples):
-        for j, (u, b2, u2) in enumerate(triples):
-            if b == b2:
-                m1_id[(i, j)] = len(m1_src)
-                m1_src.append(i)
-                m1_tgt.append(j)
-    comp1 = {}
-    for (i, j), a in m1_id.items():
-        for (j2, l), c in m1_id.items():
-            if j2 == j:
-                comp1[(c, a)] = m1_id[(i, l)]
-    x1 = fc.FinCat(len(triples), m1_src, m1_tgt,
-                   [m1_id[(i, i)] for i in range(len(triples))], comp1)
-
-    d1 = fc.FunctorMap(x1, x0, [t[0] for t in triples],
-                       [m0_id[(triples[m1_src[m]][0], triples[m1_tgt[m]][0])]
-                        for m in range(len(m1_src))])
-    d0 = fc.FunctorMap(x1, x0, [t[2] for t in triples],
-                       [m0_id[(triples[m1_src[m]][2], triples[m1_tgt[m]][2])]
-                        for m in range(len(m1_src))])
-    s0 = fc.FunctorMap(
-        x0, x1,
-        [t_id[(s, base.identity[assignment[s]], s)] for s in range(ns)],
-        [m1_id[(t_id[(m0_src[m], base.identity[assignment[m0_src[m]]], m0_src[m])],
-                t_id[(m0_tgt[m], base.identity[assignment[m0_tgt[m]]], m0_tgt[m])])]
-         for m in range(len(m0_src))])
+    d1, d0 = (fc.FunctorMap(x1, x0, [t[e] for t in triples],
+                            [m0_id[(triples[i][e], triples[j][e])] for i, j in m1_id])
+              for e in (0, 2))
+    unit = [t_id[(s, base.identity[assignment[s]], s)] for s in range(ns)]
+    s0 = fc.FunctorMap(x0, x1, unit, [m1_id[(unit[s], unit[u])] for s, u in m0_id])
 
     def compose_obj(i, j):
         s, b, _ = triples[i]
@@ -800,8 +750,8 @@ def generate_from_surjection(base, assignment):
         return t_id[(s, base.compose(b2, b), s3)]
 
     def compose_mor(m, m2):
-        return m1_id[(compose_obj(m1_src[m], m1_src[m2]),
-                      compose_obj(m1_tgt[m], m1_tgt[m2]))]
+        return m1_id[(compose_obj(x1.src[m], x1.src[m2]),
+                      compose_obj(x1.tgt[m], x1.tgt[m2]))]
 
     x = from_generators(x0, x1, d0, d1, s0, compose_obj, compose_mor)
     aux = {"base": base, "assignment": assignment,

@@ -112,31 +112,6 @@ def test_fat_composition_is_associative(a, b, c, d, data):
     assert ds.compose_fat(ds.compose_fat(h, g), f) == ds.compose_fat(h, ds.compose_fat(g, f))
 
 
-def test_class_top_section_examples():
-    assert ds.class_top_section(o("o-o-o")) == ds.fat_identity(o("o-o-o"))
-    assert ds.class_top_section(o("o=o")).dotmap == (1,)
-    assert ds.class_top_section(o("o=o-o")).dotmap == (1, 2)
-    with pytest.raises(ValueError):
-        ds.class_top_section(o("o=o"), rank=1)
-
-
-@given(ordinals)
-def test_class_top_section_is_a_section(obj):
-    nu = ds.class_top_section(obj)
-    r = ds.collapse(obj)
-    assert nu.src == ds.ColoredOrdinal(r + 1, frozenset())  # the plain ordinal [r]
-    assert ds.collapse(nu) == ds.identity_simplex(r)
-
-
-def test_bottom_dot_lift_breaks_the_section_square():
-    # the section square needs top-preserving maps; sending the one dot to
-    # the bottom of the run fails it
-    bottom = ds.FatMap(o("o"), o("o=o"), (0,))
-    lhs = ds.compose_fat(bottom, ds.class_top_section(o("o")))
-    rhs = ds.compose_fat(ds.class_top_section(o("o=o")), ds.fat_identity(o("o")))
-    assert lhs != rhs
-
-
 def test_window_objects_count_and_validation():
     shapes = ds.window_objects()
     assert len(shapes) == 15 and len(set(shapes)) == 15

@@ -85,11 +85,6 @@ def test_iso_classes_examples():
     assert class_of == (0, 0, 1)
 
 
-def test_iso_classes_map_collapses_chaotic():
-    f = chaotic_functor(2, 1, (0, 0))
-    assert fc.iso_classes_map(f) == (0,)
-
-
 def test_homotopically_discrete_examples():
     assert fc.is_homotopically_discrete(fc.chaotic(2)) == (True, None)
     flag, witness = fc.is_homotopically_discrete(cyclic_group(2))
@@ -234,6 +229,20 @@ def test_thin_preorder_categories_are_valid(n, pairs):
     pairs = {(x, y) for (x, y) in pairs if x < n and y < n}
     cat = fc.thin_from_preorder(n, transitive_reflexive_closure(n, pairs))
     assert fc.validate_category(cat) == []
+
+
+@pytest.mark.parametrize("n, pairs, message", [
+    (1, [(0, 0), (0, 3), (3, 3)], r"pair \(0, 3\) is outside 0\.\.0"),
+    (2, [(0, 0), (1, 1), (-1, 0)], r"pair \(-1, 0\) is outside 0\.\.1"),
+    (2, [(0, 0), (0, 1)], "preorder is not reflexive at 1"),
+    (3, [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2)],
+     r"preorder is not transitive: \(0, 2\) is missing"),
+    (3, [(0, 0), (1, 1), (2, 2), (2, 0), (1, 2)],
+     r"preorder is not transitive: \(1, 0\) is missing"),
+])
+def test_thin_from_preorder_names_the_bad_pair(n, pairs, message):
+    with pytest.raises(ValueError, match=message):
+        fc.thin_from_preorder(n, pairs)
 
 
 @given(st.lists(st.integers(1, 3), min_size=1, max_size=4))

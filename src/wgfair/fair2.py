@@ -140,6 +140,8 @@ class FairDiagram:
     def chain(self, shape):
         """Edgewise fiber product of a shape with at least one edge."""
         if shape not in self._chains:
+            if shape.dots < 2:
+                raise ValueError("the one-dot shape %s has no edges, so no chain" % shape.text())
             cats, n = self.edge_cats(shape), shape.dots - 1
             self._chains[shape] = fc.single_chain(cats[0]) if n == 1 else \
                 fc.chain_fiber_product(

@@ -595,6 +595,10 @@ def chain_map(source, target, components):
 def full_subcategory(cat, objects):
     """(subcategory, inclusion) on the given objects, kept in sorted order."""
     objects = sorted(set(objects))
+    for x in objects:
+        if x not in range(cat.n_obj):
+            raise ValueError("object %r is not among the %d objects of the category"
+                             % (x, cat.n_obj))
     obj_new = {x: i for i, x in enumerate(objects)}
     keep = [m for m in range(cat.n_mor)
             if cat.src[m] in obj_new and cat.tgt[m] in obj_new]

@@ -57,6 +57,11 @@ def test_terminal_everything_gives_terminal_levels():
         assert lv.n_obj == 1 and lv.n_mor == 1
 
 
+def test_one_dot_shape_has_no_chain(arrow_fair):
+    with pytest.raises(ValueError, match="the one-dot shape o has no edges"):
+        arrow_fair.chain(ds.parse_ordinal("o"))
+
+
 def test_category_instance_levels_and_pi1(arrow_fair):
     assert f2.validate_fair2(arrow_fair) == []
     assert f2.validate_fairwg(arrow_fair) == []

@@ -294,6 +294,13 @@ def test_retraction_laws_on_block_inclusions(sizes, data):
         assert r.counit.components[incl.obj_map[x]] == b.identity[incl.obj_map[x]]
 
 
+def test_full_subcategory_names_an_object_the_category_lacks():
+    with pytest.raises(ValueError, match="object 5 is not among the 2 objects"):
+        fc.full_subcategory(free_arrow(), [5])
+    with pytest.raises(ValueError, match="object -1 is not among the 2 objects"):
+        fc.full_subcategory(free_arrow(), [0, -1])
+
+
 def test_chain_fiber_product_matches_brute_force():
     x0 = fc.discrete(2)
     x1, _, _ = fc.disjoint_union([fc.chaotic(2), fc.discrete(1)])

@@ -114,7 +114,6 @@ def test_family_pinned_sizes(family):
 def test_family_is_weakly_globular(family):
     x, _ = family
     assert wg.validate_catwg2(x) == []
-    assert wg.simplicial_identity_report(x) == []
 
 
 def test_tf2_pinned_sizes(tf2):
@@ -143,20 +142,16 @@ def test_micro_counterexample_fails_exactly_the_equivalence_axiom():
 # -- nerve actions -----------------------------------------------------------
 
 
-def sigma(i, k):
-    # the surjection [k+1] -> [k] repeating i
-    return ds.SimplexMap(k + 1, k, tuple(v if v <= i else v - 1
-                                         for v in range(k + 2)))
-
-
-def test_nerve_action_matches_faces_and_degeneracies(family):
-    x, _ = family
-    for k in (1, 2, 3):
-        for i in range(k + 1):
-            assert x.nerve_action(wg._delta(i, k)) == x.face(k, i)
-    for k in (0, 1, 2):
-        for i in range(k + 1):
-            assert x.nerve_action(sigma(i, k)) == x.degen(k, i)
+def test_ranks_outside_the_truncation_are_named(nerve):
+    x, _ = nerve
+    with pytest.raises(ValueError, match=r"^rank 4 has no chain"):
+        x.level(4)
+    with pytest.raises(ValueError, match=r"^rank 4 has no chain"):
+        x.nerve_action(ds.SimplexMap(0, 4, (0,)))
+    with pytest.raises(ValueError, match=r"^rank 4 has no chain"):
+        wg.level_map(wg.identity_double_map(x), 4)
+    with pytest.raises(ValueError, match=r"^rank 0 has no chain"):
+        x.chain(0)
 
 
 def test_nerve_action_is_functorial_exhaustively_on_the_nerve(nerve):
@@ -170,12 +165,18 @@ def test_nerve_action_is_functorial_exhaustively_on_the_nerve(nerve):
             fc.compose_functors(x.nerve_action(f), x.nerve_action(g))
 
 
-@pytest.mark.parametrize("which", ["family", "tf2"])
-def test_nerve_action_functorial_on_generating_maps(family, tf2, which):
-    x, _ = family if which == "family" else tf2
+@pytest.mark.parametrize("which", ["family", "tf2", "micro"]
+                         + ["seed %d" % s for s in range(12)])
+def test_nerve_action_functorial_on_generating_maps(request, which):
+    if which == "micro":
+        x = wg.micro_counterexample()
+    elif which.startswith("seed"):
+        x, _ = wg.generate_random_wg(int(which.split()[1]))
+    else:
+        x, _ = request.getfixturevalue(which)
     site = ps.OrdinalSite(3)
     maps = [wg._delta(i, k) for k in (1, 2, 3) for i in range(k + 1)]
-    maps += [sigma(i, k) for k in (0, 1, 2) for i in range(k + 1)]
+    maps += [wg._sigma(i, k) for k in (0, 1, 2) for i in range(k + 1)]
     maps += [ds.SimplexMap(1, k, (j - 1, j)) for k in (2, 3) for j in range(1, k + 1)]
     maps += [ds.SimplexMap(1, 0, (0, 0)), ds.SimplexMap(0, 2, (2,))]
     for f in maps:
@@ -225,6 +226,15 @@ def test_validate_cleavage_reports_a_transport_with_the_wrong_target(family):
     assert "transport of (0, 2) has wrong endpoints" in problems
     assert not any(p.startswith("composition") for p in problems)
     assert not any(p.startswith("pasting") for p in problems)
+
+
+@pytest.mark.parametrize("key, entry", [((0, 99), (0, 0)), ((99, 0), (0, 0)),
+                                        ((0, 0), (99, 0)), ((0, 0), (0, 99))])
+def test_validate_cleavage_rejects_a_table_outside_the_instance(nerve, key, entry):
+    x, _ = nerve
+    with pytest.raises(ValueError, match=r"cleavage key \(%d, %d\) names an arrow, morphism"
+                                         r" or cell outside the instance" % key):
+        wg.validate_cleavage(x, {key: entry})
 
 
 # -- retraction strategies ---------------------------------------------------
@@ -278,7 +288,7 @@ def test_tr2_family_cells_on_generating_pairs(family_tr2, strategy):
     res = family_tr2[strategy]
     site = res.diagram.site
     maps = [wg._delta(i, k) for k in (1, 2) for i in range(k + 1)]
-    maps += [sigma(i, k) for k in (0, 1) for i in range(k + 1)]
+    maps += [wg._sigma(i, k) for k in (0, 1) for i in range(k + 1)]
     maps += [ds.SimplexMap(1, 2, (0, 1)), ds.SimplexMap(1, 2, (1, 2)),
              ds.SimplexMap(1, 0, (0, 0)), ds.SimplexMap(0, 2, (2,)),
              ds.SimplexMap(0, 1, (1,)), ds.SimplexMap(2, 1, (0, 1, 1))]
@@ -373,6 +383,12 @@ def test_tr2_map_mismatched_sections_fail_only_off_the_projections(tf2_tr2):
     assert set(out["report"]) <= allowed
     differ = a.retr.nu2 != b.retr.nu2 or a.retr.nu3 != b.retr.nu3
     assert bool(out["report"]) == differ
+
+
+def test_tr2_map_rejects_a_map_between_other_instances(nerve, family_tr2):
+    res = family_tr2["cleavage"]
+    with pytest.raises(ValueError, match="does not run between the instances"):
+        wg.tr2_map(wg.identity_double_map(nerve[0]), res, res)
 
 
 # -- fundamental category and 2-equivalences ---------------------------------
@@ -472,7 +488,7 @@ def test_d2_construction_fixes_discrete_level_zero(nerve):
     x, _ = nerve
     d2 = wg.d2_construction(x)
     for i in (0, 1):
-        assert d2.face[(1, i)] == x.face(1, i)
+        assert d2.face[(1, i)] == (x.d0, x.d1)[i]
     assert d2.comparison[0] == fc.identity_functor(x.x0)
 
 

@@ -147,7 +147,12 @@ def pi1(a, units):
 
 
 def pi1_map(p_src, p_tgt, on_points, on_arrows):
-    """Functor induced on fundamental categories by a map of anchored data."""
+    """Functor induced on fundamental categories by a map of anchored data.
+
+    A component whose maps do not fit its source raises ValueError.
+    """
+    fc._check_functor_shape(on_points)
+    fc._check_functor_shape(on_arrows)
     fun = fc.FunctorMap(
         p_src.cat, p_tgt.cat,
         [p_tgt.obj_class_of[on_points.obj(cls[0])] for cls in p_src.obj_classes],
@@ -161,8 +166,13 @@ def pi1_map(p_src, p_tgt, on_points, on_arrows):
 def hom_fiber(a, i, j, class_of):
     """(full subcategory of the arrows from point class i to j, inclusion).
 
-    class_of maps each point to its iso class, as ``obj_class_of`` does.
+    class_of maps each point to its iso class, as ``obj_class_of`` does; a
+    class outside them raises ValueError.
     """
+    count = len(set(class_of))
+    for c in (i, j):
+        if not 0 <= c < count:
+            raise ValueError("point class %d is not one of the %d point classes" % (c, count))
     objs = [f for f in range(a.arrows.n_obj)
             if class_of[a.src.obj(f)] == i and class_of[a.tgt.obj(f)] == j]
     return fc.full_subcategory(a.arrows, objs)

@@ -9,6 +9,28 @@ read units, and the contravariant action folds paths using the two
 compositions, pushing units into arrows where a plain edge crosses a
 colored run.  Tuples read left to right in diagram order, matching the
 double-category module.
+
+The evaluation is functorial by construction.  A map f : a -> b of the
+window sends edge j of a over the path of b from f(j) to f(j+1); dot maps
+are strictly increasing, so that path is never empty and no fold needs an
+identity.  For g : b -> c, the path of c under an edge of a is the
+concatenation of the paths of c under the edges of b it covers, so
+action(g . f) = action(f) . action(g) reduces to three facts, each checked
+by ``from_presentation``:
+
+- both compositions are strictly associative, so folding a row of folded
+  rows is folding the concatenated row;
+- the anchors are compatible: a composite starts where its first factor
+  starts and ends where its last ends, and a unit pushed into the arrows
+  starts and ends at its value, so every folded row is again a composable
+  tuple and a dot reads the same point off it as off the row it came from;
+- the unit embedding is a semi-functor, so a colored run that g splits over
+  several edges of b, pushed into the arrows piece by piece and then
+  composed, gives what pushing the whole run once gives.
+
+``build_fair`` therefore builds actions on demand only; the exhaustive
+comparison over every composable pair of window maps lives in the test
+suite as the oracle.
 """
 
 from __future__ import annotations
@@ -210,30 +232,13 @@ class FairDiagram:
 
 
 def build_fair(p):
-    """Evaluate a presentation and verify functoriality on the window.
+    """Evaluate a presentation on the window, lazily.
 
-    Every composable pair of window maps is checked; a failure names the
-    pair.  With the presentation laws already enforced this is a defense
-    line, not an expected exit.
+    Levels and actions are built when first asked for.  Functoriality needs
+    no check here: it follows from the laws ``from_presentation`` enforces
+    (see the module docstring).
     """
-    d = FairDiagram(p)
-    shapes = d.shapes()
-    homs = {}
-    for a in shapes:
-        for b in shapes:
-            homs[(a, b)] = ds.enumerate_hom(a, b)
-    for a in shapes:
-        for b in shapes:
-            for f in homs[(a, b)]:
-                af = d.action(f)
-                for c in shapes:
-                    for g in homs[(b, c)]:
-                        if d.action(ds.compose_fat(g, f)) != \
-                                fc.compose_functors(af, d.action(g)):
-                            raise ValueError(
-                                "evaluation is not functorial at the pair"
-                                " (%r, %r)" % (f, g))
-    return d
+    return FairDiagram(p)
 
 
 def pi_star(x):
@@ -285,7 +290,27 @@ def vertical_window_maps():
 
 
 def validate_fair2(d):
-    """Axioms of the discrete-points fair structure, one line per failure."""
+    """Axioms of the discrete-points fair structure, one line per failure.
+
+    The five ``unit_generator_maps`` are checked first, then every other
+    vertical window map.  That sweep cannot find anything when the points
+    are discrete and all five generators are equivalences:
+
+    - over discrete points, a level is a coproduct, over the points at its
+      dots, of products of edge categories between fixed points;
+    - each vertical map is a composite of the five generators placed
+      edgewise: a generator's shape spliced in at a dot, the edges around it
+      kept as they are (an anchor adds a unit edge beside its one dot, so
+      it is placed at an end of the shape, the new edge outside);
+    - a placed generator fixes the points at the ends of what it replaces,
+      so it acts as (generator x identities) over fixed points.  An
+      equivalence that fixes the points is one over each choice of them,
+      since no morphism joins two choices, so each placed generator is an
+      equivalence, and so is the composite, by functoriality.
+
+    In that case the sweep is skipped; otherwise it runs, and its lines
+    follow the generators' lines in window order.
+    """
     problems = []
     p = d.p
     if p.points.n_mor != p.points.n_obj:
@@ -299,8 +324,10 @@ def validate_fair2(d):
                 "the %s map is not an equivalence (fully_faithful=%s,"
                 " essentially_surjective=%s)"
                 % (name, flags["fully_faithful"], flags["essentially_surjective"]))
-    # the five generators force every unit-inserting map to an equivalence;
-    # sweeping them all keeps that consequence honest
+    # the sweep runs unless the points are discrete and every generator is
+    # an equivalence, the case in which it provably finds nothing
+    if not problems:
+        return problems
     for fat in vertical_window_maps():
         if fat not in named and not fc.is_equivalence(d.action(fat)):
             problems.append("vertical map %r is not sent to an equivalence"

@@ -130,6 +130,29 @@ def test_vertical_window_maps_collapse_to_identities():
         assert coll == ds.identity_simplex(coll.src_rank)
 
 
+def test_evaluation_builds_actions_on_demand(family, monkeypatch):
+    # the builders force no action; each validator builds the five unit
+    # generators' actions and, with the sweep skipped, nothing else
+    built = []
+    build = f2.FairDiagram._build_action
+
+    def counted(self, fat):
+        built.append(fat)
+        return build(self, fat)
+
+    monkeypatch.setattr(f2.FairDiagram, "_build_action", counted)
+    d = f2.pi_star(family[0])
+    dd = f2.discretize_fair(d)
+    f2.build_fair(d.p)
+    f2.fair_from_category(free_arrow_base())
+    assert built == []
+    assert f2.validate_fairwg(d) == []
+    assert len(built) == 5
+    built.clear()
+    assert f2.validate_fair2(dd) == []
+    assert built == [fat for _, fat in f2.unit_generator_maps()]
+
+
 # -- the weakly globular family through the fair lens ------------------------
 
 
@@ -200,6 +223,13 @@ def test_identity_2equivalence_computes_pi1_once(family, family_fair, monkeypatc
         descents.clear()
         assert check() == verdict
         assert len(descents) == 1
+
+
+@pytest.mark.parametrize("a, b, bad", [(5, 0, 5), (-1, 0, -1), (0, 2, 2)])
+def test_hom_fiber_rejects_a_class_out_of_range(family_fair, a, b, bad):
+    with pytest.raises(ValueError, match="point class %d is not one of the 2 point classes"
+                                         % bad):
+        f2.hom_fiber_fair(family_fair, a, b)
 
 
 def test_family_hom_fibers(family_fair):
@@ -375,6 +405,16 @@ def test_validate_fair_map_lists_failed_squares_without_raising(family, family_f
     problems = f2.validate_fair_map(moved_arrow_fair_map(family[0], family_fair))
     assert problems[0].startswith("arrow component is not a functor")
     assert problems[1:] == ["target square does not commute"]
+
+
+def test_short_point_component_is_rejected_before_indexing(arrow_fair):
+    # on_points covers one of the two points; validate_fair_map already refuses it
+    p = arrow_fair.p
+    fmap = f2.FairMap(arrow_fair, arrow_fair, fc.FunctorMap(p.points, p.points, [0], [0]),
+                      fc.identity_functor(p.arrows), fc.identity_functor(p.units))
+    for check in (f2.is_2equivalence_fair, f2.pi1_fair_map, f2.validate_fair_map):
+        with pytest.raises(ValueError, match="functor map lengths disagree with the source"):
+            check(fmap)
 
 
 def test_identity_and_composition_of_fair_maps(family, family_fair,

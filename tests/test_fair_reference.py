@@ -1,0 +1,326 @@
+"""Lazy fair evaluation and the skipped vertical sweep: checks against the exhaustive code.
+
+``fair2.build_fair`` used to build every window action and compare them on
+every composable pair of window maps, and ``validate_fair2`` used to sweep
+every vertical window map after the five unit generators whatever the
+instance.  The ``fair2`` module docstring argues that the first comparison
+cannot fail, and the ``validate_fair2`` docstring that the second finds
+nothing over discrete points once the generators are equivalences.  The
+exhaustive code is kept here only as the oracle: on a corpus of named
+instances, on instances whose units are weak, and on a sweep of small
+presentations.
+"""
+
+import collections
+import functools
+import itertools
+import re
+
+import pytest
+
+from wgfair import deltasite as ds
+from wgfair import fair2 as f2
+from wgfair import fincat as fc
+from wgfair import wgdouble as wg
+
+
+@functools.lru_cache(maxsize=None)
+def window_pairs():
+    """(window maps, (f, g, g . f) index triples of every composable pair)."""
+    shapes = ds.window_objects()
+    maps = [f for a in shapes for b in shapes for f in ds.enumerate_hom(a, b)]
+    index = {f: i for i, f in enumerate(maps)}
+    pairs = [(index[f], index[g], index[ds.compose_fat(g, f)])
+             for f in maps for g in maps if f.tgt == g.src]
+    return maps, pairs
+
+
+def functoriality_failures(d):
+    """Every composable pair of window maps whose actions do not compose."""
+    maps, pairs = window_pairs()
+    acts = [d.action(f) for f in maps]
+    return ["evaluation is not functorial at the pair (%r, %r)" % (maps[f], maps[g])
+            for f, g, gf in pairs
+            if acts[gf] != fc.compose_functors(acts[f], acts[g])]
+
+
+def reference_validate_fair2(d):
+    """validate_fair2 sweeping every vertical map, whatever the generators did."""
+    problems = []
+    p = d.p
+    if p.points.n_mor != p.points.n_obj:
+        problems.append("points are not discrete")
+    named = set()
+    for name, fat in f2.unit_generator_maps():
+        named.add(fat)
+        flags = fc.equivalence_flags(d.action(fat))
+        if not flags["is_equivalence"]:
+            problems.append(
+                "the %s map is not an equivalence (fully_faithful=%s,"
+                " essentially_surjective=%s)"
+                % (name, flags["fully_faithful"], flags["essentially_surjective"]))
+    for fat in f2.vertical_window_maps():
+        if fat not in named and not fc.is_equivalence(d.action(fat)):
+            problems.append("vertical map %r is not sent to an equivalence" % (fat,))
+    return problems
+
+
+# -- weak units ----------------------------------------------------------------
+
+
+def thin_functor(source, target, obj):
+    """The functor between thin categories with object map obj."""
+    return fc.FunctorMap(source, target, obj, [
+        target.hom(obj[source.src[m]], obj[source.tgt[m]])[0] for m in range(source.n_mor)])
+
+
+def thin_composition(cat, compose):
+    """(object composite, cell composite) for a thin cat and an object rule."""
+    def cell(m, n):
+        return cat.hom(compose(cat.src[m], cat.src[n]), compose(cat.tgt[m], cat.tgt[n]))[0]
+    return compose, cell
+
+
+def weak_unit_fair(base, k, cells=True):
+    """A category as a fair structure, every arrow and unit tagged by Z/k.
+
+    Arrow (m, t) is object m * k + t, unit (a, t) is a * k + t and sits on
+    the arrow (id_a, t); composition composes in base and adds tags.  With
+    cells there is one cell between any two tags of the same m or a, so a
+    unit with a non-zero tag is an identity only up to that cell; without
+    them the tags are never identified.
+    """
+    def tagged(n):
+        return fc.thin_from_preorder(n * k, [
+            (x * k + s, x * k + t) for x in range(n)
+            for s in range(k) for t in range(k) if cells or s == t])
+
+    points = fc.discrete(base.n_obj)
+    arrows, units = tagged(base.n_mor), tagged(base.n_obj)
+
+    def anchor(level, read):
+        return fc.FunctorMap(level, points, [read[o // k] for o in range(level.n_obj)],
+                             [read[level.src[m] // k] for m in range(level.n_mor)])
+
+    def compose_arrows(f, g):
+        return base.compose(g // k, f // k) * k + (f + g) % k
+
+    def compose_units(u, w):
+        return u // k * k + (u + w) % k
+
+    return f2.build_fair(f2.from_presentation(
+        points, arrows, units, anchor(arrows, base.src), anchor(arrows, base.tgt),
+        anchor(units, range(base.n_obj)),
+        thin_functor(units, arrows, [base.identity[u // k] * k + u % k
+                                     for u in range(units.n_obj)]),
+        *thin_composition(arrows, compose_arrows), *thin_composition(units, compose_units)))
+
+
+# -- the corpus --------------------------------------------------------------
+
+
+def free_arrow():
+    return fc.thin_from_preorder(2, [(0, 0), (0, 1), (1, 1)])
+
+
+def cyclic3():
+    return fc.FinCat(1, [0, 0, 0], [0, 0, 0], [0],
+                     {(i, j): (i + j) % 3 for i in range(3) for j in range(3)})
+
+
+DOUBLES = {"nerve": lambda: wg.from_base_category(free_arrow())[0],
+           "family": lambda: wg.generate_from_surjection(free_arrow(), [0, 0, 1])[0],
+           "tf2": lambda: wg.generate_from_surjection(
+               fc.thin_from_preorder(1, [(0, 0)]), [0, 0])[0]}
+DOUBLES.update(("seed %d" % s, lambda s=s: wg.generate_random_wg(s)[0]) for s in (4, 5, 6))
+# the generic retraction breaks the rebased associativity on every pi*
+# image here whose points are not discrete (a recorded finding)
+RETRACTION_REJECTS = {"family", "tf2", "seed 4", "seed 5", "seed 6"}
+
+CORPUS = {}
+for _name in DOUBLES:
+    CORPUS[_name] = lambda n=_name: f2.pi_star(DOUBLES[n]())
+    CORPUS[_name + " / cleavage"] = lambda n=_name: f2.discretize_fair(instance(n))
+    if _name not in RETRACTION_REJECTS:
+        CORPUS[_name + " / retraction"] = lambda n=_name: f2.discretize_fair(
+            instance(n), "retraction")
+CORPUS.update({
+    "category discrete(1)": lambda: f2.fair_from_category(fc.discrete(1)),
+    "category Z/3": lambda: f2.fair_from_category(cyclic3()),
+    "category free arrow": lambda: f2.fair_from_category(free_arrow()),
+    "category chain [2]": lambda: f2.fair_from_category(
+        fc.thin_from_preorder(3, [(x, y) for x in range(3) for y in range(x, 3)])),
+})
+CORPUS.update(("weak units k=%d" % k, lambda k=k: weak_unit_fair(free_arrow(), k))
+              for k in (1, 2, 3))
+CORPUS["weak units k=2 without cells"] = lambda: weak_unit_fair(free_arrow(), 2, cells=False)
+
+
+@functools.lru_cache(maxsize=None)
+def instance(name):
+    return CORPUS[name]()
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_evaluation_is_functorial(name):
+    assert functoriality_failures(instance(name)) == []
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_validate_fair2_matches_the_full_sweep(name):
+    d = instance(name)
+    assert f2.validate_fair2(d) == reference_validate_fair2(d)
+
+
+@pytest.mark.parametrize("name", sorted(RETRACTION_REJECTS))
+def test_retraction_strategy_rejects_the_rest(name):
+    with pytest.raises(ValueError, match="composition is not associative at triple"):
+        f2.discretize_fair(instance(name), "retraction")
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_weak_unit_fixtures_are_fair_2_categories(k):
+    d = instance("weak units k=%d" % k)
+    assert f2.validate_fairwg(d) == []
+    assert f2.validate_fair2(d) == []
+    assert f2.pi1_fair(d).cat == free_arrow()
+
+
+def test_weak_units_act_up_to_a_cell():
+    # unit (0, 1) followed by the arrow (f, 0) is (f, 1): not (f, 0), only
+    # isomorphic to it
+    p = instance("weak units k=2").p
+    f, unit = 1 * 2, p.as_arrow.obj(0 * 2 + 1)
+    composite = p.comp_arrows.obj(p.pair_arrows.obj_id[(unit, f)])
+    assert composite == f + 1
+    assert p.arrows.hom(composite, f) and p.arrows.hom(f, composite)
+
+
+def test_untied_tags_take_the_full_sweep():
+    d = instance("weak units k=2 without cells")
+    problems = f2.validate_fair2(d)
+    assert problems == reference_validate_fair2(d)
+    assert len(problems) == 52
+    assert [line.split(" ")[0] for line in problems] == ["the"] * 5 + ["vertical"] * 47
+    assert f2.validate_fairwg(d) == ["axiom (d): the %s map is not an equivalence" % name
+                                     for name, _ in f2.unit_generator_maps()]
+
+
+# -- vertical maps from placed generators ------------------------------------
+
+
+def placements():
+    """Each unit generator spliced into a window shape at a dot.
+
+    The edges left and right of the generator are kept as they are.  An
+    anchor adds a unit edge beside its one dot, so it is placed at an end
+    of the shape, the new edge outside.
+    """
+    out = set()
+    for _, g in f2.unit_generator_maps():
+        for left in ds.window_objects():
+            for right in ds.window_objects():
+                if left.dots > 1 and g.dotmap[0] != 0 or \
+                        right.dots > 1 and g.dotmap[-1] != g.tgt.dots - 1:
+                    continue
+                tgt = left.text() + g.tgt.text()[1:] + right.text()[1:]
+                if tgt.count("o") > ds.MAX_DOTS:
+                    continue
+                shift, end = left.dots - 1, left.dots + g.tgt.dots - 2
+                out.add(ds.FatMap(
+                    ds.parse_ordinal(left.text() + g.src.text()[1:] + right.text()[1:]),
+                    ds.parse_ordinal(tgt),
+                    list(range(shift)) + [shift + v for v in g.dotmap]
+                    + [end + m for m in range(1, right.dots)]))
+    return out
+
+
+def test_vertical_maps_are_composites_of_placed_generators():
+    placed = placements()
+    reached, frontier = set(placed), list(placed)
+    while frontier:
+        frontier = [h for h in {ds.compose_fat(g, f) for f in frontier for g in placed
+                                if g.src == f.tgt} if h not in reached]
+        reached.update(frontier)
+    vertical = f2.vertical_window_maps()
+    assert len(vertical) == 52
+    assert reached == set(vertical)
+
+
+# -- a sweep of small presentations ------------------------------------------
+
+
+def tables(n):
+    """Every binary operation on 0..n-1, as a dict."""
+    keys = list(itertools.product(range(n), repeat=2))
+    for values in itertools.product(range(n), repeat=len(keys)):
+        yield dict(zip(keys, values))
+
+
+def least_relabelling(table, units_table, as_arrow, n_arrows, n_units):
+    """True when no relabelling of arrows and units gives a smaller input."""
+    def key(ta, tu, obj):
+        return sorted(ta.items()), sorted(tu.items()), obj
+
+    def moved(tab, perm):
+        return {(perm[u], perm[v]): perm[w] for (u, v), w in tab.items()}
+
+    mine = key(table, units_table, as_arrow)
+    for pa in itertools.permutations(range(n_arrows)):
+        for pu in itertools.permutations(range(n_units)):
+            obj = [None] * n_units
+            for u in range(n_units):
+                obj[pu[u]] = pa[as_arrow[u]]
+            if key(moved(table, pa), moved(units_table, pu), tuple(obj)) < mine:
+                return False
+    return True
+
+
+def sweep_inputs():
+    """Presentations over one point, up to relabelling.
+
+    Arrows and units are each the discrete category on one or two objects
+    or the chaotic one on two; every unit embedding and every object
+    composition table is tried, cells compose as the thin categories force.
+    The chaotic cases are where units can be weak.
+    """
+    point = fc.discrete(1)
+    levels = (fc.discrete(1), fc.discrete(2), fc.chaotic(2))
+    for arrows, units in itertools.product(levels, repeat=2):
+        for obj in itertools.product(range(arrows.n_obj), repeat=units.n_obj):
+            if not all(arrows.hom(obj[units.src[m]], obj[units.tgt[m]])
+                       for m in range(units.n_mor)):
+                continue
+            for ta in tables(arrows.n_obj):
+                for tu in tables(units.n_obj):
+                    if least_relabelling(ta, tu, obj, arrows.n_obj, units.n_obj):
+                        yield (point, arrows, units, thin_functor(units, arrows, obj),
+                               thin_composition(arrows, lambda f, g, ta=ta: ta[(f, g)]),
+                               thin_composition(units, lambda u, w, tu=tu: tu[(u, w)]))
+
+
+def test_small_presentation_sweep():
+    # the counts include rejections by from_presentation, so the accepted
+    # inputs are not all there is; "skipped" counts the accepted inputs on
+    # which validate_fair2 does not sweep
+    kinds = collections.Counter()
+    for point, arrows, units, as_arrow, arrow_comp, unit_comp in sweep_inputs():
+        def to_point(level):
+            return fc.FunctorMap(level, point, [0] * level.n_obj, [0] * level.n_mor)
+
+        try:
+            p = f2.from_presentation(point, arrows, units, to_point(arrows), to_point(arrows),
+                                     to_point(units), as_arrow, *arrow_comp, *unit_comp)
+        except ValueError as err:
+            kinds[re.sub(r" at .*|: .*", "", str(err))] += 1
+            continue
+        d = f2.build_fair(p)
+        kinds["accepted"] += 1
+        assert functoriality_failures(d) == []
+        problems = f2.validate_fair2(d)
+        assert problems == reference_validate_fair2(d)
+        kinds["skipped"] += not problems
+    assert kinds == {"accepted": 158, "skipped": 59,
+                     "composition is not associative": 540,
+                     "unit composition is not associative": 272,
+                     "unit embedding is not a semi-functor": 131}

@@ -419,6 +419,24 @@ def test_hom_fibers_of_the_family(family):
     assert empty.n_obj == 0
 
 
+@pytest.mark.parametrize("a, b, bad", [(7, 0, 7), (0, 2, 2), (-1, 0, -1)])
+def test_hom_fiber_rejects_a_class_out_of_range(nerve, a, b, bad):
+    x, _ = nerve
+    with pytest.raises(ValueError, match="point class %d is not one of the 2 point classes"
+                                         % bad):
+        wg.hom_fiber(x, a, b)
+
+
+def test_short_vertical_component_is_rejected_before_indexing(nerve):
+    # f0 covers one of the two points; validate_double_map already refuses it
+    x, _ = nerve
+    fmap = wg.DoubleMap(x, x, fc.FunctorMap(x.x0, x.x0, [0], [0]),
+                        fc.identity_functor(x.x1))
+    for check in (wg.is_2equivalence_double, wg.pi1_map, wg.validate_double_map):
+        with pytest.raises(ValueError, match="functor map lengths disagree with the source"):
+            check(fmap)
+
+
 def test_collapse_is_a_2equivalence(family, nerve):
     fmap = collapse_map(family, nerve)
     flags = wg.is_2equivalence_double(fmap)

@@ -151,8 +151,8 @@ def pi1_map(p_src, p_tgt, on_points, on_arrows):
 
     A component whose maps do not fit its source raises ValueError.
     """
-    fc._check_functor_shape(on_points)
-    fc._check_functor_shape(on_arrows)
+    fc._check_functor_shape(on_points, "points")
+    fc._check_functor_shape(on_arrows, "arrows")
     fun = fc.FunctorMap(
         p_src.cat, p_tgt.cat,
         [p_tgt.obj_class_of[on_points.obj(cls[0])] for cls in p_src.obj_classes],

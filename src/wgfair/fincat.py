@@ -11,6 +11,8 @@ their factors).  ``compose`` and ``inverse`` only ever work entry by entry
 and remember the entries they compute, so they never force the table;
 reading ``comp`` yields the complete plain dict, built once on first read in
 the order of a full enumeration (for each f, the g composable after it).
+``iso_classes`` asks ``is_iso`` only of morphisms between two classes it
+has not joined yet, so it forces no composite inside a class.
 
 Thin categories, ``discrete`` and ``chaotic`` too, come from
 ``thin_from_preorder``, one morphism per pair numbered in sorted pair order.
@@ -288,6 +290,12 @@ def iso_classes(cat):
 
     Returns (classes, class_of): sorted lists ordered by least member, and the
     quotient map object id -> class index.
+
+    The classes are the components of the graph of isomorphisms, grown by
+    union-find in morphism order.  A morphism whose ends are already in one
+    class cannot change the partition, so ``is_iso`` is asked only of a
+    morphism between two classes; the result depends on the partition alone,
+    so it is the one every morphism's test gives.
     """
     parent = list(range(cat.n_obj))
 
@@ -297,11 +305,10 @@ def iso_classes(cat):
             x = parent[x]
         return x
 
-    for m in range(cat.n_mor):
-        if cat.is_iso(m):
-            a, b = find(cat.src[m]), find(cat.tgt[m])
-            if a != b:
-                parent[max(a, b)] = min(a, b)
+    for m, (x, y) in enumerate(zip(cat.src, cat.tgt)):
+        a, b = find(x), find(y)
+        if a != b and cat.is_iso(m):
+            parent[max(a, b)] = min(a, b)
     groups = {}
     for x in range(cat.n_obj):
         groups.setdefault(find(x), []).append(x)
@@ -390,11 +397,20 @@ def compose_functors(g, f):
                       [g.mor_map[m] for m in f.mor_map])
 
 
-def _check_functor_shape(fun):
-    """ValueError unless the maps have the source's lengths and land in the target."""
+def _check_functor_shape(fun, component=None):
+    """ValueError unless the maps have the source's lengths and land in the target.
+
+    A length error names the map and both lengths, and the component when
+    the functor is one component of a larger map.
+    """
     a, b = fun.source, fun.target
-    if len(fun.obj_map) != a.n_obj or len(fun.mor_map) != a.n_mor:
-        raise ValueError("functor map lengths disagree with the source")
+    for kind, image, count, things in (("object", fun.obj_map, a.n_obj, "objects"),
+                                       ("morphism", fun.mor_map, a.n_mor, "morphisms")):
+        if len(image) != count:
+            owner = "the " if component is None else "the %s component's " % component
+            raise ValueError("functor map lengths disagree with the source: %s%s map has"
+                             " length %d but the source has %d %s"
+                             % (owner, kind, len(image), count, things))
     if fun.obj_map and not 0 <= min(fun.obj_map) <= max(fun.obj_map) < b.n_obj:
         raise ValueError("object map out of range")
     if fun.mor_map and not 0 <= min(fun.mor_map) <= max(fun.mor_map) < b.n_mor:
@@ -467,21 +483,32 @@ def equivalence_flags(fun):
     """Fully-faithful / essentially-surjective / injective-on-objects flags.
 
     Malformed maps raise ValueError, as in ``validate_functor``.
+
+    Full faithfulness is decided in one pass over the source's morphisms
+    and one over the target's.  Every morphism must go to one between the
+    images of its ends, and no two morphisms of one hom set to the same one.
+    Then each hom set A(x, y) injects into B(Fx, Fy), and F is full exactly
+    when |A(x, y)| = |B(Fx, Fy)| for every pair.  No term can exceed its
+    partner, so this holds for every pair exactly when the sums over all
+    pairs agree: n_mor of A on the left, and on the right each morphism
+    u -> v of B once for every pair (x, y) over (u, v), over[u] * over[v]
+    times.
     """
     _check_functor_shape(fun)
     a, b = fun.source, fun.target
-    ff = True
-    for x in range(a.n_obj):
-        for y in range(a.n_obj):
-            image = [fun.mor_map[m] for m in a.hom(x, y)]
-            if len(set(image)) < len(image) or set(b.hom(fun.obj_map[x], fun.obj_map[y])) != set(image):
-                ff = False
-    hit = set(fun.obj_map)
-    eso = all(any(x in hit for x in cls) for cls in iso_classes(b)[0])
+    obj, mor = fun.obj_map, fun.mor_map
+    over = [0] * b.n_obj           # the source objects over each target object
+    for y in obj:
+        over[y] += 1
+    ff = (all(b.src[fm] == obj[x] and b.tgt[fm] == obj[y]
+              for fm, x, y in zip(mor, a.src, a.tgt))
+          and len(set(zip(a.src, a.tgt, mor))) == a.n_mor
+          and sum(over[u] * over[v] for u, v in zip(b.src, b.tgt)) == a.n_mor)
+    eso = all(any(over[y] for y in cls) for cls in iso_classes(b)[0])
     return {
         "fully_faithful": ff,
         "essentially_surjective": eso,
-        "injective_on_objects": len(set(fun.obj_map)) == a.n_obj,
+        "injective_on_objects": max(over, default=0) <= 1,
         "is_equivalence": ff and eso,
     }
 
@@ -538,19 +565,24 @@ def chain_fiber_product(factors, right_maps, left_maps):
                         [r.mor for r in right_maps], [l.mor for l in left_maps]))
     obj_id = {t: i for i, t in enumerate(objs)}
     mor_id = {t: i for i, t in enumerate(mors)}
-    src = [obj_id[tuple(factors[i].src[t[i]] for i in range(k))] for t in mors]
-    tgt = [obj_id[tuple(factors[i].tgt[t[i]] for i in range(k))] for t in mors]
-    identity = [mor_id[tuple(factors[i].identity[t[i]] for i in range(k))] for t in objs]
+    obj_cols = list(zip(*objs)) or [()] * k       # one column per factor
+    mor_cols = list(zip(*mors)) or [()] * k
+
+    def read(tables, cols, ids):
+        """Each factor's column through its table, rows looked up in ids."""
+        return list(map(ids.__getitem__,
+                        zip(*[map(t.__getitem__, c) for t, c in zip(tables, cols)])))
+
+    src = read([c.src for c in factors], mor_cols, obj_id)
+    tgt = read([c.tgt for c in factors], mor_cols, obj_id)
+    identity = read([c.identity for c in factors], obj_cols, mor_id)
     composers = [c.compose for c in factors]
 
     def rule(gi, fi):
         return mor_id[tuple([c(g, f) for c, g, f in zip(composers, mors[gi], mors[fi])])]
 
     cat = FinCat(len(objs), src, tgt, identity, rule=rule)
-    projections = [
-        FunctorMap(cat, factors[i], [t[i] for t in objs], [t[i] for t in mors])
-        for i in range(k)
-    ]
+    projections = [FunctorMap(cat, factors[i], obj_cols[i], mor_cols[i]) for i in range(k)]
     return FiberChain(cat, objs, mors, obj_id, mor_id, projections)
 
 

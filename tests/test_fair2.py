@@ -153,6 +153,28 @@ def test_evaluation_builds_actions_on_demand(family, monkeypatch):
     assert built == [fat for _, fat in f2.unit_generator_maps()]
 
 
+def test_iso_classes_asks_is_iso_only_across_classes(family, monkeypatch):
+    # an edge inside a current class cannot change the partition, so where
+    # every morphism is an iso each test merges two classes; validate_fairwg
+    # on pi* of the family asked 10,348 times when every morphism was tested
+    asked = []
+    is_iso = fc.FinCat.is_iso
+
+    def counted(self, m):
+        asked.append(m)
+        return is_iso(self, m)
+
+    monkeypatch.setattr(fc.FinCat, "is_iso", counted)
+    two_blocks, _, _ = fc.disjoint_union([fc.chaotic(2), fc.chaotic(3)])
+    for cat in (fc.chaotic(1), fc.chaotic(4), two_blocks, family[0].x0):
+        asked.clear()
+        classes, _ = fc.iso_classes(cat)
+        assert len(asked) == cat.n_obj - len(classes)
+    asked.clear()
+    assert f2.validate_fairwg(f2.pi_star(family[0])) == []
+    assert len(asked) <= 400
+
+
 # -- the weakly globular family through the fair lens ------------------------
 
 
@@ -415,6 +437,21 @@ def test_short_point_component_is_rejected_before_indexing(arrow_fair):
     for check in (f2.is_2equivalence_fair, f2.pi1_fair_map, f2.validate_fair_map):
         with pytest.raises(ValueError, match="functor map lengths disagree with the source"):
             check(fmap)
+
+
+@pytest.mark.parametrize("component", ["points", "arrows"])
+def test_short_component_is_named_with_both_lengths(arrow_fair, component):
+    p = arrow_fair.p
+    maps = {"points": fc.identity_functor(p.points), "arrows": fc.identity_functor(p.arrows)}
+    cat = getattr(p, component)
+    maps[component] = fc.FunctorMap(cat, cat, range(cat.n_obj), [0])
+    fmap = f2.FairMap(arrow_fair, arrow_fair, maps["points"], maps["arrows"],
+                      fc.identity_functor(p.units))
+    with pytest.raises(ValueError) as err:
+        f2.is_2equivalence_fair(fmap)
+    assert str(err.value) == (
+        "functor map lengths disagree with the source: the %s component's morphism map"
+        " has length 1 but the source has %d morphisms" % (component, cat.n_mor))
 
 
 def test_identity_and_composition_of_fair_maps(family, family_fair,

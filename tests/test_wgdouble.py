@@ -437,6 +437,19 @@ def test_short_vertical_component_is_rejected_before_indexing(nerve):
             check(fmap)
 
 
+@pytest.mark.parametrize("component, level", [("points", "x0"), ("arrows", "x1")])
+def test_short_component_is_named_with_both_lengths(nerve, component, level):
+    x, _ = nerve
+    maps = {"x0": fc.identity_functor(x.x0), "x1": fc.identity_functor(x.x1)}
+    cat = getattr(x, level)
+    maps[level] = fc.FunctorMap(cat, cat, [0], range(cat.n_mor))
+    with pytest.raises(ValueError) as err:
+        wg.is_2equivalence_double(wg.DoubleMap(x, x, maps["x0"], maps["x1"]))
+    assert str(err.value) == (
+        "functor map lengths disagree with the source: the %s component's object map"
+        " has length 1 but the source has %d objects" % (component, cat.n_obj))
+
+
 def test_collapse_is_a_2equivalence(family, nerve):
     fmap = collapse_map(family, nerve)
     flags = wg.is_2equivalence_double(fmap)

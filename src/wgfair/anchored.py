@@ -17,6 +17,7 @@ per-side ``step``.
 The law-checked assembly both builders run lives here too: ``check_maps``
 for the anchoring functors, ``compose_pairs`` for the strict pair chain
 and its composition, ``check_associative`` over the composable triples.
+Weak globularity goes through ``segal_map``, maps through ``map_problems``.
 """
 
 from __future__ import annotations
@@ -82,8 +83,44 @@ def check_associative(triples, pairs, comp, tag):
                 raise ValueError("%scomposition is not associative at triple %r" % (tag, t))
 
 
+def segal_map(strict, quotient, ends, starts):
+    """(hat, muhat): the strict chain's tuples inside those composable over quotient.
+
+    hat matches strict's factors by quotient . ends[i] and quotient .
+    starts[i]; muhat keeps each tuple's label, so it is injective on objects.
+    """
+    hat = fc.chain_fiber_product([pr.target for pr in strict.projections],
+                                 [fc.compose_functors(quotient, e) for e in ends],
+                                 [fc.compose_functors(quotient, s) for s in starts])
+    return hat, fc.mediating_functor(hat, strict.projections)
+
+
 # ---------------------------------------------------------------------------
-# The fundamental category, hom fibers and 2-equivalences
+# Maps: their squares, the fundamental category, hom fibers, 2-equivalences
+
+
+def map_problems(components, squares, compositions):
+    """Violation lines of a map: its (tag, functor) components, then its squares.
+
+    squares (name, (a, b), (c, d)) ask a . b == c . d; compositions (tag,
+    names, chain_x, chain_y, comp_x, comp_y, on) ask comp_y . (on x on) ==
+    on . comp_x, unless a named square failed and pairs need not map to pairs.
+    """
+    problems = []
+    for tag, fun in components:
+        bad = fc.validate_functor(fun)
+        if bad:
+            problems.append("%s component is not a functor: %s" % (tag, bad[0]))
+    failed = [name for name, (a, b), (c, d) in squares
+              if fc.compose_functors(a, b) != fc.compose_functors(c, d)]
+    problems.extend("%s square does not commute" % name for name in failed)
+    for tag, names, chx, chy, cx, cy, on in compositions:
+        if not set(failed).isdisjoint(names):
+            continue
+        two = fc.chain_map(chx, chy, [on, on])
+        if fc.compose_functors(cy, two) != fc.compose_functors(on, cx):
+            problems.append("%scomposition square does not commute" % tag)
+    return problems
 
 
 @dataclass

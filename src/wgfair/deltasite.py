@@ -40,6 +40,16 @@ def identity_simplex(n):
     return SimplexMap(n, n, range(n + 1))
 
 
+def coface(i, k):
+    """The injection [k-1] -> [k] that skips i."""
+    return SimplexMap(k - 1, k, tuple(v for v in range(k + 1) if v != i))
+
+
+def codegeneracy(i, k):
+    """The surjection [k+1] -> [k] that repeats i."""
+    return SimplexMap(k + 1, k, tuple(v if v <= i else v - 1 for v in range(k + 2)))
+
+
 def compose_simplex(g, f):
     """g after f."""
     if f.tgt_rank != g.src_rank:

@@ -42,28 +42,27 @@ from . import deltasite as ds
 from . import fincat as fc
 
 
+@dataclass(eq=False)
 class FairPresentation:
     """Points, arrows and units with their anchors and compositions.
 
     src and tgt anchor arrows at points; value anchors units, and as_arrow
     embeds units into arrows over their value on both sides.  pair_arrows
     and pair_units are the strict composable-pair categories the two
-    composition functors act on.
+    composition functors act on.  Presentations compare by identity.
     """
 
-    def __init__(self, points, arrows, units, src, tgt, value, as_arrow,
-                 pair_arrows, comp_arrows, pair_units, comp_units):
-        self.points = points
-        self.arrows = arrows
-        self.units = units
-        self.src = src
-        self.tgt = tgt
-        self.value = value
-        self.as_arrow = as_arrow
-        self.pair_arrows = pair_arrows
-        self.comp_arrows = comp_arrows
-        self.pair_units = pair_units
-        self.comp_units = comp_units
+    points: fc.FinCat
+    arrows: fc.FinCat
+    units: fc.FinCat
+    src: fc.FunctorMap
+    tgt: fc.FunctorMap
+    value: fc.FunctorMap
+    as_arrow: fc.FunctorMap
+    pair_arrows: fc.FiberChain
+    comp_arrows: fc.FunctorMap
+    pair_units: fc.FiberChain
+    comp_units: fc.FunctorMap
 
 
 def from_presentation(points, arrows, units, src, tgt, value, as_arrow,
@@ -149,10 +148,6 @@ class FairDiagram:
             self._disc = fc.discretize(self.p.points)
         return self._disc
 
-    def edge_cats(self, shape):
-        return [self.p.units if i in shape.colored else self.p.arrows
-                for i in range(shape.dots - 1)]
-
     def left_anchor(self, shape, i):
         return self.p.value if i in shape.colored else self.p.src
 
@@ -164,7 +159,8 @@ class FairDiagram:
         if shape not in self._chains:
             if shape.dots < 2:
                 raise ValueError("the one-dot shape %s has no edges, so no chain" % shape.text())
-            cats, n = self.edge_cats(shape), shape.dots - 1
+            n = shape.dots - 1
+            cats = [self.p.units if i in shape.colored else self.p.arrows for i in range(n)]
             self._chains[shape] = fc.single_chain(cats[0]) if n == 1 else \
                 fc.chain_fiber_product(
                     cats, [self.right_anchor(shape, i) for i in range(n - 1)],
@@ -340,18 +336,10 @@ def validate_fair2(d):
 
 
 def class_chain(d, shape):
-    """Edgewise fiber product over the point classes instead of the points."""
-    gamma = d.discretization().quotient
-    n = shape.dots - 1
-    return fc.chain_fiber_product(
-        d.edge_cats(shape),
-        [fc.compose_functors(gamma, d.right_anchor(shape, i)) for i in range(n - 1)],
-        [fc.compose_functors(gamma, d.left_anchor(shape, i + 1)) for i in range(n - 1)])
-
-
-def induced_segal(d, shape):
-    """Embedding of the strict level into the class-composable tuples."""
-    return fc.mediating_functor(class_chain(d, shape), d.chain(shape).projections)
+    """(edgewise fiber product over the point classes, embedding of the strict level)."""
+    return an.segal_map(d.chain(shape), d.discretization().quotient,
+                        [d.right_anchor(shape, i) for i in range(shape.dots - 2)],
+                        [d.left_anchor(shape, i + 1) for i in range(shape.dots - 2)])
 
 
 def validate_fairwg(d):
@@ -368,7 +356,7 @@ def validate_fairwg(d):
     for shape in d.shapes():
         if shape.dots < 3:
             continue
-        flags = fc.equivalence_flags(induced_segal(d, shape))
+        flags = fc.equivalence_flags(class_chain(d, shape)[1])
         if not flags["is_equivalence"]:
             problems.append(
                 "axiom (c): induced Segal map at %s is not an equivalence"
@@ -424,34 +412,17 @@ class FairMap:
 
 
 def validate_fair_map(fmap):
-    """Componentwise functor squares, as a violation list."""
-    problems = []
+    """Componentwise functor squares, as a violation list (``anchored.map_problems``)."""
     x, y = fmap.source.p, fmap.target.p
-    for fun, tag in ((fmap.on_points, "point"), (fmap.on_arrows, "arrow"),
-                     (fmap.on_units, "unit")):
-        bad = fc.validate_functor(fun)
-        if bad:
-            problems.append("%s component is not a functor: %s" % (tag, bad[0]))
-    ends = [name for name, ax, ay, comp in (("source", x.src, y.src, fmap.on_arrows),
-                                            ("target", x.tgt, y.tgt, fmap.on_arrows),
-                                            ("value", x.value, y.value, fmap.on_units))
-            if fc.compose_functors(ay, comp) != fc.compose_functors(fmap.on_points, ax)]
-    problems.extend("%s square does not commute" % name for name in ends)
-    if fc.compose_functors(fmap.on_arrows, x.as_arrow) != \
-            fc.compose_functors(y.as_arrow, fmap.on_units):
-        problems.append("unit embedding square does not commute")
-    # composable pairs only map to composable pairs when both ends commute
-    for tag, anchors, chx, chy, cx, cy, comp in (
-            ("", {"source", "target"}, x.pair_arrows, y.pair_arrows, x.comp_arrows,
-             y.comp_arrows, fmap.on_arrows),
-            ("unit ", {"value"}, x.pair_units, y.pair_units, x.comp_units,
-             y.comp_units, fmap.on_units)):
-        if anchors.intersection(ends):
-            continue
-        two = fc.chain_map(chx, chy, [comp, comp])
-        if fc.compose_functors(cy, two) != fc.compose_functors(comp, cx):
-            problems.append("%scomposition square does not commute" % tag)
-    return problems
+    fp, fa, fu = fmap.on_points, fmap.on_arrows, fmap.on_units
+    return an.map_problems(
+        (("point", fp), ("arrow", fa), ("unit", fu)),
+        (("source", (y.src, fa), (fp, x.src)), ("target", (y.tgt, fa), (fp, x.tgt)),
+         ("value", (y.value, fu), (fp, x.value)),
+         ("unit embedding", (fa, x.as_arrow), (y.as_arrow, fu))),
+        (("", ("source", "target"), x.pair_arrows, y.pair_arrows, x.comp_arrows,
+          y.comp_arrows, fa),
+         ("unit ", ("value",), x.pair_units, y.pair_units, x.comp_units, y.comp_units, fu)))
 
 
 def level_map_fair(fmap, shape):
@@ -566,10 +537,7 @@ def pair_retractions(d, strategy="cleavage"):
     """
     p = d.p
     shapes = [ds.parse_ordinal("o-o-o"), ds.parse_ordinal("o=o=o")]
-    hat_a, hat_u = [class_chain(d, s) for s in shapes]
-    # induced_segal would build each class chain a second time
-    mu_a, mu_u = [fc.mediating_functor(hat, d.chain(s).projections)
-                  for hat, s in zip((hat_a, hat_u), shapes)]
+    (hat_a, mu_a), (hat_u, mu_u) = [class_chain(d, s) for s in shapes]
 
     def walks():
         arrows, units = build_fair_cleavage(p)

@@ -111,9 +111,11 @@ class FinCat:
         return h
 
     def inverse(self, m):
-        """Two-sided inverse of m, or None."""
+        """Two-sided inverse of m, or None; ValueError when m is not a morphism id."""
         if m in self._inv:
             return self._inv[m]
+        if not 0 <= m < len(self.src):
+            raise ValueError("morphism %r is not one of the %d morphisms" % (m, len(self.src)))
         x, y = self.src[m], self.tgt[m]
         found = None
         for n in self.hom(y, x):
@@ -397,20 +399,25 @@ def compose_functors(g, f):
                       [g.mor_map[m] for m in f.mor_map])
 
 
+def _check_lengths(fun, cat, owner, against="the source"):
+    """ValueError naming owner's map and both lengths unless fun covers cat exactly."""
+    for kind, image, count, things in (("object", fun.obj_map, cat.n_obj, "objects"),
+                                       ("morphism", fun.mor_map, cat.n_mor, "morphisms")):
+        if len(image) != count:
+            raise ValueError("functor map lengths disagree with %s: %s%s map has"
+                             " length %d but %s has %d %s"
+                             % (against, owner, kind, len(image), against, count, things))
+
+
 def _check_functor_shape(fun, component=None):
     """ValueError unless the maps have the source's lengths and land in the target.
 
     A length error names the map and both lengths, and the component when
     the functor is one component of a larger map.
     """
-    a, b = fun.source, fun.target
-    for kind, image, count, things in (("object", fun.obj_map, a.n_obj, "objects"),
-                                       ("morphism", fun.mor_map, a.n_mor, "morphisms")):
-        if len(image) != count:
-            owner = "the " if component is None else "the %s component's " % component
-            raise ValueError("functor map lengths disagree with the source: %s%s map has"
-                             " length %d but the source has %d %s"
-                             % (owner, kind, len(image), count, things))
+    _check_lengths(fun, fun.source,
+                   "the " if component is None else "the %s component's " % component)
+    b = fun.target
     if fun.obj_map and not 0 <= min(fun.obj_map) <= max(fun.obj_map) < b.n_obj:
         raise ValueError("object map out of range")
     if fun.mor_map and not 0 <= min(fun.mor_map) <= max(fun.mor_map) < b.n_mor:
@@ -549,6 +556,9 @@ def chain_fiber_product(factors, right_maps, left_maps):
     k = len(factors)
     if not (len(right_maps) == len(left_maps) == k - 1):
         raise ValueError("a chain of %d factors needs %d constraint pairs" % (k, k - 1))
+    for side, maps, cats in (("right", right_maps, factors), ("left", left_maps, factors[1:])):
+        for i, (fun, cat) in enumerate(zip(maps, cats)):
+            _check_lengths(fun, cat, "the %s constraint map %d's " % (side, i), "its factor")
 
     def tuples(sizes, right_of, left_of):
         out = [(v,) for v in range(sizes[0])]
@@ -604,6 +614,8 @@ def mediating_functor(chain, cone_maps):
     if len(cone_maps) != len(chain.projections):
         raise ValueError("one cone leg per factor is required")
     t = cone_maps[0].source
+    for i, c in enumerate(cone_maps):
+        _check_lengths(c, t, "cone leg %d's " % i, "the cone's source")
     obj_map, mor_map = [], []
     for x in range(t.n_obj):
         lab = tuple(c.obj_map[x] for c in cone_maps)

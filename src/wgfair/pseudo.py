@@ -60,12 +60,8 @@ class OrdinalSite:
 
     def generators(self):
         """The cofaces and codegeneracies; every other map is a composite of them."""
-        top = self.max_level
-        cofaces = [ds.SimplexMap(n - 1, n, [j + (j >= i) for j in range(n)])
-                   for n in range(1, top + 1) for i in range(n + 1)]
-        codegeneracies = [ds.SimplexMap(n + 1, n, [j - (j > i) for j in range(n + 2)])
-                          for n in range(top) for i in range(n + 1)]
-        return cofaces + codegeneracies
+        return ([ds.coface(i, n) for n in range(1, self.max_level + 1) for i in range(n + 1)]
+                + [ds.codegeneracy(i, n) for n in range(self.max_level) for i in range(n + 1)])
 
 
 class PseudoDiagram:

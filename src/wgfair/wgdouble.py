@@ -130,7 +130,7 @@ def from_generators(x0, x1, d0, d1, s0, compose_obj, compose_mor):
     x = WGDouble(x0, x1, d0, d1, s0, comp, pairs, triples)
 
     for i, tag in ((0, "left"), (1, "right")):
-        unit = fc.compose_functors(comp, x.nerve_action(_sigma(i, 1)))
+        unit = fc.compose_functors(comp, x.nerve_action(ds.codegeneracy(i, 1)))
         if unit != fc.identity_functor(x1):
             # an arrow or its identity cell first, then any cell
             wits = [("horizontal arrow", o) for o in range(x1.n_obj) if unit.obj_map[o] != o
@@ -160,26 +160,16 @@ def segal_data(x):
     """Discretization of level zero plus the induced Segal maps.
 
     hat2/hat3 are the fiber products of gamma-composable tuples; muhat_k
-    embeds the strict tuples.  Requires a homotopically discrete level zero.
-    Built once per instance; a level zero that cannot be discretized raises
-    ValueError every time.
+    embeds the strict tuples (``anchored.segal_map``).  Requires a
+    homotopically discrete level zero.  Built once per instance; a level
+    zero that cannot be discretized raises ValueError every time.
     """
     if x._segal is not None:
         return x._segal
     dz = fc.discretize(x.x0)
-    gd0 = fc.compose_functors(dz.quotient, x.d0)
-    gd1 = fc.compose_functors(dz.quotient, x.d1)
-    hat2 = fc.chain_fiber_product([x.x1, x.x1], [gd0], [gd1])
-    hat3 = fc.chain_fiber_product([x.x1, x.x1, x.x1], [gd0, gd0], [gd1, gd1])
-    muhat2 = fc.mediating_functor(hat2, x.pairs.projections)
-    muhat3 = fc.mediating_functor(hat3, x.triples.projections)
-    # strict tuples stay distinct, so both are injective on objects
-    for strict, muhat in ((x.pairs, muhat2), (x.triples, muhat3)):
-        first = {}
-        for o, y in enumerate(muhat.obj_map):
-            if first.setdefault(y, o) != o:
-                raise ValueError("strict tuples %r and %r have the same image"
-                                 % (strict.obj_label[first[y]], strict.obj_label[o]))
+    (hat2, muhat2), (hat3, muhat3) = (
+        an.segal_map(x.chain(k), dz.quotient, [x.d0] * (k - 1), [x.d1] * (k - 1))
+        for k in (2, 3))
     x._segal = SegalData(dz.discrete, dz.quotient, dz.section, hat2, muhat2, hat3, muhat3)
     return x._segal
 
@@ -434,16 +424,6 @@ def tr2_strong_segalic(x, strategy="cleavage"):
     return Tr2Result(x, sd, retr, diagram, strategy)
 
 
-def _delta(i, k):
-    """The injection [k-1] -> [k] that skips i."""
-    return ds.SimplexMap(k - 1, k, tuple(v for v in range(k + 1) if v != i))
-
-
-def _sigma(i, k):
-    """The surjection [k+1] -> [k] that repeats i."""
-    return ds.SimplexMap(k + 1, k, tuple(v if v <= i else v - 1 for v in range(k + 2)))
-
-
 def tr2_map(fmap, res_src, res_tgt):
     """Induced map of strictified diagrams, with its face naturality report.
 
@@ -466,7 +446,7 @@ def tr2_map(fmap, res_src, res_tgt):
     report = []
     for k in (1, 2, 3):
         for i in range(k + 1):
-            dmap = _delta(i, k)
+            dmap = ds.coface(i, k)
             lhs = fc.compose_functors(comps[k - 1], res_src.diagram.action(dmap))
             rhs = fc.compose_functors(res_tgt.diagram.action(dmap), comps[k])
             if lhs != rhs:
@@ -480,10 +460,10 @@ def tr2_face_report(res):
     for k in (2, 3):
         for j in range(k + 1):
             for i in range(j):
-                lhs = fc.compose_functors(res.diagram.action(_delta(i, k - 1)),
-                                          res.diagram.action(_delta(j, k)))
-                rhs = fc.compose_functors(res.diagram.action(_delta(j - 1, k - 1)),
-                                          res.diagram.action(_delta(i, k)))
+                lhs = fc.compose_functors(res.diagram.action(ds.coface(i, k - 1)),
+                                          res.diagram.action(ds.coface(j, k)))
+                rhs = fc.compose_functors(res.diagram.action(ds.coface(j - 1, k - 1)),
+                                          res.diagram.action(ds.coface(i, k)))
                 if lhs != rhs:
                     problems.append("face identity (%d,%d) fails at level %d" % (i, j, k))
     return problems
@@ -514,23 +494,13 @@ class DoubleMap:
 
 
 def validate_double_map(fmap):
-    """Levelwise functor squares, as a violation list."""
-    problems = []
-    x, y = fmap.source, fmap.target
-    for fun, tag in ((fmap.f0, "vertical"), (fmap.f1, "horizontal")):
-        bad = fc.validate_functor(fun)
-        if bad:
-            problems.append("%s component is not a functor: %s" % (tag, bad[0]))
-    ends = [name for name, dx, dy in (("source", x.d1, y.d1), ("target", x.d0, y.d0))
-            if fc.compose_functors(dy, fmap.f1) != fc.compose_functors(fmap.f0, dx)]
-    problems.extend("%s square does not commute" % name for name in ends)
-    if fc.compose_functors(fmap.f1, x.s0) != fc.compose_functors(y.s0, fmap.f0):
-        problems.append("identity square does not commute")
-    # composable pairs only map to composable pairs when both ends commute
-    if not ends and fc.compose_functors(y.comp, level_map(fmap, 2)) != \
-            fc.compose_functors(fmap.f1, x.comp):
-        problems.append("composition square does not commute")
-    return problems
+    """Levelwise functor squares, as a violation list (``anchored.map_problems``)."""
+    x, y, f0, f1 = fmap.source, fmap.target, fmap.f0, fmap.f1
+    return an.map_problems(
+        (("vertical", f0), ("horizontal", f1)),
+        (("source", (y.d1, f1), (f0, x.d1)), ("target", (y.d0, f1), (f0, x.d0)),
+         ("identity", (f1, x.s0), (y.s0, f0))),
+        (("", ("source", "target"), x.pairs, y.pairs, x.comp, y.comp, f1),))
 
 
 def level_map(fmap, k):
@@ -610,10 +580,10 @@ def d2_construction(x):
     """
     sd = segal_data(x)
     levels = [sd.x0d] + [x.level(k) for k in (1, 2, 3)]
-    face = {(k, i): x.nerve_action(_delta(i, k)) for k in (1, 2, 3) for i in range(k + 1)}
+    face = {(k, i): x.nerve_action(ds.coface(i, k)) for k in (1, 2, 3) for i in range(k + 1)}
     for i in (0, 1):
         face[(1, i)] = fc.compose_functors(sd.gamma, face[(1, i)])
-    degen = {(k, i): x.nerve_action(_sigma(i, k)) for k in (0, 1, 2) for i in range(k + 1)}
+    degen = {(k, i): x.nerve_action(ds.codegeneracy(i, k)) for k in (0, 1, 2) for i in range(k + 1)}
     degen[(0, 0)] = fc.compose_functors(degen[(0, 0)], sd.gamma_section)
     for i in (0, 1):
         back = fc.compose_functors(face[(1, i)], degen[(0, 0)])

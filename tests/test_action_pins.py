@@ -14,23 +14,18 @@ from wgfair import deltasite as ds
 from wgfair import fair2 as f2
 from wgfair import fincat as fc
 from wgfair import pseudo as ps
-from wgfair import wgdouble as wg
 
-
-def free_arrow_base():
-    return fc.thin_from_preorder(2, [(0, 0), (0, 1), (1, 1)])
+import corpus
 
 
 @pytest.fixture(scope="module")
 def family():
-    x, _ = wg.generate_from_surjection(free_arrow_base(), [0, 0, 1])
-    return x
+    return corpus.double("family")
 
 
 @pytest.fixture(scope="module")
 def nerve():
-    x, _ = wg.from_base_category(free_arrow_base())
-    return x
+    return corpus.double("nerve")
 
 
 def digest(actions):

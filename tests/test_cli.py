@@ -6,6 +6,8 @@ from wgfair import cli
 from wgfair import fincat as fc
 from wgfair import wgdouble as wg
 
+import corpus
+
 
 def test_report_micro_prints_both_axiom_c_lines_and_fails(capsys):
     assert cli.main(["report", "micro"]) == 1
@@ -17,15 +19,23 @@ def test_report_micro_prints_both_axiom_c_lines_and_fails(capsys):
         ["x0", "x1", "pairs", "triples", "hat2", "hat3"]
 
 
-def test_report_wg5_prints_level_sizes_and_passes(capsys):
-    assert cli.main(["report", "wg5"]) == 0
+def check_sizes_and_pass(capsys, name, x):
+    assert cli.main(["report", name]) == 0
     out = capsys.readouterr().out.splitlines()
-    x = wg.generate_random_wg(5)[0]
     sd = wg.segal_data(x)
     sizes = [x.x0, x.x1, x.pairs.cat, x.triples.cat, sd.hat2.cat, sd.hat3.cat]
     for line, cat in zip(out, sizes):
         assert line.split()[1:] == [str(cat.n_obj), "objects,", str(cat.n_mor), "morphisms"]
     assert out[-1].startswith("weakly globular")
+
+
+def test_report_wg5_prints_level_sizes_and_passes(capsys):
+    check_sizes_and_pass(capsys, "wg5", corpus.surjection("seed 5")[0])
+
+
+@pytest.mark.parametrize("name", ["nerve", "family"])
+def test_report_prints_level_sizes_and_passes(capsys, name):
+    check_sizes_and_pass(capsys, name, corpus.surjection(name)[0])
 
 
 def test_report_rejects_an_unknown_instance(capsys):

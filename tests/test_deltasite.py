@@ -33,6 +33,16 @@ def test_simplex_map_basics():
         ds.SimplexMap(1, 1, (0, 2))
 
 
+def test_cofaces_skip_and_codegeneracies_repeat():
+    assert ds.coface(1, 2) == ds.SimplexMap(1, 2, (0, 2))
+    assert ds.codegeneracy(0, 1) == ds.SimplexMap(2, 1, (0, 0, 1))
+    for k in (1, 2, 3):
+        for j in range(k):
+            for i in (j, j + 1):
+                assert ds.compose_simplex(ds.codegeneracy(j, k - 1), ds.coface(i, k)) == \
+                    ds.identity_simplex(k - 1)
+
+
 def test_endpoint_inclusions_into_linked_pair():
     maps = ds.enumerate_hom(o("o"), o("o=o"))
     assert [m.dotmap for m in maps] == [(0,), (1,)]

@@ -9,24 +9,18 @@ from wgfair import fincat as fc
 from wgfair import fair2 as f2
 from wgfair import wgdouble as wg
 
-
-def free_arrow_base():
-    return fc.thin_from_preorder(2, [(0, 0), (0, 1), (1, 1)])
-
-
-def cyclic3():
-    return fc.FinCat(1, [0, 0, 0], [0, 0, 0], [0],
-                     {(i, j): (i + j) % 3 for i in range(3) for j in range(3)})
+import corpus
+from corpus import cyclic3, free_arrow
 
 
 @pytest.fixture(scope="module")
 def arrow_fair():
-    return f2.fair_from_category(free_arrow_base())
+    return f2.fair_from_category(free_arrow())
 
 
 @pytest.fixture(scope="module")
 def family():
-    return wg.generate_from_surjection(free_arrow_base(), [0, 0, 1])
+    return corpus.surjection("family")
 
 
 @pytest.fixture(scope="module")
@@ -42,9 +36,7 @@ def family_discrete(family_fair):
 
 @pytest.fixture(scope="module")
 def tf2_fair():
-    x, _ = wg.generate_from_surjection(fc.thin_from_preorder(1, [(0, 0)]),
-                                       [0, 0])
-    return f2.pi_star(x)
+    return f2.pi_star(corpus.double("tf2"))
 
 
 # -- presentations and window evaluation -------------------------------------
@@ -70,7 +62,7 @@ def test_category_instance_levels_and_pi1(arrow_fair):
     for text, (no, nm) in pins.items():
         lv = arrow_fair.level(ds.parse_ordinal(text))
         assert (lv.n_obj, lv.n_mor) == (no, nm)
-    assert f2.pi1_fair(arrow_fair).cat == free_arrow_base()
+    assert f2.pi1_fair(arrow_fair).cat == free_arrow()
 
 
 def test_category_instance_round_trips_cyclic_monoid():
@@ -144,7 +136,7 @@ def test_evaluation_builds_actions_on_demand(family, monkeypatch):
     d = f2.pi_star(family[0])
     dd = f2.discretize_fair(d)
     f2.build_fair(d.p)
-    f2.fair_from_category(free_arrow_base())
+    f2.fair_from_category(free_arrow())
     assert built == []
     assert f2.validate_fairwg(d) == []
     assert len(built) == 5
@@ -212,7 +204,7 @@ def test_family_plain_actions_match_the_nerve(family, family_fair):
 def test_family_pi1_matches_the_double_pi1(family, family_fair):
     # one anchored-arrows core serves both sides: pi* must not move pi1, the
     # hom fibers or the 2-equivalence verdict of the identity
-    random_wg, _ = wg.generate_random_wg(4)
+    random_wg = corpus.double("seed 4")
     for x, d in ((family[0], family_fair), (random_wg, f2.pi_star(random_wg))):
         classes = wg.pi1_double(x).cat
         assert f2.pi1_fair(d).cat == classes
@@ -276,7 +268,7 @@ def test_micro_counterexample_fails_axiom_c_and_pi1():
 def test_non_hd_points_fail_axiom_a():
     # everything the free arrow, identity structure maps, first-component
     # compositions: a lawful presentation whose points are not hd
-    base = free_arrow_base()
+    base = free_arrow()
     ident = fc.identity_functor(base)
     p = f2.from_presentation(
         base, base, base, ident, ident, ident, ident,

@@ -21,7 +21,9 @@ import pytest
 from wgfair import deltasite as ds
 from wgfair import fair2 as f2
 from wgfair import fincat as fc
-from wgfair import wgdouble as wg
+
+import corpus
+from corpus import cyclic3, free_arrow
 
 
 @functools.lru_cache(maxsize=None)
@@ -119,20 +121,7 @@ def weak_unit_fair(base, k, cells=True):
 # -- the corpus --------------------------------------------------------------
 
 
-def free_arrow():
-    return fc.thin_from_preorder(2, [(0, 0), (0, 1), (1, 1)])
-
-
-def cyclic3():
-    return fc.FinCat(1, [0, 0, 0], [0, 0, 0], [0],
-                     {(i, j): (i + j) % 3 for i in range(3) for j in range(3)})
-
-
-DOUBLES = {"nerve": lambda: wg.from_base_category(free_arrow())[0],
-           "family": lambda: wg.generate_from_surjection(free_arrow(), [0, 0, 1])[0],
-           "tf2": lambda: wg.generate_from_surjection(
-               fc.thin_from_preorder(1, [(0, 0)]), [0, 0])[0]}
-DOUBLES.update(("seed %d" % s, lambda s=s: wg.generate_random_wg(s)[0]) for s in (4, 5, 6))
+DOUBLES = corpus.builders(["nerve", "family", "tf2"] + corpus.seeds((4, 5, 6)))
 # the generic retraction breaks the rebased associativity on every pi*
 # image here whose points are not discrete (a recorded finding)
 RETRACTION_REJECTS = {"family", "tf2", "seed 4", "seed 5", "seed 6"}

@@ -369,3 +369,35 @@ def test_inverse_and_compose_basics():
     assert arrow.compose(1, 2) == 2
     with pytest.raises(ValueError):
         arrow.compose(2, 1)
+
+
+@pytest.mark.parametrize("m", [7, 3, -1])
+def test_inverse_and_is_iso_reject_a_morphism_outside_the_category(m):
+    # a negative id used to wrap around to the last morphism
+    arrow = free_arrow()
+    message = r"^morphism %d is not one of the 3 morphisms$" % m
+    for ask in (arrow.inverse, arrow.is_iso):
+        with pytest.raises(ValueError, match=message):
+            ask(m)
+
+
+def test_chain_fiber_product_rejects_a_short_constraint_map():
+    a, t = free_arrow(), fc.discrete(1)
+    full = constant_functor(a, t, 0)
+    short = fc.FunctorMap(a, t, (0,), (0, 0, 0))
+    for side, right, left in (("right", short, full), ("left", full, short)):
+        with pytest.raises(ValueError, match=r"^functor map lengths disagree with its factor:"
+                                             r" the %s constraint map 0's object map has length"
+                                             r" 1 but its factor has 2 objects$" % side):
+            fc.chain_fiber_product([a, a], [right], [left])
+
+
+def test_mediating_functor_rejects_a_short_cone_leg():
+    a, t = free_arrow(), fc.discrete(1)
+    ta = constant_functor(a, t, 0)
+    chain = fc.chain_fiber_product([a, a], [ta], [ta])
+    ida = fc.identity_functor(a)
+    with pytest.raises(ValueError, match=r"^functor map lengths disagree with the cone's"
+                                         r" source: cone leg 1's morphism map has length 2"
+                                         r" but the cone's source has 3 morphisms$"):
+        fc.mediating_functor(chain, [ida, fc.FunctorMap(a, a, (0, 1), (0, 1))])

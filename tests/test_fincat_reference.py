@@ -21,6 +21,8 @@ from wgfair import fair2 as f2
 from wgfair import fincat as fc
 from wgfair import wgdouble as wg
 
+import corpus
+
 
 def reference_iso_classes(cat):
     """Isomorphism classes of objects.
@@ -151,16 +153,7 @@ def checked(monkeypatch):
 # -- the corpus pipelines ------------------------------------------------------
 
 
-def free_arrow():
-    return fc.thin_from_preorder(2, [(0, 0), (0, 1), (1, 1)])
-
-
-DOUBLES = {"nerve": lambda: wg.from_base_category(free_arrow())[0],
-           "family": lambda: wg.generate_from_surjection(free_arrow(), [0, 0, 1])[0],
-           "tf2": lambda: wg.generate_from_surjection(
-               fc.thin_from_preorder(1, [(0, 0)]), [0, 0])[0],
-           "micro": wg.micro_counterexample}
-DOUBLES.update(("seed %d" % s, lambda s=s: wg.generate_random_wg(s)[0]) for s in (4, 5, 6))
+DOUBLES = corpus.builders(["nerve", "family", "tf2", "micro"] + corpus.seeds((4, 5, 6)))
 
 # the stages at which the micro counterexample is rejected
 MICRO_REJECTED = ["tr2 cleavage", "tr2 retraction", "double 2-equivalence",
@@ -186,7 +179,8 @@ def stages(x):
 def test_pipelines_agree_with_the_reference(checked, name):
     calls, bad = checked
     rejected = []
-    for stage, run in stages(DOUBLES[name]()):
+    x = DOUBLES[name]()
+    for stage, run in stages(x):
         try:
             run()
         except ValueError:
@@ -194,6 +188,10 @@ def test_pipelines_agree_with_the_reference(checked, name):
     assert rejected == (MICRO_REJECTED if name == "micro" else [])
     assert set(calls) == {"iso_classes", "equivalence_flags", "chain_fiber_product"}
     assert bad == []
+    # strict tuples keep their labels in the hat chains, so they stay distinct
+    sd = wg.segal_data(x)
+    for muhat in (sd.muhat2, sd.muhat3):
+        assert fc.equivalence_flags(muhat)["injective_on_objects"]
 
 
 # -- random maps between thin categories times cyclic groups -------------------

@@ -11,13 +11,12 @@ from wgfair import fair2 as f2
 from wgfair import fincat as fc
 from wgfair import wgdouble as wg
 
+import corpus
+from corpus import free_arrow
+
 # products with at most this many morphisms get every non-composable pair
 # checked; larger ones get one per (morphism, foreign object)
 EXHAUSTIVE_MOR = 200
-
-
-def free_arrow():
-    return fc.thin_from_preorder(2, [(0, 0), (0, 1), (1, 1)])
 
 
 def eager_chain_fiber_product(factors, right_maps, left_maps):
@@ -108,25 +107,23 @@ def recorded_products(monkeypatch, build):
 
 
 def _nerve_products():
-    x, _ = wg.from_base_category(free_arrow())
-    wg.segal_data(x)
+    wg.segal_data(corpus.double("nerve"))
 
 
 def _family_fair_products():
-    x, _ = wg.generate_from_surjection(free_arrow(), [0, 0, 1])
-    d = f2.pi_star(x)
+    d = f2.pi_star(corpus.double("family"))
     f2.validate_fairwg(d)
     f2.discretize_fair(d)
 
 
 def _wg_products(seed):
     def build():
-        wg.segal_data(wg.generate_random_wg(seed)[0])
+        wg.segal_data(corpus.double("seed %d" % seed))
     return build
 
 
 def _micro_products():
-    wg.segal_data(wg.micro_counterexample())
+    wg.segal_data(corpus.double("micro"))
 
 
 def _pullback_products():
@@ -155,7 +152,7 @@ def test_products_agree_with_the_eager_table(monkeypatch, build):
 
 
 def test_retraction_touches_few_entries_of_hat3():
-    sd = wg.segal_data(wg.generate_random_wg(5)[0])
+    sd = wg.segal_data(corpus.double("seed 5"))
     hat3 = sd.hat3.cat
     into = {}
     for y in hat3.tgt:
@@ -174,7 +171,7 @@ def test_table_and_rule_are_exclusive():
 
 
 def test_segal_data_is_built_once_per_instance():
-    x, _ = wg.generate_from_surjection(free_arrow(), [0, 0, 1])
+    x = corpus.double("family")
     sd = wg.segal_data(x)
     assert wg.segal_data(x) is sd
     wg.validate_catwg2(x)

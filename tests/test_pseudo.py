@@ -11,6 +11,8 @@ from wgfair import fincat as fc
 from wgfair import pseudo as ps
 from wgfair import wgdouble as wg
 
+import corpus
+
 # the one-object category of Z/2: morphism 0 is the identity, 1 the generator
 Z2 = fc.FinCat(1, [0, 0], [0, 0], [0], {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0})
 
@@ -207,19 +209,10 @@ def test_is_identity_matches_the_identity_simplex():
 # -- generators, and the checks made on them ---------------------------------
 
 
-def free_arrow_base():
-    return fc.thin_from_preorder(2, [(0, 0), (0, 1), (1, 1)])
-
-
 @pytest.fixture(scope="module")
 def diagrams():
     """Tr2 of the nerve, the [0,0,1] family and tf2, under both strategies."""
-    point = fc.thin_from_preorder(1, [(0, 0)])
-    sources = {
-        "nerve": wg.from_base_category(free_arrow_base())[0],
-        "family": wg.generate_from_surjection(free_arrow_base(), [0, 0, 1])[0],
-        "tf2": wg.generate_from_surjection(point, [0, 0])[0],
-    }
+    sources = {name: corpus.double(name) for name in ("nerve", "family", "tf2")}
     return {(name, s): wg.tr2_strong_segalic(x, strategy=s).diagram
             for name, x in sources.items() for s in ("cleavage", "retraction")}
 

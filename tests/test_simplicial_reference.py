@@ -21,6 +21,8 @@ from wgfair import deltasite as ds
 from wgfair import fincat as fc
 from wgfair import wgdouble as wg
 
+import corpus
+
 
 class ReferenceSimplicial:
     """Faces and degeneracies of an instance, built from mediating functors."""
@@ -120,26 +122,11 @@ def strict_tuples(k, count, d0, d1):
     return out
 
 
-def sigma(i, k):
-    # the surjection [k+1] -> [k] repeating i
-    return ds.SimplexMap(k + 1, k, tuple(v if v <= i else v - 1
-                                         for v in range(k + 2)))
-
-
 # -- the corpus --------------------------------------------------------------
 
 
-def free_arrow():
-    return fc.thin_from_preorder(2, [(0, 0), (0, 1), (1, 1)])
-
-
-CORPUS = {"nerve": lambda: wg.from_base_category(free_arrow())[0],
-          "family": lambda: wg.generate_from_surjection(free_arrow(), [0, 0, 1])[0],
-          "tf2": lambda: wg.generate_from_surjection(
-              fc.thin_from_preorder(1, [(0, 0)]), [0, 0])[0],
-          "micro": wg.micro_counterexample}
-CORPUS.update(("seed %d" % s, lambda s=s: wg.generate_random_wg(s)[0])
-              for s in list(range(12)) + [19, 33])
+CORPUS = corpus.builders(["nerve", "family", "tf2", "micro"]
+                         + corpus.seeds(list(range(12)) + [19, 33]))
 
 
 @functools.lru_cache(maxsize=None)
@@ -153,10 +140,10 @@ def test_nerve_action_matches_faces_and_degeneracies(name):
     ref = ReferenceSimplicial(x)
     for k in (1, 2, 3):
         for i in range(k + 1):
-            assert x.nerve_action(wg._delta(i, k)) == ref.face(k, i)
+            assert x.nerve_action(ds.coface(i, k)) == ref.face(k, i)
     for k in (0, 1, 2):
         for i in range(k + 1):
-            assert x.nerve_action(sigma(i, k)) == ref.degen(k, i)
+            assert x.nerve_action(ds.codegeneracy(i, k)) == ref.degen(k, i)
 
 
 @pytest.mark.parametrize("name", CORPUS)

@@ -13,6 +13,8 @@ import pytest
 from wgfair import fincat as fc
 from wgfair import wgdouble as wg
 
+import corpus
+
 
 def reference_discrete(n):
     ids = tuple(range(n))
@@ -129,14 +131,8 @@ def test_micro_counterexample_levels_match_the_hand_built_tables():
     assert tables(x.x1) == tables(union)
 
 
-def free_arrow():
-    return fc.thin_from_preorder(2, [(0, 0), (0, 1), (1, 1)])
-
-
-SURJECTIONS = {"nerve": lambda: wg.from_base_category(free_arrow()),
-               "family": lambda: wg.generate_from_surjection(free_arrow(), [0, 0, 1])}
-SURJECTIONS.update(("seed %d" % s, lambda s=s: wg.generate_random_wg(s))
-                   for s in list(range(12)) + [19, 33])
+SURJECTIONS = corpus.builders(["nerve", "family"] + corpus.seeds(list(range(12)) + [19, 33]),
+                              corpus.surjection)
 
 
 @pytest.mark.parametrize("name", SURJECTIONS)

@@ -12,30 +12,25 @@ from wgfair import fincat as fc
 from wgfair import pseudo as ps
 from wgfair import wgdouble as wg
 
-
-def free_arrow_base():
-    return fc.thin_from_preorder(2, [(0, 0), (0, 1), (1, 1)])
-
-
-def point_base():
-    return fc.thin_from_preorder(1, [(0, 0)])
+import corpus
+from corpus import free_arrow
 
 
 @pytest.fixture(scope="module")
 def family():
     # two elements over the source object of an arrow, one over the target
-    return wg.generate_from_surjection(free_arrow_base(), [0, 0, 1])
+    return corpus.surjection("family")
 
 
 @pytest.fixture(scope="module")
 def nerve():
-    return wg.from_base_category(free_arrow_base())
+    return corpus.surjection("nerve")
 
 
 @pytest.fixture(scope="module")
 def tf2():
     # one object downstairs, a two-element fiber upstairs
-    return wg.generate_from_surjection(point_base(), [0, 0])
+    return corpus.surjection("tf2")
 
 
 @pytest.fixture(scope="module")
@@ -166,17 +161,15 @@ def test_nerve_action_is_functorial_exhaustively_on_the_nerve(nerve):
 
 
 @pytest.mark.parametrize("which", ["family", "tf2", "micro"]
-                         + ["seed %d" % s for s in range(12)])
+                         + corpus.seeds(range(12)))
 def test_nerve_action_functorial_on_generating_maps(request, which):
-    if which == "micro":
-        x = wg.micro_counterexample()
-    elif which.startswith("seed"):
-        x, _ = wg.generate_random_wg(int(which.split()[1]))
-    else:
+    if which in ("family", "tf2"):
         x, _ = request.getfixturevalue(which)
+    else:
+        x = corpus.double(which)
     site = ps.OrdinalSite(3)
-    maps = [wg._delta(i, k) for k in (1, 2, 3) for i in range(k + 1)]
-    maps += [wg._sigma(i, k) for k in (0, 1, 2) for i in range(k + 1)]
+    maps = [ds.coface(i, k) for k in (1, 2, 3) for i in range(k + 1)]
+    maps += [ds.codegeneracy(i, k) for k in (0, 1, 2) for i in range(k + 1)]
     maps += [ds.SimplexMap(1, k, (j - 1, j)) for k in (2, 3) for j in range(1, k + 1)]
     maps += [ds.SimplexMap(1, 0, (0, 0)), ds.SimplexMap(0, 2, (2,))]
     for f in maps:
@@ -226,6 +219,35 @@ def test_validate_cleavage_reports_a_transport_with_the_wrong_target(family):
     assert "transport of (0, 2) has wrong endpoints" in problems
     assert not any(p.startswith("composition") for p in problems)
     assert not any(p.startswith("pasting") for p in problems)
+
+
+@pytest.mark.parametrize("edit, removed, want", [
+    ({(0, 2): (0, 0)}, [], ["transport of (0, 2) has wrong endpoints",
+                            "cell of (0, 2) has the wrong vertical shadow"]),
+    ({(6, 4): (6, 8)}, [], ["cell of (6, 4) is not an isomorphism onto the arrow",
+                            "identity transport of arrow 6 is not trivial"]),
+    # two keys whose isomorphisms do not end at arrow 0's source; with the
+    # transported arrows' endpoints right, the family's thin cells leave no
+    # other way to break pasting that validate_cleavage reports
+    ({(0, 1): (0, 0), (0, 3): (3, 12)}, [], [
+        "cell of (0, 1) has the wrong vertical shadow",
+        "cell of (0, 3) is not an isomorphism onto the arrow",
+        "pasting law fails for arrow 0 along (1, 2)",
+        "pasting law fails for arrow 0 along (3, 1)"]),
+    # without the two removals the pasting loop would compose the bad cell
+    ({(2, 2): (5, 8)}, [(2, 0), (5, 3)], [
+        "no transport of (2, 0)", "no transport of (5, 3)",
+        "cell of (2, 2) is not an isomorphism onto the arrow",
+        "composition compatibility fails at pair 2 along 2",
+        "composition compatibility fails at pair 5 along 2"]),
+], ids=["shadow", "identity", "pasting", "composition"])
+def test_validate_cleavage_names_each_broken_law(family, edit, removed, want):
+    x, _ = family
+    table = wg.build_cleavage(x)
+    table.update(edit)
+    for key in removed:
+        del table[key]
+    assert wg.validate_cleavage(x, table) == want
 
 
 @pytest.mark.parametrize("key, entry", [((0, 99), (0, 0)), ((99, 0), (0, 0)),
@@ -287,8 +309,8 @@ def test_tr2_family_identities_are_exact(family_tr2, strategy):
 def test_tr2_family_cells_on_generating_pairs(family_tr2, strategy):
     res = family_tr2[strategy]
     site = res.diagram.site
-    maps = [wg._delta(i, k) for k in (1, 2) for i in range(k + 1)]
-    maps += [wg._sigma(i, k) for k in (0, 1) for i in range(k + 1)]
+    maps = [ds.coface(i, k) for k in (1, 2) for i in range(k + 1)]
+    maps += [ds.codegeneracy(i, k) for k in (0, 1) for i in range(k + 1)]
     maps += [ds.SimplexMap(1, 2, (0, 1)), ds.SimplexMap(1, 2, (1, 2)),
              ds.SimplexMap(1, 0, (0, 0)), ds.SimplexMap(0, 2, (2,)),
              ds.SimplexMap(0, 1, (1,)), ds.SimplexMap(2, 1, (0, 1, 1))]
@@ -464,7 +486,7 @@ def test_point_inclusion_is_not_a_2equivalence(nerve):
     y, yaux = nerve
     x, aux = wg.generate_random_wg(0, max_base_objects=1, max_fiber=1)
     base = aux["base"]
-    t0 = yaux["triple_id"][(0, free_arrow_base().identity[0], 0)]
+    t0 = yaux["triple_id"][(0, free_arrow().identity[0], 0)]
     f0 = fc.FunctorMap(x.x0, y.x0, [0], [0])
     f1 = fc.FunctorMap(x.x1, y.x1, [t0], [y.x1.identity[t0]])
     fmap = wg.DoubleMap(x, y, f0, f1)
@@ -528,7 +550,7 @@ def test_d2_construction_fixes_discrete_level_zero(nerve):
 
 def test_surjection_must_be_onto():
     with pytest.raises(ValueError, match="not a surjection"):
-        wg.generate_from_surjection(free_arrow_base(), [0, 0, 0])
+        wg.generate_from_surjection(free_arrow(), [0, 0, 0])
 
 
 def test_bounds_one_one_gives_the_terminal_instance():

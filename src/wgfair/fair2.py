@@ -580,23 +580,17 @@ def discretize_fair(d, strategy="cleavage"):
 
     # the rebased pair chains re-enumerate exactly the class-composable
     # tuples, so the labels below agree with the walked chains
-    def comp_arrow_obj(f, g):
-        return p.comp_arrows.obj(retr.nu_arrows.obj(retr.arrow_pairs.obj_id[(f, g)]))
-
-    def comp_arrow_mor(m, n):
-        return p.comp_arrows.mor(retr.nu_arrows.mor(retr.arrow_pairs.mor_id[(m, n)]))
-
-    def comp_unit_obj(w1, w2):
-        return p.comp_units.obj(retr.nu_units.obj(retr.unit_pairs.obj_id[(w1, w2)]))
-
-    def comp_unit_mor(m, n):
-        return p.comp_units.mor(retr.nu_units.mor(retr.unit_pairs.mor_id[(m, n)]))
+    def rebased(pairs, nu, comp):
+        """(obj, mor): the composite of a class-composable pair, through nu."""
+        return (lambda a, b: comp.obj(nu.obj(pairs.obj_id[(a, b)])),
+                lambda m, n: comp.mor(nu.mor(pairs.mor_id[(m, n)])))
 
     out = from_presentation(
         disc.discrete, p.arrows, p.units,
         fc.compose_functors(gamma, p.src), fc.compose_functors(gamma, p.tgt),
         fc.compose_functors(gamma, p.value), p.as_arrow,
-        comp_arrow_obj, comp_arrow_mor, comp_unit_obj, comp_unit_mor)
+        *rebased(retr.arrow_pairs, retr.nu_arrows, p.comp_arrows),
+        *rebased(retr.unit_pairs, retr.nu_units, p.comp_units))
     return build_fair(out)
 
 

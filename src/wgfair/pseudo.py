@@ -99,23 +99,17 @@ class PseudoDiagram:
         """Comparison action(f) . action(g) => action(g after f)."""
         key = (g, f)
         if key not in self._cells:
-            if self.site.is_identity(f) or self.site.is_identity(g):
+            leg = self.site.is_identity(f) or self.site.is_identity(g)
+            made = None if leg else self._cell_fn(g, f)
+            if made is None:
                 composite = fc.compose_functors(self.action(f), self.action(g))
                 target = self.action(self.site.compose(g, f))
-                if composite != target:
+                if leg and composite != target:
                     raise ValueError("identity-leg cell at (%r, %r): the composite"
                                      " action is not the action of the composite" % (g, f))
-                self._cells[key] = fc.NatTransf(
-                    composite, target,
-                    [composite.target.identity[x] for x in composite.obj_map])
-            else:
-                made = self._cell_fn(g, f)
-                if made is None:
-                    composite = fc.compose_functors(self.action(f), self.action(g))
-                    made = fc.NatTransf(
-                        composite, self.action(self.site.compose(g, f)),
-                        [composite.target.identity[x] for x in composite.obj_map])
-                self._cells[key] = made
+                made = fc.NatTransf(composite, target,
+                                    [composite.target.identity[x] for x in composite.obj_map])
+            self._cells[key] = made
         return self._cells[key]
 
 

@@ -219,7 +219,17 @@ def build_cleavage(x):
 
 
 def validate_cleavage(x, table):
-    """Cleavage laws of a transport dict by enumeration: identities, pasting, composition."""
+    """Cleavage laws of a transport dict by enumeration, one line per failure.
+
+    Each entry (f, phi) -> (g, cell) is checked for: its key, phi an
+    isomorphism ending at the source of f; its endpoints, g from the source
+    of phi to the target of f; its cell, an isomorphism onto f whose
+    vertical shadow is (phi, identity); and, for phi an identity, being
+    (f, identity cell).  A missing transport is reported too.  Then come
+    the pasting law over composable isomorphisms and compatibility with
+    composing each pair.  A broken entry is reported once and never read
+    again, so a table over the instance yields a report, not an error.
+    """
     problems = []
     x0, x1 = x.x0, x.x1
     arrows = range(x1.n_obj)
@@ -227,7 +237,6 @@ def validate_cleavage(x, table):
     for phi in range(x0.n_mor):
         if x0.is_iso(phi):
             isos_into.setdefault(x0.tgt[phi], []).append(phi)
-    # transports missing or with wrong endpoints, reported once each
     broken = {(f, phi) for f in arrows for phi in isos_into.get(x.d1.obj(f), ())
               if (f, phi) not in table}
     problems.extend("no transport of (%d, %d)" % key for key in sorted(broken))
@@ -235,16 +244,21 @@ def validate_cleavage(x, table):
         if not (f in arrows and g in arrows and phi in range(x0.n_mor) and lam in range(x1.n_mor)):
             raise ValueError("cleavage key (%d, %d) names an arrow, morphism or cell outside"
                              " the instance" % (f, phi))
+        count = len(problems)
+        if not x0.is_iso(phi) or x0.tgt[phi] != x.d1.obj(f):
+            problems.append("key (%d, %d) is not an isomorphism into the source of arrow %d"
+                            % (f, phi, f))
         if x.d1.obj(g) != x0.src[phi] or x.d0.obj(g) != x.d0.obj(f):
             problems.append("transport of (%d, %d) has wrong endpoints" % (f, phi))
-            broken.add((f, phi))
         if not x1.is_iso(lam) or x1.src[lam] != g or x1.tgt[lam] != f:
             problems.append("cell of (%d, %d) is not an isomorphism onto the arrow" % (f, phi))
         elif x.d1.mor(lam) != phi or x.d0.mor(lam) != x0.identity[x.d0.obj(f)]:
             problems.append("cell of (%d, %d) has the wrong vertical shadow" % (f, phi))
         if phi == x0.identity[x.d1.obj(f)] and (g != f or lam != x1.identity[f]):
             problems.append("identity transport of arrow %d is not trivial" % f)
-    # pasting reads three transports; skip any already reported as broken
+        if len(problems) > count:
+            broken.add((f, phi))
+    # pasting reads three transports, composition two; none of them broken
     for (f, phi), (g, lam) in table.items():
         if (f, phi) in broken:
             continue
@@ -331,7 +345,9 @@ def tr2_strong_segalic(x, strategy="cleavage"):
     of gamma-composable tuples; the Segal maps of the result are identities
     by construction.  Faces act through the chosen section nu_k, spine maps
     act as strict projections, and the comparison cells absorb the
-    difference.  Rejects instances that fail the globularity axioms.
+    difference.  Between levels 0 and 1 the actions are the faces rebased
+    through gamma and the degeneracy rebased through its section.  Rejects
+    instances that fail the globularity axioms.
     """
     problems = validate_catwg2(x)
     if problems:
@@ -558,46 +574,6 @@ def is_2equivalence_double(fmap):
 
 
 # ---------------------------------------------------------------------------
-# Rebasing level zero onto its discretization
-
-
-@dataclass
-class DiscretizedNerve:
-    levels: list
-    face: dict
-    degen: dict
-    comparison: list
-    comparison_flags: list
-
-
-def d2_construction(x):
-    """The same nerve with level zero replaced by its discretization.
-
-    Level-one faces are rebased through the class map and the bottom
-    degeneracy through its section; all higher levels and maps are
-    untouched.  The comparison back to the original nerve is levelwise an
-    equivalence, witnessed by the returned flags.
-    """
-    sd = segal_data(x)
-    levels = [sd.x0d] + [x.level(k) for k in (1, 2, 3)]
-    face = {(k, i): x.nerve_action(ds.coface(i, k)) for k in (1, 2, 3) for i in range(k + 1)}
-    for i in (0, 1):
-        face[(1, i)] = fc.compose_functors(sd.gamma, face[(1, i)])
-    degen = {(k, i): x.nerve_action(ds.codegeneracy(i, k)) for k in (0, 1, 2) for i in range(k + 1)}
-    degen[(0, 0)] = fc.compose_functors(degen[(0, 0)], sd.gamma_section)
-    for i in (0, 1):
-        back = fc.compose_functors(face[(1, i)], degen[(0, 0)])
-        if back != fc.identity_functor(sd.x0d):
-            wit = next(c for c in range(sd.x0d.n_obj)
-                       if back.obj_map[c] != c or back.mor_map[c] != c)
-            raise ValueError("rebased face %d does not undo the degeneracy at class %d"
-                             % (i, wit))
-    comparison = [sd.gamma_section] + [fc.identity_functor(lv) for lv in levels[1:]]
-    flags = [fc.equivalence_flags(c) for c in comparison]
-    return DiscretizedNerve(levels, face, degen, comparison, flags)
-
-
-# ---------------------------------------------------------------------------
 # Generators
 
 
@@ -653,9 +629,8 @@ def from_base_category(base):
     return generate_from_surjection(base, list(range(base.n_obj)))
 
 
-def pi1_base_functor(x, aux, p=None):
-    """Canonical comparison from the fundamental category onto the base."""
-    p = p if p is not None else pi1_double(x)
+def pi1_base_functor(x, aux, p):
+    """Canonical comparison from the fundamental category p onto the base."""
     base = aux["base"]
     obj_map = [aux["assignment"][cls[0]] for cls in p.obj_classes]
     mor_map = [aux["triples"][cls[0]][1] for cls in p.arrow_classes]
@@ -695,15 +670,6 @@ def micro_counterexample():
         return m
 
     return from_generators(x0, x1, d0, d1, s0, compose_obj, compose_mor)
-
-
-def generate_random_hd(seed, max_classes=3, max_class_size=3):
-    """Seeded homotopically discrete category: disjoint chaotic blocks."""
-    rng = random.Random(seed)
-    sizes = [rng.randint(1, max_class_size)
-             for _ in range(rng.randint(1, max_classes))]
-    cat, _, _ = fc.disjoint_union([fc.chaotic(s) for s in sizes])
-    return cat
 
 
 def generate_random_wg(seed, max_base_objects=3, max_fiber=2):

@@ -166,7 +166,6 @@ def stages(x):
         ("catwg2", lambda: wg.validate_catwg2(x)),
         ("tr2 cleavage", lambda: wg.tr2_strong_segalic(x, "cleavage")),
         ("tr2 retraction", lambda: wg.tr2_strong_segalic(x, "retraction")),
-        ("d2", lambda: wg.d2_construction(x)),
         ("double 2-equivalence", lambda: wg.is_2equivalence_double(wg.identity_double_map(x))),
         ("fairwg", lambda: f2.validate_fairwg(f2.pi_star(x))),
         ("fair2", lambda: f2.validate_fair2(f2.discretize_fair(f2.pi_star(x)))),

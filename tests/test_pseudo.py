@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import re
+import types
 
 import pytest
 
@@ -396,3 +398,57 @@ def test_an_action_with_wrong_endpoints_does_not_stop_the_report():
     report = ps.validate_pseudo(d)
     assert report[0] == first
     assert report == reference_pseudo(d)
+
+
+# -- failure lines that only a malformed diagram or site reaches ---------------
+
+
+def test_identities_acting_by_a_swap_are_reported():
+    # a diagram given by bare methods, not normalized at identities: the one
+    # map of the site swaps the two objects of a chaotic category, and its
+    # cell runs from the identity onto the swap
+    level = fc.chaotic(2)
+    swap = fc.FunctorMap(level, level, [1, 0], [3, 2, 1, 0])
+    cell = fc.NatTransf(fc.identity_functor(level), swap, [1, 2])
+    site = ps.OrdinalSite(0)
+    d = types.SimpleNamespace(site=site, level=lambda a: level, action=lambda f: swap,
+                              cell=lambda g, f: cell)
+    ident = site.identity(0)
+    assert ps.validate_pseudo(d) == reference_pseudo(d) == [
+        "identity of 0 does not act as the identity functor",
+        "cell with an identity leg at (%r, %r) is not the identity" % (ident, ident)]
+
+
+def test_a_cell_that_is_not_invertible_is_reported():
+    # the monoid {1, z} with z z = z is commutative, so z is natural on the
+    # identity functor, but it has no inverse
+    monoid = fc.FinCat(1, [0, 0], [0, 0], [0], {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 1})
+    ident = fc.identity_functor(monoid)
+    g, f = ds.codegeneracy(0, 0), ds.coface(1, 1)
+    d = ps.PseudoDiagram(ps.OrdinalSite(1), lambda a: monoid, lambda h: ident,
+                         lambda *pair: fc.NatTransf(ident, ident, [1]) if pair == (g, f) else None)
+    first = "cell at (%r, %r) is not invertible" % (g, f)
+    assert ps.validate_pseudo(d, max_problems=1) == [first]
+    report = ps.validate_pseudo(d)
+    assert report[0] == first
+    assert report == reference_pseudo(d)
+
+
+def test_an_identity_leg_over_a_site_without_units_is_refused():
+    # here the identity of [1] after the coface skipping 0 is the other coface
+    class Skewed(ps.OrdinalSite):
+        def compose(self, g, f):
+            if self.is_identity(g) and f == ds.coface(0, 1):
+                return ds.coface(1, 1)
+            return super().compose(g, f)
+
+    levels = {0: fc.discrete(2), 1: fc.discrete(1)}
+    # the coface [0] -> [1] with value v picks object v of level 0
+    d = ps.PseudoDiagram(Skewed(1), levels.__getitem__,
+                         lambda f: fc.FunctorMap(levels[1], levels[0], f.values, f.values),
+                         lambda g, f: None)
+    g, f = ds.identity_simplex(1), ds.coface(0, 1)
+    with pytest.raises(ValueError, match=re.escape(
+            "identity-leg cell at (%r, %r): the composite action is not the action"
+            " of the composite" % (g, f))):
+        d.cell(g, f)

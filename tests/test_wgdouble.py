@@ -221,33 +221,89 @@ def test_validate_cleavage_reports_a_transport_with_the_wrong_target(family):
     assert not any(p.startswith("pasting") for p in problems)
 
 
-@pytest.mark.parametrize("edit, removed, want", [
-    ({(0, 2): (0, 0)}, [], ["transport of (0, 2) has wrong endpoints",
-                            "cell of (0, 2) has the wrong vertical shadow"]),
-    ({(6, 4): (6, 8)}, [], ["cell of (6, 4) is not an isomorphism onto the arrow",
-                            "identity transport of arrow 6 is not trivial"]),
-    # two keys whose isomorphisms do not end at arrow 0's source; with the
-    # transported arrows' endpoints right, the family's thin cells leave no
-    # other way to break pasting that validate_cleavage reports
-    ({(0, 1): (0, 0), (0, 3): (3, 12)}, [], [
-        "cell of (0, 1) has the wrong vertical shadow",
-        "cell of (0, 3) is not an isomorphism onto the arrow",
-        "pasting law fails for arrow 0 along (1, 2)",
-        "pasting law fails for arrow 0 along (3, 1)"]),
-    # without the two removals the pasting loop would compose the bad cell
-    ({(2, 2): (5, 8)}, [(2, 0), (5, 3)], [
-        "no transport of (2, 0)", "no transport of (5, 3)",
-        "cell of (2, 2) is not an isomorphism onto the arrow",
-        "composition compatibility fails at pair 2 along 2",
-        "composition compatibility fails at pair 5 along 2"]),
-], ids=["shadow", "identity", "pasting", "composition"])
-def test_validate_cleavage_names_each_broken_law(family, edit, removed, want):
+@pytest.fixture(scope="module")
+def tagged_family(family):
+    """The family with every cell doubled by a Z/2 tag that composing adds up.
+
+    Cell (m, t) is numbered 2 m + t.  Each key then has two lawful
+    transports, so a table can break pasting or composition compatibility
+    while every entry stays lawful on its own.
+    """
     x, _ = family
+    x1 = x.x1
+    cells = range(2 * x1.n_mor)
+    t1 = fc.FinCat(x1.n_obj, [x1.src[m // 2] for m in cells], [x1.tgt[m // 2] for m in cells],
+                   [2 * e for e in x1.identity],
+                   {(2 * g + s, 2 * f + t): 2 * h + (s ^ t)
+                    for (g, f), h in x1.comp.items() for s in (0, 1) for t in (0, 1)})
+    d0, d1 = (fc.FunctorMap(t1, x.x0, d.obj_map, [d.mor_map[m // 2] for m in cells])
+              for d in (x.d0, x.d1))
+    s0 = fc.FunctorMap(x.x0, t1, x.s0.obj_map, [2 * m for m in x.s0.mor_map])
+    return wg.from_generators(
+        x.x0, t1, d0, d1, s0, lambda f, g: x.comp.obj(x.pairs.obj_id[(f, g)]),
+        lambda m, n: 2 * x.comp.mor(x.pairs.mor_id[(m // 2, n // 2)]) + (m % 2 ^ n % 2))
+
+
+def test_tagged_family_has_two_lawful_cleavages(tagged_family):
+    y = tagged_family
+    table = wg.build_cleavage(y)
+    assert all(lam % 2 == 0 for _g, lam in table.values())
+    assert wg.validate_cleavage(y, table) == []
+    # tag every transport along a non-identity isomorphism
+    flipped = {(f, phi): (g, lam if phi in y.x0.identity else lam ^ 1)
+               for (f, phi), (g, lam) in table.items()}
+    assert flipped != table
+    assert wg.validate_cleavage(y, flipped) == []
+
+
+@pytest.mark.parametrize("instance, edit, want", [
+    ("family", {(0, 2): (0, 0)}, ["transport of (0, 2) has wrong endpoints",
+                                  "cell of (0, 2) has the wrong vertical shadow"]),
+    ("family", {(6, 4): (6, 8)}, ["cell of (6, 4) is not an isomorphism onto the arrow",
+                                  "identity transport of arrow 6 is not trivial"]),
+    # tag the transports along 1 : 0 -> 1 but not those along 2 : 1 -> 0
+    ("tagged_family", {(3, 1): (0, 5), (4, 1): (1, 15), (5, 1): (2, 19)}, [
+        "pasting law fails for arrow 0 along (2, 1)",
+        "pasting law fails for arrow 1 along (2, 1)",
+        "pasting law fails for arrow 2 along (2, 1)",
+        "pasting law fails for arrow 3 along (1, 2)",
+        "pasting law fails for arrow 4 along (1, 2)",
+        "pasting law fails for arrow 5 along (1, 2)"]),
+    # tag the transports of arrow 2 and those onto it: pasting still holds
+    ("tagged_family", {(2, 2): (5, 37), (5, 1): (2, 19)}, [
+        "composition compatibility fails at pair 2 along 2",
+        "composition compatibility fails at pair 5 along 2",
+        "composition compatibility fails at pair 9 along 1",
+        "composition compatibility fails at pair 12 along 1"]),
+    # isomorphism 1 runs 0 -> 1, but arrow 0 starts at 0
+    ("family", {(0, 1): (0, 0)}, [
+        "key (0, 1) is not an isomorphism into the source of arrow 0",
+        "cell of (0, 1) has the wrong vertical shadow"]),
+], ids=["shadow", "identity", "pasting", "composition", "key"])
+def test_validate_cleavage_names_each_broken_law(request, instance, edit, want):
+    x = request.getfixturevalue(instance)
+    x = x[0] if instance == "family" else x
     table = wg.build_cleavage(x)
     table.update(edit)
-    for key in removed:
-        del table[key]
     assert wg.validate_cleavage(x, table) == want
+
+
+def test_validate_cleavage_reports_every_single_entry_edit(family):
+    # replace one entry, or add one key, with every (arrow, cell): each such
+    # table is reported, and none raises
+    x, _ = family
+    table = wg.build_cleavage(x)
+    keys = [(f, phi) for f in range(x.x1.n_obj) for phi in range(x.x0.n_mor)]
+    edits = 0
+    for key in keys:
+        for entry in ((g, lam) for g in range(x.x1.n_obj) for lam in range(x.x1.n_mor)):
+            if table.get(key) == entry:
+                continue
+            edited = dict(table)
+            edited[key] = entry
+            edits += 1
+            assert wg.validate_cleavage(x, edited), (key, entry)
+    assert edits == len(keys) * x.x1.n_obj * x.x1.n_mor - len(table)
 
 
 @pytest.mark.parametrize("key, entry", [((0, 99), (0, 0)), ((99, 0), (0, 0)),
@@ -526,23 +582,30 @@ def test_validate_double_map_lists_failed_squares_without_raising(family):
 # -- rebasing level zero -----------------------------------------------------
 
 
-def test_d2_construction_family(family):
+def level_zero_rebasing(res):
+    """The Tr2 diagram's faces [0] -> [1] and degeneracy [1] -> [0]."""
+    d = res.diagram
+    return [d.action(ds.coface(i, 1)) for i in (0, 1)], d.action(ds.codegeneracy(0, 0))
+
+
+def test_tr2_rebases_level_zero_of_the_family(family, family_tr2):
     x, _ = family
-    d2 = wg.d2_construction(x)
-    assert d2.levels[0].n_obj == 2
-    assert d2.levels[1] is x.x1
-    assert all(flags["is_equivalence"] for flags in d2.comparison_flags)
-    for i in (0, 1):
-        assert fc.compose_functors(d2.face[(1, i)], d2.degen[(0, 0)]) == \
-            fc.identity_functor(d2.levels[0])
+    res = family_tr2["cleavage"]
+    faces, degen = level_zero_rebasing(res)
+    assert res.diagram.level(0).n_obj == 2
+    assert res.diagram.level(1) is x.x1
+    assert fc.equivalence_flags(res.segal.gamma_section)["is_equivalence"]
+    for face in faces:
+        assert fc.compose_functors(face, degen) == fc.identity_functor(res.diagram.level(0))
 
 
-def test_d2_construction_fixes_discrete_level_zero(nerve):
+def test_tr2_keeps_a_discrete_level_zero(nerve):
     x, _ = nerve
-    d2 = wg.d2_construction(x)
+    res = wg.tr2_strong_segalic(x)
+    faces, _ = level_zero_rebasing(res)
     for i in (0, 1):
-        assert d2.face[(1, i)] == (x.d0, x.d1)[i]
-    assert d2.comparison[0] == fc.identity_functor(x.x0)
+        assert faces[i] == (x.d0, x.d1)[i]
+    assert res.segal.gamma_section == fc.identity_functor(x.x0)
 
 
 # -- generators --------------------------------------------------------------
@@ -556,12 +619,6 @@ def test_surjection_must_be_onto():
 def test_bounds_one_one_gives_the_terminal_instance():
     x, _ = wg.generate_random_wg(7, max_base_objects=1, max_fiber=1)
     assert (x.x0.n_obj, x.x1.n_obj, x.pairs.cat.n_obj) == (1, 1, 1)
-
-
-def test_random_hd_instances_are_homotopically_discrete():
-    for seed in range(6):
-        cat = wg.generate_random_hd(seed)
-        assert fc.is_homotopically_discrete(cat)[0]
 
 
 @settings(max_examples=10, deadline=None)

@@ -6,12 +6,13 @@ composition is preserved.  Identity maps act as identity functors and cells
 with an identity leg are identities.
 
 Validation is exact, with no sampling.  Endpoints, identities, invertibility
-and identity legs are checked on every map, pair and object.  Composition of
-actions, naturality of cells and coherence are checked on generators (of the
-levels, and of the site), which decides the same laws because every level is
-a category; ``validate_pseudo`` states why.  When a generator check fails,
-the exhaustive check of that item runs and words the problems, so the
-report is that of full enumeration.
+and identity legs are checked on every map, pair and object.  Each action
+goes through ``fincat.validate_functor``, which decides composition on the
+generators of its source level.  Naturality of cells and coherence are
+checked on generators too (of the levels, and of the site), which decides
+the same laws because every level is a category; ``validate_pseudo`` states
+why.  When a generator check fails, the exhaustive check of that item runs
+and words the problems, so the report is that of full enumeration.
 """
 
 from __future__ import annotations
@@ -122,39 +123,6 @@ def composable_pairs(site):
                         yield g, f
 
 
-def _level_generators(cat):
-    """A level's generators with their endpoints, and every (g, s, g.s) with s one of them."""
-    comp = cat.comp   # the whole table first, so generators read it, not a memo
-    gens = fc.generators(cat)
-    out_of = [[] for _ in range(cat.n_obj)]
-    for m, x in enumerate(cat.src):
-        out_of[x].append(m)
-    squares = [(s, cat.src[s], cat.tgt[s]) for s in gens]
-    pairs = [(g, s, comp[(g, s)]) for s in gens for g in out_of[cat.tgt[s]]]
-    return squares, pairs
-
-
-def _is_functor_on(fun, pairs):
-    """Whether fun is a functor, with composition tried only on the given pairs.
-
-    Endpoints and identities are checked everywhere.  When the pairs are
-    (g, s, g.s) for every s of a generating set, this is exact: write a
-    morphism as f'.s and induct on its length.  Malformed maps raise
-    ValueError, as in ``fincat.validate_functor``.
-    """
-    fc._check_functor_shape(fun)
-    a, b = fun.source, fun.target
-    om, mm = fun.obj_map, fun.mor_map
-    bsrc, btgt = b.src, b.tgt
-    if any(bsrc[mm[m]] != om[x] or btgt[mm[m]] != om[y]
-           for m, (x, y) in enumerate(zip(a.src, a.tgt))):
-        return False
-    if any(mm[e] != b.identity[om[x]] for x, e in enumerate(a.identity)):
-        return False
-    get = b.comp.get
-    return all(get((mm[g], mm[s])) == mm[h] for g, s, h in pairs)
-
-
 def _is_natural_on(nat, squares):
     """Whether nat is natural, with squares tried only at the given morphisms.
 
@@ -185,15 +153,14 @@ def validate_pseudo(diagram, coherence=True, max_problems=20):
 
     Precondition: every level is a category (the ``FinCat`` contract).  The
     answer is the one of the exhaustive walk, but three laws are checked on
-    generators, each computed once per level per call:
+    generators:
 
-    - An action's endpoints and identities are checked in full, composition
-      only at pairs (g, s) with s a generator of its source level
-      (``fincat.generators``); F(g.f'.s) = F(g.f')F(s) = F(g)F(f')F(s) by
-      induction on the length of f = f'.s.
+    - Every action goes through ``fincat.validate_functor``, which checks
+      endpoints and identities in full and composition on the generators
+      of the action's source level; its docstring gives why that is exact.
     - While no problem has been recorded, every action is a functor, so a
       cell's naturality squares are checked at the generators of its source
-      level only: squares paste.
+      level only, computed once per level per call: squares paste.
     - If the pair checks recorded no problem, the coherence walk first takes
       as its first map f only identities and the site's generators
       (``OrdinalSite.generators``); if those triples all pass, every triple
@@ -204,29 +171,32 @@ def validate_pseudo(diagram, coherence=True, max_problems=20):
       the first map.
 
     Whenever one of these finds a failure, the exhaustive check of that item
-    (``fincat.validate_functor``, ``fincat.validate_nat``, or the coherence
-    walk over every first map) writes the messages, so the list, its order
-    and its truncation are those of the exhaustive walk.  Problems are listed
-    in visiting order (triples by f, then g, then h) and the list stops at
-    max_problems entries; a max_problems below one stops at the first
-    problem.  Pairs and triples that read an action reported with wrong
-    endpoints are skipped, and so are triples whose pastings do not compose
-    (a cell already reported as malformed).  For the coherence check the
-    site maps are numbered once per call, and the actions and cells it reads
-    are put into flat lists indexed by those numbers.
+    (the full walk inside ``fincat.validate_functor``,
+    ``fincat.validate_nat``, or the coherence walk over every first map)
+    writes the messages, so the list, its order and its truncation are those
+    of the exhaustive walk.  Problems are listed in visiting order (triples
+    by f, then g, then h) and the list stops at max_problems entries; a
+    max_problems below one stops at the first problem.  Pairs and triples
+    that read an action reported with wrong endpoints are skipped, and so
+    are triples whose pastings do not compose (a cell already reported as
+    malformed).  For the coherence check the site maps are numbered once per
+    call, and the actions and cells it reads are put into flat lists indexed
+    by those numbers.
     """
     site = diagram.site
     problems = []
-    generated = {}
+    squares = {}
 
     def note(msg):
         problems.append(msg)
         return len(problems) >= max_problems
 
-    def level_generators(a):
-        if a not in generated:
-            generated[a] = _level_generators(diagram.level(a))
-        return generated[a]
+    def level_squares(a):
+        """The level's generators with their endpoints: the squares to try."""
+        if a not in squares:
+            cat = diagram.level(a)
+            squares[a] = [(s, cat.src[s], cat.tgt[s]) for s in fc.generators(cat)]
+        return squares[a]
 
     for a in site.objects:
         ident = site.identity(a)
@@ -243,10 +213,9 @@ def validate_pseudo(diagram, coherence=True, max_problems=20):
                     if note("action of %r has wrong endpoints" % (f,)):
                         return problems
                     continue
-                if not _is_functor_on(act, level_generators(b)[1]):
-                    bad = fc.validate_functor(act)
-                    if note("action of %r is not a functor: %s" % (f, bad[0])):
-                        return problems
+                bad = fc.validate_functor(act)
+                if bad and note("action of %r is not a functor: %s" % (f, bad[0])):
+                    return problems
 
     for g, f in composable_pairs(site):
         gf = site.compose(g, f)
@@ -259,7 +228,7 @@ def validate_pseudo(diagram, coherence=True, max_problems=20):
             if note("cell at (%r, %r) has wrong endpoints" % (g, f)):
                 return problems
             continue
-        if problems or not _is_natural_on(cell, level_generators(site.tgt(g))[0]):
+        if problems or not _is_natural_on(cell, level_squares(site.tgt(g))):
             bad = fc.validate_nat(cell)
             if bad:
                 if note("cell at (%r, %r) is not natural: %s" % (g, f, bad[0])):

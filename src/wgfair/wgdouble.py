@@ -629,7 +629,7 @@ def from_base_category(base):
     return generate_from_surjection(base, list(range(base.n_obj)))
 
 
-def pi1_base_functor(x, aux, p):
+def pi1_base_functor(aux, p):
     """Canonical comparison from the fundamental category p onto the base."""
     base = aux["base"]
     obj_map = [aux["assignment"][cls[0]] for cls in p.obj_classes]

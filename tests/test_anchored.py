@@ -2,7 +2,8 @@
 
 Both models reach these checks only through instances that already passed
 their builders, where most of them cannot fail; the anchored data below is
-made by hand so that each check fails on its own.
+made by hand so that each check fails on its own.  The same goes for the
+section law of ``anchored.sections``.
 """
 
 import pytest
@@ -95,3 +96,12 @@ def test_a_map_that_moves_the_unit_is_not_functorial():
     with pytest.raises(ValueError, match="^induced map is not functorial: identity of object 0"
                                          " is not preserved$"):
         an.pi1_map(p, p, fc.identity_functor(a.points), to_v)
+
+
+def test_a_section_that_is_no_left_inverse_is_refused():
+    # the walk's section of the identity embedding swaps the two objects
+    two = fc.discrete(2)
+    mu = fc.identity_functor(two)
+    swap = fc.FunctorMap(two, two, [1, 0], [1, 0])
+    with pytest.raises(ValueError, match="^section law fails for the cleavage strategy$"):
+        an.sections("cleavage", [mu], lambda: [(swap, list(two.identity))])

@@ -115,6 +115,15 @@ def test_discretize_union_and_rejection():
         fc.discretize(cyclic_group(2))
 
 
+def test_discretize_names_a_section_law_failing_only_on_morphisms():
+    # the identity of each object is the other object's loop: one morphism
+    # per pair, all invertible, but the section's identity leaves its class
+    crossed = fc.FinCat(2, [0, 1], [0, 1], [1, 0], {(0, 0): 1, (1, 1): 0})
+    assert fc.is_homotopically_discrete(crossed) == (True, None)
+    with pytest.raises(ValueError, match="^section law fails at class 0$"):
+        fc.discretize(crossed)
+
+
 def test_pullback_over_terminal_is_product():
     a, b, t = free_arrow(), fc.chaotic(2), fc.discrete(1)
     fa, fb = constant_functor(a, t, 0), constant_functor(b, t, 0)

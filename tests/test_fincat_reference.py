@@ -1,15 +1,17 @@
-"""Iso classes, equivalence flags and fiber-product endpoints: checks against the old code.
+"""Iso classes, equivalence flags, functor laws and fiber products: checks against the old code.
 
 ``fincat.iso_classes`` used to ask ``is_iso`` of every morphism,
 ``fincat.equivalence_flags`` compared the image of every hom set with its
-target hom set as sets, and ``fincat.chain_fiber_product`` assembled each
-endpoint and identity tuple in its own generator expression.  The
-docstrings of the first two give why the new code decides the same thing.
-The old code is kept here verbatim, only as the oracle.  It runs on every
-category, functor and fiber product that the two pipelines hand to these
-functions on the corpus, and on seeded random maps, functors or not,
-between products of a thin category with a cyclic group, whose hom sets
-have more than one element.
+target hom set as sets, ``fincat.validate_functor`` walked every composable
+pair of the source through both composition tables, and
+``fincat.chain_fiber_product`` assembled each endpoint and identity tuple in
+its own generator expression.  The docstrings of the first three give why
+the new code decides the same thing.  The old code is kept here verbatim,
+only as the oracle.  It runs on every category, functor and fiber product
+that the two pipelines hand to these functions on the corpus, on every
+failing case of the two builders, and on seeded random maps, functors or
+not, between products of a thin category with a cyclic group, whose hom
+sets have more than one element.
 """
 
 import collections
@@ -22,6 +24,7 @@ from wgfair import fincat as fc
 from wgfair import wgdouble as wg
 
 import corpus
+import test_builder_messages as messages
 
 
 def reference_iso_classes(cat):
@@ -77,6 +80,26 @@ def reference_equivalence_flags(fun):
     }
 
 
+def reference_validate_functor(fun):
+    """Functor laws as a violation list; malformed maps raise ValueError."""
+    fc._check_functor_shape(fun)
+    a, b = fun.source, fun.target
+    problems = []
+    for m in range(a.n_mor):
+        fm = fun.mor_map[m]
+        if b.src[fm] != fun.obj_map[a.src[m]] or b.tgt[fm] != fun.obj_map[a.tgt[m]]:
+            problems.append("morphism %d is not sent to a morphism between its image endpoints" % m)
+    for x in range(a.n_obj):
+        if fun.mor_map[a.identity[x]] != b.identity[fun.obj_map[x]]:
+            problems.append("identity of object %d is not preserved" % x)
+    bcomp = b.comp
+    for (g, f), h in a.comp.items():
+        want = bcomp.get((fun.mor_map[g], fun.mor_map[f]))
+        if want != fun.mor_map[h]:
+            problems.append("composition of (%d, %d) is not preserved" % (g, f))
+    return problems
+
+
 def reference_assembly(factors, right_maps, left_maps):
     """(labels, ids, src/tgt/identity tables, projection maps) of the fiber product."""
     k = len(factors)
@@ -113,15 +136,16 @@ def assembly(chain):
 
 @pytest.fixture
 def checked(monkeypatch):
-    """Compare every call of the three functions with the reference as it happens.
+    """Compare every call of the four functions with the reference as it happens.
 
     Returns (calls per function, mismatches as (function, arguments)).
     ``equivalence_flags`` reaches ``iso_classes`` through the module, so its
-    inner calls are checked too.
+    inner calls are checked too.  A functor check is compared after the new
+    code has run, so the reference forces no table before it does.
     """
     calls, bad = collections.Counter(), []
-    real = {name: getattr(fc, name)
-            for name in ("iso_classes", "equivalence_flags", "chain_fiber_product")}
+    real = {name: getattr(fc, name) for name in
+            ("iso_classes", "equivalence_flags", "validate_functor", "chain_fiber_product")}
 
     def iso_classes(cat):
         out = real["iso_classes"](cat)
@@ -137,6 +161,13 @@ def checked(monkeypatch):
             bad.append(("equivalence_flags", fun))
         return out
 
+    def validate_functor(fun):
+        out = real["validate_functor"](fun)
+        calls["validate_functor"] += 1
+        if out != reference_validate_functor(fun):
+            bad.append(("validate_functor", fun))
+        return out
+
     def chain_fiber_product(factors, right_maps, left_maps):
         out = real["chain_fiber_product"](factors, right_maps, left_maps)
         calls["chain_fiber_product"] += 1
@@ -145,6 +176,7 @@ def checked(monkeypatch):
         return out
 
     for name, spy in (("iso_classes", iso_classes), ("equivalence_flags", equivalence_flags),
+                      ("validate_functor", validate_functor),
                       ("chain_fiber_product", chain_fiber_product)):
         monkeypatch.setattr(fc, name, spy)
     return calls, bad
@@ -185,7 +217,8 @@ def test_pipelines_agree_with_the_reference(checked, name):
         except ValueError:
             rejected.append(stage)
     assert rejected == (MICRO_REJECTED if name == "micro" else [])
-    assert set(calls) == {"iso_classes", "equivalence_flags", "chain_fiber_product"}
+    assert set(calls) == {"iso_classes", "equivalence_flags", "validate_functor",
+                          "chain_fiber_product"}
     assert bad == []
     # strict tuples keep their labels in the hat chains, so they stay distinct
     sd = wg.segal_data(x)
@@ -261,7 +294,8 @@ def test_random_maps_of_products_agree_with_the_reference(checked):
             kinds.update((kind, name) for name, flag in fc.equivalence_flags(fun).items()
                          if flag)
     assert bad == []
-    assert calls["chain_fiber_product"] == 240 and calls["equivalence_flags"] == 4000
+    assert calls["chain_fiber_product"] == 240
+    assert calls["equivalence_flags"] == calls["validate_functor"] == 4000
     # every flag is raised and withheld, on functors and on other maps alike
     assert kinds == {
         "functors": 1940, "other maps": 2060,
@@ -270,3 +304,30 @@ def test_random_maps_of_products_agree_with_the_reference(checked):
         ("other maps", "essentially_surjective"): 1053,
         ("functors", "injective_on_objects"): 951, ("other maps", "injective_on_objects"): 760,
         ("functors", "is_equivalence"): 241, ("other maps", "is_equivalence"): 30}
+
+
+# -- the failing cases of the two builders --------------------------------------
+
+
+def raising(build, make, message):
+    def run():
+        with pytest.raises(ValueError, match=message):
+            build(*make())
+    return run
+
+
+BUILDER_CASES = dict(
+    [("double " + name, raising(wg.from_generators, make, message))
+     for name, make, message in messages.DOUBLE_CASES]
+    + [("fair " + name, raising(f2.from_presentation, make, message))
+       for name, make, message in messages.FAIR_CASES]
+    + [("double cell endpoints", messages.test_composite_cells_must_keep_their_endpoints),
+       ("double cell associativity",
+        messages.test_associativity_failing_only_on_cells_names_the_cell_triple)])
+
+
+@pytest.mark.parametrize("name", BUILDER_CASES)
+def test_failing_builder_inputs_agree_with_the_reference(checked, name):
+    _, bad = checked
+    BUILDER_CASES[name]()
+    assert bad == []

@@ -188,3 +188,16 @@ def test_segal_data_failure_is_not_cached():
         with pytest.raises(ValueError, match="not homotopically discrete"):
             wg.segal_data(x)
     assert x._segal is None
+
+
+def test_builders_leave_pair_tables_unforced():
+    # both builders check the composition functor on generators, entry by
+    # entry, so no stage below fills in a strict pair chain's whole table
+    x = corpus.double("family")
+    d = f2.pi_star(x)
+    rebased = f2.discretize_fair(d)
+    chains = {"from_generators": x.pairs,
+              "pi_star arrows": d.p.pair_arrows, "pi_star units": d.p.pair_units,
+              "discretize_fair arrows": rebased.p.pair_arrows,
+              "discretize_fair units": rebased.p.pair_units}
+    assert [name for name, chain in chains.items() if chain.cat._rule is None] == []

@@ -1,5 +1,6 @@
 """Double-category laws, Segal retractions, and the strictified diagram."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -409,6 +410,31 @@ def test_tr2_tf2_full_coherence(tf2_tr2, strategy):
     assert wg.tr2_segal_report(res) == []
 
 
+def answering(res, f_star, g_star):
+    """res with a diagram that answers the site map f_star with g_star's action."""
+    d = res.diagram
+    tampered = ps.PseudoDiagram(d.site, d.level,
+                                lambda f: d.action(g_star if f == f_star else f), d.cell)
+    return dataclasses.replace(res, diagram=tampered)
+
+
+def test_tr2_face_report_names_each_broken_identity(tf2_tr2):
+    # d1 on level 3 answered by d2: the identities reading d1 there, as the
+    # later or the earlier face, fail, except (1, 2), where both sides use d2
+    res = answering(tf2_tr2["cleavage"], ds.coface(1, 3), ds.coface(2, 3))
+    assert wg.tr2_face_report(res) == ["face identity (0,1) fails at level 3",
+                                       "face identity (1,3) fails at level 3"]
+    assert wg.tr2_segal_report(res) == []
+
+
+def test_tr2_segal_report_names_a_moved_spine_leg(tf2_tr2):
+    # level zero discretizes to one point, so any two legs form a cone; the
+    # first spine leg of level 2 answered by the second is not a projection
+    res = answering(tf2_tr2["cleavage"], ds.SimplexMap(1, 2, (0, 1)),
+                    ds.SimplexMap(1, 2, (1, 2)))
+    assert wg.tr2_segal_report(res) == ["assembled Segal map at level 2 is not the identity"]
+
+
 # -- induced maps of strictified diagrams ------------------------------------
 
 
@@ -475,11 +501,22 @@ def test_tr2_map_rejects_a_map_between_other_instances(nerve, family_tr2):
 def test_family_pi1_is_the_base(family):
     x, aux = family
     p = wg.pi1_double(x)
-    comp = wg.pi1_base_functor(x, aux, p)
+    comp = wg.pi1_base_functor(aux, p)
     flags = fc.equivalence_flags(comp)
     assert flags["is_equivalence"] and flags["injective_on_objects"]
     assert p.cat.n_obj == aux["base"].n_obj
     assert p.cat.n_mor == aux["base"].n_mor
+
+
+def test_pi1_base_functor_names_a_base_that_composes_otherwise():
+    # the nerve of Z/3 against the monoid on the same cells composing by max
+    x, aux = wg.from_base_category(corpus.cyclic3())
+    by_max = fc.FinCat(1, [0] * 3, [0] * 3, [0],
+                       {(i, j): max(i, j) for i in range(3) for j in range(3)})
+    assert fc.validate_category(by_max) == []
+    with pytest.raises(ValueError, match="^comparison onto the base is not a functor:"
+                                         " composition of"):
+        wg.pi1_base_functor(dict(aux, base=by_max), wg.pi1_double(x))
 
 
 def test_micro_composition_does_not_descend():
@@ -627,7 +664,7 @@ def test_random_instances_validate_and_strictify(seed):
     x, aux = wg.generate_random_wg(seed, max_base_objects=2, max_fiber=2)
     assert wg.validate_catwg2(x) == []
     p = wg.pi1_double(x)
-    comp = wg.pi1_base_functor(x, aux, p)
+    comp = wg.pi1_base_functor(aux, p)
     assert fc.is_equivalence(comp)
     res = wg.tr2_strong_segalic(x, strategy="cleavage")
     assert wg.tr2_face_report(res) == []

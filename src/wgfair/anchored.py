@@ -67,7 +67,10 @@ def compose_pairs(level, end, start, compose_obj, compose_mor, tag):
     comp = fc.FunctorMap(pairs.cat, level,
                          [compose_obj(*t) for t in pairs.obj_label],
                          [compose_mor(*t) for t in pairs.mor_label])
-    bad = fc.validate_functor(comp)
+    try:
+        bad = fc.validate_functor(comp)
+    except ValueError as err:
+        bad = [str(err)]
     if bad:
         raise ValueError("%scomposition is not functorial: %s" % (tag, bad[0]))
     return pairs, comp
@@ -97,6 +100,13 @@ def segal_map(strict, quotient, ends, starts):
 
 # ---------------------------------------------------------------------------
 # Maps: their squares, the fundamental category, hom fibers, 2-equivalences
+
+
+def check_components(source, target, components):
+    """ValueError unless each (tag, functor, level) runs between that level of source and target."""
+    for tag, fun, level in components:
+        if fun.source != getattr(source, level) or fun.target != getattr(target, level):
+            raise ValueError("the %s component does not run between the ends' %s" % (tag, level))
 
 
 def map_problems(components, squares, compositions):

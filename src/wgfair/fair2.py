@@ -8,7 +8,7 @@ levels indexed by colored ordinals: plain edges read arrows, colored edges
 read units, and the contravariant action folds paths using the two
 compositions, pushing units into arrows where a plain edge crosses a
 colored run.  Tuples read left to right in diagram order, matching the
-double-category module.
+double-category module, from which ``pi_star`` and ``pi_star_map`` lead.
 
 The evaluation is functorial by construction.  A map f : a -> b of the
 window sends edge j of a over the path of b from f(j) to f(j+1); dot maps
@@ -238,7 +238,7 @@ def build_fair(p):
 
 
 def pi_star(x):
-    """The comparison functor pi* on a weakly globular double category.
+    """The comparison functor pi* on instances; ``pi_star_map`` carries maps.
 
     Points read off level zero and arrows off level one; the units are the
     vertical objects again, sitting at themselves and on their identity
@@ -410,6 +410,10 @@ class FairMap:
     on_arrows: fc.FunctorMap
     on_units: fc.FunctorMap
 
+    def __post_init__(self):
+        an.check_components(self.source.p, self.target.p, (("point", self.on_points, "points"),
+                            ("arrow", self.on_arrows, "arrows"), ("unit", self.on_units, "units")))
+
 
 def validate_fair_map(fmap):
     """Componentwise functor squares, as a violation list (``anchored.map_problems``)."""
@@ -448,6 +452,14 @@ def compose_fair_maps(g, f):
                    fc.compose_functors(g.on_points, f.on_points),
                    fc.compose_functors(g.on_arrows, f.on_arrows),
                    fc.compose_functors(g.on_units, f.on_units))
+
+
+def pi_star_map(fmap, source, target):
+    """pi* on a double map between ``pi_star`` of its ends: points and units by f0, arrows by f1."""
+    for d, x in ((source, fmap.source), (target, fmap.target)):
+        if d.p.points is not x.x0 or d.p.arrows is not x.x1:
+            raise ValueError("the diagrams are not pi* of the map's source and target")
+    return FairMap(source, target, fmap.f0, fmap.f1, fmap.f0)
 
 
 def pi1_fair_map(fmap):

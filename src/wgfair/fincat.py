@@ -420,13 +420,15 @@ def _check_functor_shape(fun, component=None):
     A length error names the map and both lengths, and the component when
     the functor is one component of a larger map.
     """
-    _check_lengths(fun, fun.source,
-                   "the " if component is None else "the %s component's " % component)
-    b = fun.target
-    if fun.obj_map and not 0 <= min(fun.obj_map) <= max(fun.obj_map) < b.n_obj:
-        raise ValueError("object map out of range")
-    if fun.mor_map and not 0 <= min(fun.mor_map) <= max(fun.mor_map) < b.n_mor:
-        raise ValueError("morphism map out of range")
+    owner = "the " if component is None else "the %s component's " % component
+    _check_lengths(fun, fun.source, owner)
+    for kind, image, count in (("object", fun.obj_map, fun.target.n_obj),
+                               ("morphism", fun.mor_map, fun.target.n_mor)):
+        try:
+            if image and not 0 <= min(image) <= max(image) < count:
+                raise ValueError("%s map out of range" % kind)
+        except TypeError:
+            raise ValueError("%s%s map holds an entry that is not an id" % (owner, kind)) from None
 
 
 def validate_functor(fun):
@@ -507,10 +509,6 @@ def validate_nat(nat):
         if left != right:
             problems.append("naturality square at morphism %d does not commute" % m)
     return problems
-
-
-def is_nat_iso(nat):
-    return not validate_nat(nat) and all(nat.source.target.is_iso(c) for c in nat.components)
 
 
 def equivalence_flags(fun):

@@ -307,17 +307,3 @@ def validate_pseudo(diagram, coherence=True, max_problems=20):
                     % (maps[hi], maps[gi], maps[fi], y)):
                 return problems
     return problems
-
-
-def is_strict(diagram):
-    """True when every action composes on the nose and every cell is identity."""
-    site = diagram.site
-    for g, f in composable_pairs(site):
-        composite = fc.compose_functors(diagram.action(f), diagram.action(g))
-        if composite != diagram.action(site.compose(g, f)):
-            return False
-        cell = diagram.cell(g, f)
-        if any(c != composite.target.identity[composite.obj_map[x]]
-               for x, c in enumerate(cell.components)):
-            return False
-    return True

@@ -37,6 +37,11 @@ def zero(u, v):
     return 0
 
 
+def missing(u, v):
+    """A composite looked up in a table that lacks it."""
+    return {}.get((u, v))
+
+
 # -- weakly globular double categories ----------------------------------------
 
 
@@ -69,6 +74,11 @@ def double_composition_not_functorial():
     x0, x1 = fc.discrete(1), z2()
     return (x0, x1, const(x1, x0), const(x1, x0), const(x0, x1), zero,
             lambda m, n: 1)
+
+
+def double_data_composing(compose_obj, compose_mor):
+    x0 = x1 = fc.discrete(1)
+    return x0, x1, const(x1, x0), const(x1, x0), const(x0, x1), compose_obj, compose_mor
 
 
 def double_composite_endpoints():
@@ -115,6 +125,12 @@ DOUBLE_CASES = [
      "identity map is not a section of the target map"),
     ("composition functor", double_composition_not_functorial,
      "composition is not functorial: identity of object 0 is not preserved"),
+    ("composite arrow missing",
+     lambda: double_data_composing(missing, zero),
+     "^composition is not functorial: the object map holds an entry that is not an id$"),
+    ("composite cell missing",
+     lambda: double_data_composing(zero, missing),
+     "^composition is not functorial: the morphism map holds an entry that is not an id$"),
     ("composite endpoints", double_composite_endpoints,
      "composite of pair 0 has wrong endpoints"),
     ("left unit", lambda: double_unit_law("left"),
@@ -264,6 +280,11 @@ FAIR_CASES = [
     ("unit composition functor",
      lambda: fair_data(units=z2(), cu=(zero, lambda m, n: 1)),
      "unit composition is not functorial: identity of object 0 is not preserved"),
+    ("composite arrow missing", lambda: fair_data(ca=(missing, zero)),
+     "^composition is not functorial: the object map holds an entry that is not an id$"),
+    ("composite unit cell missing", lambda: fair_data(cu=(zero, missing)),
+     "^unit composition is not functorial: the morphism map holds an entry that is not"
+     " an id$"),
     ("composite start", lambda: fair_composition_moves("start"),
      "composition does not start where the first factor starts"),
     ("composite end", lambda: fair_composition_moves("end"),

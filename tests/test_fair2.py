@@ -30,6 +30,23 @@ def family_fair(family):
 
 
 @pytest.fixture(scope="module")
+def nerve():
+    return corpus.surjection("nerve")
+
+
+@pytest.fixture(scope="module")
+def nerve_fair(nerve):
+    # the free arrow again, up to the numbering of its arrows
+    return f2.pi_star(nerve[0])
+
+
+@pytest.fixture(scope="module")
+def collapse(family, nerve, family_fair, nerve_fair):
+    """pi* of the collapse of the family onto the nerve."""
+    return f2.pi_star_map(corpus.collapse_map(family, nerve), family_fair, nerve_fair)
+
+
+@pytest.fixture(scope="module")
 def family_discrete(family_fair):
     return f2.discretize_fair(family_fair)
 
@@ -363,60 +380,32 @@ def test_cleavage_section_law(family_fair):
 # -- maps of fair structures -------------------------------------------------
 
 
-def collapse_map(family, family_fair, arrow_fair):
-    x, aux = family
-    trips = aux["triples"]
-    _, ocof = fc.iso_classes(x.x0)
-    pob = [ocof[o] for o in range(x.x0.n_obj)]
-    pmor = [arrow_fair.p.points.identity[ocof[x.x0.src[m]]]
-            for m in range(x.x0.n_mor)]
-    aob = [trips[a][1] for a in range(x.x1.n_obj)]
-    amor = [arrow_fair.p.arrows.identity[aob[x.x1.src[m]]]
-            for m in range(x.x1.n_mor)]
-    return f2.FairMap(
-        family_fair, arrow_fair,
-        fc.FunctorMap(family_fair.p.points, arrow_fair.p.points, pob, pmor),
-        fc.FunctorMap(family_fair.p.arrows, arrow_fair.p.arrows, aob, amor),
-        fc.FunctorMap(family_fair.p.units, arrow_fair.p.units, pob, pmor))
-
-
-def test_collapse_map_is_a_levelwise_equivalence(family, family_fair,
-                                                 arrow_fair):
-    cmap = collapse_map(family, family_fair, arrow_fair)
-    assert f2.validate_fair_map(cmap) == []
+def test_collapse_map_is_a_levelwise_equivalence(collapse):
+    assert f2.validate_fair_map(collapse) == []
     for text in ["o", "o-o", "o=o", "o-o-o", "o=o-o", "o-o-o-o"]:
-        lm = f2.level_map_fair(cmap, ds.parse_ordinal(text))
+        lm = f2.level_map_fair(collapse, ds.parse_ordinal(text))
         assert fc.equivalence_flags(lm)["is_equivalence"]
 
 
-def test_collapse_map_is_a_2equivalence(family, family_fair, arrow_fair):
-    cmap = collapse_map(family, family_fair, arrow_fair)
-    verdict = f2.is_2equivalence_fair(cmap)
+def test_collapse_map_is_a_2equivalence(collapse):
+    verdict = f2.is_2equivalence_fair(collapse)
     assert verdict["is_2equivalence"]
-    assert fc.equivalence_flags(f2.pi1_fair_map(cmap))["is_equivalence"]
+    assert fc.equivalence_flags(f2.pi1_fair_map(collapse))["is_equivalence"]
 
 
-def moved_arrow_fair_map(x, d):
-    """The identity of pi*(x), except that arrow 1 goes to the first arrow
-    whose end classes differ from those of arrow 0 (arrow 1 shares arrow 0's)."""
-    cls = f2.pi1_fair(d).obj_class_of
-    ends = [(cls[x.d1.obj(a)], cls[x.d0.obj(a)]) for a in range(x.x1.n_obj)]
-    assert ends[1] == ends[0]
-    f1 = list(range(x.x1.n_obj))
-    f1[1] = next(a for a in range(x.x1.n_obj) if ends[a] != ends[0])
-    ident = fc.identity_functor(x.x0)
-    return f2.FairMap(d, d, ident, fc.FunctorMap(x.x1, x.x1, f1, range(x.x1.n_mor)), ident)
+@pytest.fixture(scope="module")
+def moved_arrow(family, family_fair):
+    return f2.pi_star_map(corpus.moved_arrow_map(family[0]), family_fair, family_fair)
 
 
-def test_2equivalence_fair_rejects_an_arrow_moved_out_of_its_hom_fiber(family, family_fair):
-    fmap = moved_arrow_fair_map(family[0], family_fair)
+def test_2equivalence_fair_rejects_an_arrow_moved_out_of_its_hom_fiber(moved_arrow):
     with pytest.raises(ValueError, match=r"arrow 1 over classes \(0, 0\) is sent to 2,"
                                          r" outside hom fiber \(0, 0\)"):
-        f2.is_2equivalence_fair(fmap)
+        f2.is_2equivalence_fair(moved_arrow)
 
 
-def test_validate_fair_map_lists_failed_squares_without_raising(family, family_fair):
-    problems = f2.validate_fair_map(moved_arrow_fair_map(family[0], family_fair))
+def test_validate_fair_map_lists_failed_squares_without_raising(moved_arrow):
+    problems = f2.validate_fair_map(moved_arrow)
     assert problems[0].startswith("arrow component is not a functor")
     assert problems[1:] == ["target square does not commute"]
 
@@ -446,17 +435,68 @@ def test_short_component_is_named_with_both_lengths(arrow_fair, component):
         " has length 1 but the source has %d morphisms" % (component, cat.n_mor))
 
 
-def test_identity_and_composition_of_fair_maps(family, family_fair,
-                                               arrow_fair):
+def test_identity_and_composition_of_fair_maps(family_fair, collapse):
     ident = f2.identity_fair_map(family_fair)
     assert f2.validate_fair_map(ident) == []
     assert f2.is_2equivalence_fair(ident)["is_2equivalence"]
-    cmap = collapse_map(family, family_fair, arrow_fair)
-    comp = f2.compose_fair_maps(cmap, ident)
+    comp = f2.compose_fair_maps(collapse, ident)
     assert f2.validate_fair_map(comp) == []
-    assert comp.on_arrows == cmap.on_arrows
+    assert comp.on_arrows == collapse.on_arrows
     with pytest.raises(ValueError, match="not composable"):
-        f2.compose_fair_maps(ident, cmap)
+        f2.compose_fair_maps(ident, collapse)
+
+
+WRONG_LEVEL_CHECKS = {
+    "is_2equivalence_fair": f2.is_2equivalence_fair,
+    "pi1_fair_map": f2.pi1_fair_map,
+    "validate_fair_map": f2.validate_fair_map,
+    "level_map_fair": lambda fmap: f2.level_map_fair(fmap, ds.parse_ordinal("o-o-o")),
+}
+
+
+@pytest.mark.parametrize("check", sorted(WRONG_LEVEL_CHECKS))
+def test_a_component_between_the_wrong_levels_is_named(family_fair, nerve_fair, collapse,
+                                                       check):
+    # the components of pi*(nerve)'s identity, put on a map from pi*(family)
+    p = nerve_fair.p
+    ident = [fc.identity_functor(c) for c in (p.points, p.arrows, p.units)]
+    with pytest.raises(ValueError, match="^the point component does not run between"
+                                         " the ends' points$"):
+        WRONG_LEVEL_CHECKS[check](f2.FairMap(family_fair, nerve_fair, *ident))
+    with pytest.raises(ValueError, match="^the arrow component does not run between"
+                                         " the ends' arrows$"):
+        WRONG_LEVEL_CHECKS[check](f2.FairMap(family_fair, nerve_fair, collapse.on_points,
+                                             *ident[1:]))
+
+
+# -- pi* on maps ---------------------------------------------------------------
+
+
+def test_pi_star_map_sends_identities_to_identities(family, family_fair):
+    image = f2.pi_star_map(wg.identity_double_map(family[0]), family_fair, family_fair)
+    # FairMap compares its ends and its three components
+    assert image == f2.identity_fair_map(family_fair)
+
+
+def test_pi_star_map_preserves_composition(family, nerve, family_fair, nerve_fair, collapse):
+    x = family[0]
+    ident, cmap = wg.identity_double_map(x), corpus.collapse_map(family, nerve)
+    both = wg.DoubleMap(x, nerve[0], fc.compose_functors(cmap.f0, ident.f0),
+                        fc.compose_functors(cmap.f1, ident.f1))
+    image = f2.pi_star_map(both, family_fair, nerve_fair)
+    assert image == f2.compose_fair_maps(collapse, f2.pi_star_map(ident, family_fair,
+                                                                  family_fair))
+
+
+def test_pi_star_map_needs_pi_star_of_both_ends(family, nerve, family_fair, nerve_fair,
+                                                family_discrete, arrow_fair):
+    # arrow_fair is the free arrow built directly, family_discrete keeps the
+    # family's arrows over other points
+    cmap = corpus.collapse_map(family, nerve)
+    for source, target in ((family_fair, arrow_fair), (nerve_fair, nerve_fair),
+                           (family_discrete, nerve_fair)):
+        with pytest.raises(ValueError, match=r"not pi\* of the map's source and target"):
+            f2.pi_star_map(cmap, source, target)
 
 
 # -- properties over the random corpus ---------------------------------------

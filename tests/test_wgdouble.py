@@ -9,12 +9,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wgfair import deltasite as ds
+from wgfair import fair2 as f2
 from wgfair import fincat as fc
 from wgfair import pseudo as ps
 from wgfair import wgdouble as wg
 
 import corpus
 from corpus import free_arrow
+from test_cleavage_reference import validate_cleavage
+from test_fincat import is_nat_iso
 
 
 @pytest.fixture(scope="module")
@@ -187,7 +190,7 @@ def test_nerve_action_functorial_on_generating_maps(request, which):
 def test_family_cleavage_is_lawful_and_canonical(family):
     x, aux = family
     table = wg.build_cleavage(x)
-    assert wg.validate_cleavage(x, table) == []
+    assert validate_cleavage(x, table) == []
     # transport along a fiber switch keeps the base arrow and the target
     triples = aux["triples"]
     for (f, phi), (g, _lam) in table.items():
@@ -199,7 +202,7 @@ def test_family_cleavage_is_lawful_and_canonical(family):
 
 def test_tf2_cleavage_is_lawful(tf2):
     x, _ = tf2
-    assert wg.validate_cleavage(x, wg.build_cleavage(x)) == []
+    assert validate_cleavage(x, wg.build_cleavage(x)) == []
 
 
 def test_validate_cleavage_reports_a_missing_transport(family):
@@ -207,7 +210,7 @@ def test_validate_cleavage_reports_a_missing_transport(family):
     table = wg.build_cleavage(x)
     assert table[(0, 2)] != (0, x.x1.identity[0])
     del table[(0, 2)]
-    assert wg.validate_cleavage(x, table) == ["no transport of (0, 2)"]
+    assert validate_cleavage(x, table) == ["no transport of (0, 2)"]
 
 
 def test_validate_cleavage_reports_a_transport_with_the_wrong_target(family):
@@ -216,7 +219,7 @@ def test_validate_cleavage_reports_a_transport_with_the_wrong_target(family):
     g, lam = table[(0, 2)]
     far = next(a for a in range(x.x1.n_obj) if x.d0.obj(a) != x.d0.obj(g))
     table[(0, 2)] = (far, lam)
-    problems = wg.validate_cleavage(x, table)
+    problems = validate_cleavage(x, table)
     assert "transport of (0, 2) has wrong endpoints" in problems
     assert not any(p.startswith("composition") for p in problems)
     assert not any(p.startswith("pasting") for p in problems)
@@ -249,12 +252,12 @@ def test_tagged_family_has_two_lawful_cleavages(tagged_family):
     y = tagged_family
     table = wg.build_cleavage(y)
     assert all(lam % 2 == 0 for _g, lam in table.values())
-    assert wg.validate_cleavage(y, table) == []
+    assert validate_cleavage(y, table) == []
     # tag every transport along a non-identity isomorphism
     flipped = {(f, phi): (g, lam if phi in y.x0.identity else lam ^ 1)
                for (f, phi), (g, lam) in table.items()}
     assert flipped != table
-    assert wg.validate_cleavage(y, flipped) == []
+    assert validate_cleavage(y, flipped) == []
 
 
 @pytest.mark.parametrize("instance, edit, want", [
@@ -286,7 +289,7 @@ def test_validate_cleavage_names_each_broken_law(request, instance, edit, want):
     x = x[0] if instance == "family" else x
     table = wg.build_cleavage(x)
     table.update(edit)
-    assert wg.validate_cleavage(x, table) == want
+    assert validate_cleavage(x, table) == want
 
 
 def test_validate_cleavage_reports_every_single_entry_edit(family):
@@ -303,7 +306,7 @@ def test_validate_cleavage_reports_every_single_entry_edit(family):
             edited = dict(table)
             edited[key] = entry
             edits += 1
-            assert wg.validate_cleavage(x, edited), (key, entry)
+            assert validate_cleavage(x, edited), (key, entry)
     assert edits == len(keys) * x.x1.n_obj * x.x1.n_mor - len(table)
 
 
@@ -313,7 +316,7 @@ def test_validate_cleavage_rejects_a_table_outside_the_instance(nerve, key, entr
     x, _ = nerve
     with pytest.raises(ValueError, match=r"cleavage key \(%d, %d\) names an arrow, morphism"
                                          r" or cell outside the instance" % key):
-        wg.validate_cleavage(x, {key: entry})
+        validate_cleavage(x, {key: entry})
 
 
 # -- retraction strategies ---------------------------------------------------
@@ -330,7 +333,7 @@ def test_sections_retract_the_segal_maps(family, strategy):
         assert fc.validate_functor(nu) == []
         assert fc.compose_functors(nu, muhat) == fc.identity_functor(level)
         assert fc.validate_nat(counit) == []
-        assert fc.is_nat_iso(counit)
+        assert is_nat_iso(counit)
         # triangle law: the section sends every counit component to an identity
         for y in range(counit.source.source.n_obj):
             m = counit.components[y]
@@ -380,7 +383,7 @@ def test_tr2_family_cells_on_generating_pairs(family_tr2, strategy):
                                                       res.diagram.action(g))
             assert cell.target == res.diagram.action(site.compose(g, f))
             assert fc.validate_nat(cell) == []
-            assert fc.is_nat_iso(cell)
+            assert is_nat_iso(cell)
 
 
 def test_tr2_family_has_a_nontrivial_cell_through_level_zero(family_tr2):
@@ -392,12 +395,26 @@ def test_tr2_family_has_a_nontrivial_cell_through_level_zero(family_tr2):
     assert any(c not in idents for c in cell.components)
 
 
+def is_strict(diagram):
+    """True when every action composes on the nose and every cell is identity."""
+    site = diagram.site
+    for g, f in ps.composable_pairs(site):
+        composite = fc.compose_functors(diagram.action(f), diagram.action(g))
+        if composite != diagram.action(site.compose(g, f)):
+            return False
+        cell = diagram.cell(g, f)
+        if any(c != composite.target.identity[composite.obj_map[x]]
+               for x, c in enumerate(cell.components)):
+            return False
+    return True
+
+
 @pytest.mark.parametrize("strategy", ["cleavage", "retraction"])
 def test_tr2_nerve_is_strict_with_full_coherence(nerve, strategy):
     x, _ = nerve
     res = wg.tr2_strong_segalic(x, strategy=strategy)
     assert ps.validate_pseudo(res.diagram, coherence=True) == []
-    assert ps.is_strict(res.diagram)
+    assert is_strict(res.diagram)
     assert wg.tr2_face_report(res) == []
     assert wg.tr2_segal_report(res) == []
 
@@ -438,35 +455,13 @@ def test_tr2_segal_report_names_a_moved_spine_leg(tf2_tr2):
 # -- induced maps of strictified diagrams ------------------------------------
 
 
-def collapse_map(family, nerve):
-    x, aux = family
-    y, yaux = nerve
-    t = aux["assignment"]
-    base = aux["base"]
-    f0 = fc.FunctorMap(
-        x.x0, y.x0, list(t),
-        [yaux["x0_mor_id"][(t[x.x0.src[m]], t[x.x0.tgt[m]])]
-         for m in range(x.x0.n_mor)])
-    trip = aux["triples"]
-
-    def im(i):
-        s, b, s2 = trip[i]
-        return yaux["triple_id"][(t[s], b, t[s2])]
-
-    f1 = fc.FunctorMap(
-        x.x1, y.x1, [im(i) for i in range(x.x1.n_obj)],
-        [yaux["x1_mor_id"][(im(x.x1.src[m]), im(x.x1.tgt[m]))]
-         for m in range(x.x1.n_mor)])
-    return wg.DoubleMap(x, y, f0, f1)
-
-
 def test_collapse_is_a_double_map(family, nerve):
-    fmap = collapse_map(family, nerve)
+    fmap = corpus.collapse_map(family, nerve)
     assert wg.validate_double_map(fmap) == []
 
 
 def test_tr2_map_ladder_is_exact_for_canonical_sections(family, nerve, family_tr2):
-    fmap = collapse_map(family, nerve)
+    fmap = corpus.collapse_map(family, nerve)
     res_n = wg.tr2_strong_segalic(nerve[0], strategy="cleavage")
     for strategy in ("cleavage", "retraction"):
         res_f = family_tr2[strategy]
@@ -552,6 +547,31 @@ def test_short_vertical_component_is_rejected_before_indexing(nerve):
             check(fmap)
 
 
+WRONG_LEVEL_CHECKS = {
+    "pi1_map": wg.pi1_map,
+    "is_2equivalence_double": wg.is_2equivalence_double,
+    "validate_double_map": wg.validate_double_map,
+    "level_map": lambda fmap: wg.level_map(fmap, 2),
+    "tr2_map": lambda fmap: wg.tr2_map(fmap, wg.tr2_strong_segalic(fmap.source),
+                                       wg.tr2_strong_segalic(fmap.target)),
+}
+
+
+@pytest.mark.parametrize("check", sorted(WRONG_LEVEL_CHECKS))
+def test_a_component_between_the_wrong_levels_is_named(family, nerve, check):
+    # the components of the nerve's identity, put on a map from the family:
+    # the map is refused where it is built, before any check reads it
+    x, y = family[0], nerve[0]
+    with pytest.raises(ValueError, match="^the vertical component does not run between"
+                                         " the ends' x0$"):
+        WRONG_LEVEL_CHECKS[check](wg.DoubleMap(x, y, fc.identity_functor(y.x0),
+                                               fc.identity_functor(y.x1)))
+    f0 = corpus.collapse_map(family, nerve).f0
+    with pytest.raises(ValueError, match="^the horizontal component does not run between"
+                                         " the ends' x1$"):
+        WRONG_LEVEL_CHECKS[check](wg.DoubleMap(x, y, f0, fc.identity_functor(y.x1)))
+
+
 @pytest.mark.parametrize("component, level", [("points", "x0"), ("arrows", "x1")])
 def test_short_component_is_named_with_both_lengths(nerve, component, level):
     x, _ = nerve
@@ -566,7 +586,7 @@ def test_short_component_is_named_with_both_lengths(nerve, component, level):
 
 
 def test_collapse_is_a_2equivalence(family, nerve):
-    fmap = collapse_map(family, nerve)
+    fmap = corpus.collapse_map(family, nerve)
     flags = wg.is_2equivalence_double(fmap)
     assert flags["is_2equivalence"]
     assert flags["is_2equivalence_relaxed"]
@@ -589,29 +609,20 @@ def test_point_inclusion_is_not_a_2equivalence(nerve):
     assert not flags["pi1_equivalence"]
     assert not flags["is_2equivalence"]
     assert not flags["is_2equivalence_relaxed"]
-
-
-def moved_arrow_map(x):
-    """The identity, except that arrow 1 goes to the first arrow whose end
-    classes differ from those of arrow 0 (arrow 1 shares arrow 0's)."""
-    cls = wg.pi1_double(x).obj_class_of
-    ends = [(cls[x.d1.obj(a)], cls[x.d0.obj(a)]) for a in range(x.x1.n_obj)]
-    assert ends[1] == ends[0]
-    f1 = list(range(x.x1.n_obj))
-    f1[1] = next(a for a in range(x.x1.n_obj) if ends[a] != ends[0])
-    return wg.DoubleMap(x, x, fc.identity_functor(x.x0),
-                        fc.FunctorMap(x.x1, x.x1, f1, range(x.x1.n_mor)))
+    # pi* reflects the verdict: the fair image gets the same flags
+    image = f2.pi_star_map(fmap, f2.pi_star(x), f2.pi_star(y))
+    assert f2.is_2equivalence_fair(image) == flags
 
 
 def test_2equivalence_rejects_an_arrow_moved_out_of_its_hom_fiber(family):
-    fmap = moved_arrow_map(family[0])
+    fmap = corpus.moved_arrow_map(family[0])
     with pytest.raises(ValueError, match=r"arrow 1 over classes \(0, 0\) is sent to 2,"
                                          r" outside hom fiber \(0, 0\)"):
         wg.is_2equivalence_double(fmap)
 
 
 def test_validate_double_map_lists_failed_squares_without_raising(family):
-    problems = wg.validate_double_map(moved_arrow_map(family[0]))
+    problems = wg.validate_double_map(corpus.moved_arrow_map(family[0]))
     assert problems[0].startswith("horizontal component is not a functor")
     assert problems[1:] == ["target square does not commute"]
 

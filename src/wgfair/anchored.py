@@ -48,11 +48,14 @@ def only(items):
 
 
 def check_maps(maps):
-    """ValueError unless each (name, functor, source, target) is a functor between them."""
+    """ValueError naming the first (name, functor, source, target) that is not a functor between them."""
     for name, fun, source, target in maps:
         if fun.source != source or fun.target != target:
             raise ValueError("%s map has wrong endpoints" % name)
-        bad = fc.validate_functor(fun)
+        try:
+            bad = fc.validate_functor(fun)
+        except ValueError as err:
+            bad = [str(err)]
         if bad:
             raise ValueError("%s map is not a functor: %s" % (name, bad[0]))
 

@@ -31,6 +31,11 @@ class SimplexMap:
             raise ValueError("value out of range")
         if any(self.values[i] > self.values[i + 1] for i in range(self.src_rank)):
             raise ValueError("values must be weakly increasing")
+        # maps key the site's and the diagrams' caches: hash the fields once
+        object.__setattr__(self, "_hash", hash((self.src_rank, self.tgt_rank, self.values)))
+
+    def __hash__(self):
+        return self._hash
 
     def __call__(self, i):
         return self.values[i]

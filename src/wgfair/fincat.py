@@ -493,8 +493,11 @@ def validate_nat(nat):
     a, b = f.source, f.target
     if len(nat.components) != a.n_obj:
         raise ValueError("one component per source object is required")
-    if any(not 0 <= c < b.n_mor for c in nat.components):
-        raise ValueError("component out of range")
+    try:
+        if any(not 0 <= c < b.n_mor for c in nat.components):
+            raise ValueError("component out of range")
+    except TypeError:
+        raise ValueError("the components hold an entry that is not an id") from None
     problems = []
     for x in range(a.n_obj):
         c = nat.components[x]

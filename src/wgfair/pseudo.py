@@ -5,19 +5,28 @@ to every site map, together with invertible comparison cells measuring how
 composition is preserved.  Identity maps act as identity functors and cells
 with an identity leg are identities.
 
-Validation is exact, with no sampling.  Endpoints, identities, invertibility
-and identity legs are checked on every map, pair and object.  Each action
-goes through ``fincat.validate_functor``, which decides composition on the
-generators of its source level.  Naturality of cells and coherence are
-checked on generators too (of the levels, and of the site), which decides
-the same laws because every level is a category; ``validate_pseudo`` states
-why.  When a generator check fails, the exhaustive check of that item runs
-and words the problems, so the report is that of full enumeration.
+Validation is exact, with no sampling.  Endpoints, identities and identity
+legs are checked on every map, pair and object.  Each action goes through
+``fincat.validate_functor``, which decides composition on the generators of
+its source level, and naturality squares are tried at the generators of the
+level too.  On the site, naturality and invertibility of the cells are
+checked only at the pairs whose first map is a generator, and coherence
+only at the triples whose first map is a generator and whose other two maps
+are not identities.  That decides every law: the coherence law at (h, g, s)
+writes cell(h, g.s) through cells whose first map is shorter, so by
+induction on that length every cell is a natural isomorphism; triples with
+an identity leg hold once the cells with an identity leg are identities;
+and the pentagon gives coherence at every other triple.
+``validate_pseudo`` states the argument.  When a generator check fails, the
+exhaustive check of that item runs and words the problems, so the report is
+that of full enumeration.  Site maps hash once, and ``OrdinalSite.compose``
+hands back the site's own map objects, so the caches keyed by maps stay
+cheap.
 """
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 
 from . import deltasite as ds
 from . import fincat as fc
@@ -30,7 +39,10 @@ class OrdinalSite:
         self.max_level = max_level
         self.objects = list(range(max_level + 1))
         self._hom = {}
-        self._comp = {}
+        # the site's maps by (source, target, values), so that compose hands
+        # back these very objects instead of building new ones
+        self._maps = {(f.src_rank, f.tgt_rank, f.values): f
+                      for a in self.objects for b in self.objects for f in self.hom(a, b)}
 
     def hom(self, m, n):
         if (m, n) not in self._hom:
@@ -41,11 +53,13 @@ class OrdinalSite:
         return self._hom[(m, n)]
 
     def compose(self, g, f):
-        # memoized; validation loops compose the same few thousand pairs a lot
-        cached = self._comp.get((g, f))
-        if cached is None:
-            cached = self._comp[(g, f)] = ds.compose_simplex(g, f)
-        return cached
+        """g after f: the site's own map when the composite lies in the site."""
+        if f.tgt_rank == g.src_rank:
+            values = g.values
+            found = self._maps.get((f.src_rank, g.tgt_rank, tuple([values[v] for v in f.values])))
+            if found is not None:
+                return found
+        return ds.compose_simplex(g, f)
 
     def identity(self, a):
         return ds.identity_simplex(a)
@@ -114,26 +128,21 @@ class PseudoDiagram:
         return self._cells[key]
 
 
-def composable_pairs(site):
-    for a in site.objects:
-        for b in site.objects:
-            for f in site.hom(a, b):
-                for c in site.objects:
-                    for g in site.hom(b, c):
-                        yield g, f
-
-
 def _is_natural_on(nat, squares):
     """Whether nat is natural, with squares tried only at the given morphisms.
 
     Both functors must be lawful and parallel: then squares paste, and
-    squares at a generating set give naturality everywhere.  Components out
+    squares at a generating set give naturality everywhere.  With no squares
+    only the components' number and endpoints are checked.  Components out
     of shape give False, so ``fincat.validate_nat`` can word the failure.
     """
     f, g = nat.source, nat.target
     b = f.target
     comps = nat.components
-    if len(comps) != f.source.n_obj or (comps and not 0 <= min(comps) <= max(comps) < b.n_mor):
+    try:
+        if len(comps) != f.source.n_obj or (comps and not 0 <= min(comps) <= max(comps) < b.n_mor):
+            return False
+    except TypeError:
         return False
     fo, go = f.obj_map, g.obj_map
     if any(b.src[c] != fo[x] or b.tgt[c] != go[x] for x, c in enumerate(comps)):
@@ -149,39 +158,57 @@ def validate_pseudo(diagram, coherence=True, max_problems=20):
     as identities, every comparison cell is an invertible natural
     transformation with the right endpoints and identity legs give identity
     cells, and (unless coherence=False) the two ways of pasting cells agree
-    on every composable triple of site maps.
+    on every composable triple of site maps.  An action or cell whose maps
+    or components are out of shape raises ValueError naming it.
 
-    Precondition: every level is a category (the ``FinCat`` contract).  The
-    answer is the one of the exhaustive walk, but three laws are checked on
+    Precondition: every level is a category (the ``FinCat`` contract), and
+    the site's generators generate its maps (``OrdinalSite.generators``).
+    The answer is the one of the exhaustive walk, but laws are checked on
     generators:
 
     - Every action goes through ``fincat.validate_functor``, which checks
       endpoints and identities in full and composition on the generators
       of the action's source level; its docstring gives why that is exact.
-    - While no problem has been recorded, every action is a functor, so a
-      cell's naturality squares are checked at the generators of its source
-      level only, computed once per level per call: squares paste.
-    - If the pair checks recorded no problem, the coherence walk first takes
-      as its first map f only identities and the site's generators
-      (``OrdinalSite.generators``); if those triples all pass, every triple
-      does.  For composable k, h, g, f the pentagon of their five
-      bracketings gives the law at (k, h, g.f) from those at (h, g, f),
-      (k.h, g, f), (k, h.g, f) and (k, h, g), given natural invertible
-      cells that are identities on identity legs; induct on the length of
-      the first map.
+    - While no action problem has been recorded, every action is a functor,
+      so a cell's naturality squares are checked at the generators of its
+      source level only, computed once per level per call: squares paste.
+    - With coherence and no action problem, one pass over the composable
+      pairs checks at every pair the endpoints of the cell and of each
+      component, and identity legs, but naturality and invertibility only
+      at the pairs (g, s) whose first map s is a generator of the site.
+      The coherence walk then takes only generators as first maps and skips
+      triples with an identity second or third map.  If all of that passes,
+      every law holds at every pair and triple:
+
+      * Every cell is a natural isomorphism, by induction on the length of
+        its first map as a word in the generators.  A cell with an identity
+        leg is an identity, so natural and invertible.  Any other first map
+        is g.s with s a generator and g shorter, and the law at (h, g, s)
+        gives, object by object,
+        cell(h, g.s) = [cell(h.g, s) . F(s)cell(h, g)] . (cell(g, s) at F(h))^-1,
+        a composite of natural isomorphisms and their whiskerings by
+        functors.
+      * A triple with an identity leg holds on its own once the cells with
+        an identity leg are identities: the pastings reduce to the same
+        cell.  A triple with an identity first map is one of these.
+      * For composable k, h, g, s the pentagon of their five bracketings
+        gives the law at (k, h, g.s) from those at (h, g, s), (k.h, g, s),
+        (k, h.g, s) and (k, h, g), given natural invertible cells; induct
+        on the length of the first map.
 
     Whenever one of these finds a failure, the exhaustive check of that item
     (the full walk inside ``fincat.validate_functor``,
-    ``fincat.validate_nat``, or the coherence walk over every first map)
-    writes the messages, so the list, its order and its truncation are those
-    of the exhaustive walk.  Problems are listed in visiting order (triples
-    by f, then g, then h) and the list stops at max_problems entries; a
-    max_problems below one stops at the first problem.  Pairs and triples
-    that read an action reported with wrong endpoints are skipped, and so
-    are triples whose pastings do not compose (a cell already reported as
-    malformed).  For the coherence check the site maps are numbered once per
-    call, and the actions and cells it reads are put into flat lists indexed
-    by those numbers.
+    ``fincat.validate_nat``, or the pair checks and coherence walk at every
+    pair and triple) writes the messages, so the list, its order and its
+    truncation are those of the exhaustive walk.  Problems are listed in
+    visiting order (pairs by f, then g; triples by f, then g, then h) and
+    the list stops at max_problems entries; a max_problems below one stops
+    at the first problem.  Pairs and triples that read an action reported
+    with wrong endpoints are skipped, and so are triples whose pastings do
+    not compose or read components out of shape (a cell already reported
+    as malformed).  The site maps are numbered once per call, and the
+    actions and cells the walks read are put into flat lists indexed by
+    those numbers.
     """
     site = diagram.site
     problems = []
@@ -199,8 +226,7 @@ def validate_pseudo(diagram, coherence=True, max_problems=20):
         return squares[a]
 
     for a in site.objects:
-        ident = site.identity(a)
-        if diagram.action(ident) != fc.identity_functor(diagram.level(a)):
+        if diagram.action(site.identity(a)) != fc.identity_functor(diagram.level(a)):
             if note("identity of %r does not act as the identity functor" % (a,)):
                 return problems
     broken = set()
@@ -213,97 +239,153 @@ def validate_pseudo(diagram, coherence=True, max_problems=20):
                     if note("action of %r has wrong endpoints" % (f,)):
                         return problems
                     continue
-                bad = fc.validate_functor(act)
+                try:
+                    bad = fc.validate_functor(act)
+                except ValueError as err:
+                    raise ValueError("action of %r: %s" % (f, err)) from None
                 if bad and note("action of %r is not a functor: %s" % (f, bad[0])):
                     return problems
+    lawful = not problems
 
-    for g, f in composable_pairs(site):
-        gf = site.compose(g, f)
-        if broken and (f in broken or g in broken or gf in broken):
-            continue
-        cell = diagram.cell(g, f)
-        composite = fc.compose_functors(diagram.action(f), diagram.action(g))
-        target = diagram.action(gf)
-        if cell.source != composite or cell.target != target:
-            if note("cell at (%r, %r) has wrong endpoints" % (g, f)):
-                return problems
-            continue
-        if problems or not _is_natural_on(cell, level_squares(site.tgt(g))):
-            bad = fc.validate_nat(cell)
-            if bad:
-                if note("cell at (%r, %r) is not natural: %s" % (g, f, bad[0])):
-                    return problems
-                continue
-        dcat = cell.source.target
-        if not all(dcat.is_iso(c) for c in cell.components):
-            if note("cell at (%r, %r) is not invertible" % (g, f)):
-                return problems
-        if (site.is_identity(f) or site.is_identity(g)) and any(
-                c != composite.target.identity[composite.obj_map[x]]
-                for x, c in enumerate(cell.components)):
-            if note("cell with an identity leg at (%r, %r) is not the identity" % (g, f)):
-                return problems
+    # number the site maps once: pairs and triples then read flat lists
+    # indexed by g*n + f instead of hashing the maps themselves
+    maps = [f for a in site.objects for b in site.objects for f in site.hom(a, b)]
+    n = len(maps)
+    index = {f: i for i, f in enumerate(maps)}
+    # maps out of each object, in the order of their targets and homs
+    out_of = {a: [] for a in site.objects}
+    for i, f in enumerate(maps):
+        out_of[site.src(f)].append(i)
+    ident = [site.is_identity(f) for f in maps]
+    acts = [diagram.action(f) for f in maps]
+    # pairs and triples reading an action with wrong endpoints are skipped
+    ok = [f not in broken for f in maps]
+    after, comps_of = [None] * (n * n), [None] * (n * n)
 
-    if coherence:
-        # number the site maps once: the triple walk then reads flat lists
-        # indexed by g*n + f instead of hashing the maps themselves
-        maps = [f for a in site.objects for b in site.objects for f in site.hom(a, b)]
-        n = len(maps)
-        index = {f: i for i, f in enumerate(maps)}
-        # maps out of each object, in the order of their targets and homs
-        out_of = {a: [i for i, f in enumerate(maps) if site.src(f) == a]
-                  for a in site.objects}
-        acts = [diagram.action(f) for f in maps]
-        obj_maps = [act.obj_map for act in acts]
-        mor_maps = [act.mor_map for act in acts]
-        # triples reading an action with wrong endpoints are skipped, as pairs are
-        ok = [f not in broken for f in maps]
-        after, comps_of = [None] * (n * n), [None] * (n * n)
+    def pair_problems(natural_at):
+        """Cell problems pair by pair, f then g each in hom order; fills after and comps_of.
+
+        Naturality and invertibility are checked at the pairs whose first
+        map is numbered in natural_at, everything else at every pair.
+        """
         for fi, f in enumerate(maps):
             for gi in out_of[site.tgt(f)]:
-                k = gi * n + fi
-                after[k] = index[site.compose(maps[gi], f)]
-                if ok[fi] and ok[gi] and ok[after[k]]:
-                    comps_of[k] = diagram.cell(maps[gi], f).components
-
-        def failures(firsts):
-            """(h, g, f, object) of every failing triple whose f is numbered in firsts."""
-            for fi in firsts:
-                f = maps[fi]
-                get = diagram.level(site.src(f)).comp.__getitem__
-                af = mor_maps[fi].__getitem__
-                for gi in out_of[site.tgt(f)]:
-                    gf = after[gi * n + fi]
-                    if comps_of[gi * n + fi] is None:
+                g, k = maps[gi], gi * n + fi
+                gf = after[k] = index[site.compose(g, f)]
+                if not (ok[fi] and ok[gi] and ok[gf]):
+                    continue
+                cell = diagram.cell(g, f)
+                comps_of[k] = cell.components
+                composite = fc.compose_functors(acts[fi], acts[gi])
+                if cell.source != composite or cell.target != acts[gf]:
+                    yield "cell at (%r, %r) has wrong endpoints" % (g, f)
+                    continue
+                checked = fi in natural_at
+                if not (lawful and _is_natural_on(
+                        cell, level_squares(site.tgt(g)) if checked else ())):
+                    try:
+                        bad = fc.validate_nat(cell)
+                    except ValueError as err:
+                        raise ValueError("cell at (%r, %r): %s" % (g, f, err)) from None
+                    if bad:
+                        yield "cell at (%r, %r) is not natural: %s" % (g, f, bad[0])
                         continue
-                    inner = comps_of[gi * n + fi].__getitem__
-                    hs = out_of[site.tgt(maps[gi])]
-                    if broken:
-                        hs = [hi for hi in hs if ok[hi] and ok[after[hi * n + gi]]
-                              and ok[after[hi * n + gf]]]
-                    for hi in hs:
-                        # cell(h, g.f) after cell(g, f) whiskered by h, against
-                        # cell(h.g, f) after cell(h, g) whiskered by f, per object
-                        try:
-                            one = list(map(get, zip(comps_of[hi * n + gf],
-                                                    map(inner, obj_maps[hi]))))
-                            two = list(map(get, zip(comps_of[after[hi * n + gi] * n + fi],
-                                                    map(af, comps_of[hi * n + gi]))))
-                        except KeyError:
-                            # a cell reported above does not compose: no pasting
-                            continue
-                        if one != two:
-                            for y, (u, v) in enumerate(zip(one, two)):
-                                if u != v:
-                                    yield hi, gi, fi, y
+                dcat = composite.target
+                if checked and not all(map(dcat.is_iso, cell.components)):
+                    yield "cell at (%r, %r) is not invertible" % (g, f)
+                if (ident[fi] or ident[gi]) and any(
+                        c != dcat.identity[composite.obj_map[x]]
+                        for x, c in enumerate(cell.components)):
+                    yield "cell with an identity leg at (%r, %r) is not the identity" % (g, f)
 
-        if not problems:
-            gens = set(site.generators())
-            firsts = [i for i, f in enumerate(maps) if f in gens or site.is_identity(f)]
-            if next(failures(firsts), None) is None:
-                return problems
-        for hi, gi, fi, y in failures(range(n)):
+    def failures():
+        """(h, g, f, object) of every failing triple, in (f, g, h) order."""
+        obj_maps = [act.obj_map for act in acts]
+        for fi, f in enumerate(maps):
+            get = diagram.level(site.src(f)).comp.__getitem__
+            af = acts[fi].mor_map.__getitem__
+            for gi in out_of[site.tgt(f)]:
+                gf = after[gi * n + fi]
+                if comps_of[gi * n + fi] is None:
+                    continue
+                inner = comps_of[gi * n + fi].__getitem__
+                hs = out_of[site.tgt(maps[gi])]
+                if broken:
+                    hs = [hi for hi in hs if ok[hi] and ok[after[hi * n + gi]]
+                          and ok[after[hi * n + gf]]]
+                for hi in hs:
+                    # cell(h, g.f) after cell(g, f) whiskered by h, against
+                    # cell(h.g, f) after cell(h, g) whiskered by f, per object
+                    try:
+                        one = list(map(get, zip(comps_of[hi * n + gf],
+                                                map(inner, obj_maps[hi]))))
+                        two = list(map(get, zip(comps_of[after[hi * n + gi] * n + fi],
+                                                map(af, comps_of[hi * n + gi]))))
+                    except (KeyError, IndexError, TypeError):
+                        # a cell reported above is out of shape or does not
+                        # compose: no pasting
+                        continue
+                    if one != two:
+                        for y, (u, v) in enumerate(zip(one, two)):
+                            if u != v:
+                                yield hi, gi, fi, y
+
+    def coheres_from(firsts):
+        """Whether the triples (h, g, f), f numbered in firsts, g and h no identities, cohere.
+
+        Needs every cell to have one component per object (the pair pass
+        checks it).  For each f and g, the pastings of every h are compared
+        as one row: h's cells and object maps, joined in the order of h.
+        """
+        outs = {a: [i for i in out_of[a] if not ident[i]] for a in site.objects}
+        obj_row = {a: list(chain.from_iterable(acts[hi].obj_map for hi in outs[a]))
+                   for a in site.objects}
+        # cell(h, j) and h.j for every h out of the target of j
+        cell_row = [list(chain.from_iterable(comps_of[hi * n + j] for hi in outs[site.tgt(f)]))
+                    for j, f in enumerate(maps)]
+        after_row = [[after[hi * n + j] for hi in outs[site.tgt(f)]]
+                     for j, f in enumerate(maps)]
+        for fi in firsts:
+            f = maps[fi]
+            get = diagram.level(site.src(f)).comp.__getitem__
+            af = acts[fi].mor_map.__getitem__
+            for gi in outs[site.tgt(f)]:
+                gf = after[gi * n + fi]
+                inner = comps_of[gi * n + fi].__getitem__
+                outer2 = chain.from_iterable([comps_of[hg * n + fi] for hg in after_row[gi]])
+                try:
+                    if (list(map(get, zip(cell_row[gf], map(inner, obj_row[site.tgt(maps[gi])]))))
+                            != list(map(get, zip(outer2, map(af, cell_row[gi]))))):
+                        return False
+                except KeyError:
+                    return False
+        return True
+
+    if coherence and lawful:
+        gens = sorted(index[s] for s in site.generators())
+        try:
+            holds = next(pair_problems(set(gens)), None) is None and coheres_from(gens)
+        except ValueError:
+            # the exhaustive pass below raises it again, or stops before
+            holds = False
+        if holds:
+            return problems
+    for msg in pair_problems(range(n)):
+        if note(msg):
+            return problems
+    if coherence:
+        for hi, gi, fi, y in failures():
             if note("coherence fails at (%r, %r, %r) on object %d"
                     % (maps[hi], maps[gi], maps[fi], y)):
+                return problems
+    return problems
+    for msg in pair_problems(range(n)):
+        if note(msg):
+            return problems
+    if coherence:
+        for hi, gi, fi, y in failures(range(n), out_of):
+            # a triple whose pastings do not compose reads a cell reported above
+            if y is not None and note("coherence fails at (%r, %r, %r) on object %d"
+                                      % (maps[hi], maps[gi], maps[fi], y)):
                 return problems
     return problems

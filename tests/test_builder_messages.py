@@ -63,6 +63,12 @@ def double_not_a_functor():
             zero, zero)
 
 
+def double_target_map(obj_map, mor_map):
+    x0 = x1 = fc.discrete(1)
+    return (x0, x1, fc.FunctorMap(x1, x0, obj_map, mor_map), const(x1, x0), const(x0, x1),
+            zero, zero)
+
+
 def double_not_a_section(end):
     x0 = x1 = fc.discrete(2)
     one, swap = fc.identity_functor(x1), fc.FunctorMap(x0, x1, [1, 0], [1, 0])
@@ -119,6 +125,10 @@ DOUBLE_CASES = [
     ("wrong endpoints", double_wrong_endpoints, "target map has wrong endpoints"),
     ("not a functor", double_not_a_functor,
      r"target map is not a functor: morphism 0 is not sent"),
+    ("target map entry not an id", lambda: double_target_map([None], [0]),
+     "^target map is not a functor: the object map holds an entry that is not an id$"),
+    ("target map out of range", lambda: double_target_map([5], [0]),
+     "^target map is not a functor: object map out of range$"),
     ("source section", lambda: double_not_a_section("source"),
      "identity map is not a section of the source map"),
     ("target section", lambda: double_not_a_section("target"),
@@ -270,6 +280,12 @@ FAIR_CASES = [
                        tgt=const(fc.discrete(1), fc.discrete(2)),
                        value=const(fc.discrete(1), fc.discrete(2))),
      "source map is not a functor: morphism 0 is not sent"),
+    ("target map entry not an id",
+     lambda: fair_data(tgt=fc.FunctorMap(fc.discrete(1), fc.discrete(1), [None], [0])),
+     "^target map is not a functor: the object map holds an entry that is not an id$"),
+    ("target map out of range",
+     lambda: fair_data(tgt=fc.FunctorMap(fc.discrete(1), fc.discrete(1), [5], [0])),
+     "^target map is not a functor: object map out of range$"),
     ("unit start", lambda: fair_unit_endpoint("start"),
      "unit arrows do not start at their point"),
     ("unit end", lambda: fair_unit_endpoint("end"),

@@ -18,6 +18,11 @@ from test_fincat_reference import reference_validate_functor
 
 # the one-object category of Z/2: morphism 0 is the identity, 1 the generator
 Z2 = fc.FinCat(1, [0, 0], [0, 0], [0], {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0})
+# the monoid {1, z} with z z = z: z is central but has no inverse
+IDEMPOTENT = fc.FinCat(1, [0, 0], [0, 0], [0], {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 1})
+# the monoid {1, a, b} with x y = x for x, y in {a, b}: a is idempotent, not central
+LEFT_ZERO = fc.FinCat(1, [0] * 3, [0] * 3, [0],
+                      {(g, f): g or f for g in range(3) for f in range(3)})
 
 
 def twisted_constant(site):
@@ -94,7 +99,7 @@ def reference_pairs(diagram, max_problems):
                 bad = reference_validate_functor(act)
                 if bad and note("action of %r is not a functor: %s" % (f, bad[0])):
                     return problems
-    for g, f in ps.composable_pairs(site):
+    for g, f in corpus.composable_pairs(site):
         if broken & {f, g, site.compose(g, f)}:
             continue
         cell = diagram.cell(g, f)
@@ -149,7 +154,7 @@ def reference_coherence(diagram, max_problems):
               if acts[i].source != diagram.level(site.tgt(f))
               or acts[i].target != diagram.level(site.src(f))}
     after, cells = {}, {}
-    for g, f in ps.composable_pairs(site):
+    for g, f in corpus.composable_pairs(site):
         key = (index[g], index[f])
         after[key] = index[site.compose(g, f)]
         if not broken & {key[0], key[1], after[key]}:
@@ -247,6 +252,22 @@ def test_site_generators_generate_every_map():
     assert reached == set(maps)
 
 
+def test_compose_hands_back_the_sites_own_maps():
+    site = ps.OrdinalSite(2)
+    maps = [f for a in site.objects for b in site.objects for f in site.hom(a, b)]
+    own = {id(f) for f in maps}
+    for g, f in corpus.composable_pairs(site):
+        gf = site.compose(g, f)
+        assert id(gf) in own and gf == ds.compose_simplex(g, f)
+        # a map built afresh hashes and compares as the site's own
+        assert hash(ds.SimplexMap(gf.src_rank, gf.tgt_rank, list(gf.values))) == hash(gf)
+    # maps outside the site are built and checked as before
+    g, f = ds.coface(0, 4), ds.coface(0, 3)
+    assert site.compose(g, f) == ds.compose_simplex(g, f)
+    with pytest.raises(ValueError, match="not composable"):
+        site.compose(f, f)
+
+
 def generated(cat, gens):
     return closure(gens, cat.identity, cat.compose, lambda g, f: cat.src[g] == cat.tgt[f])
 
@@ -273,23 +294,35 @@ def test_nerve_matches_the_exhaustive_reference(diagrams, strategy):
     assert ps.validate_pseudo(d) == reference_pseudo(d) == []
 
 
+def cells_at(site, level, components):
+    """Identity actions on a one-object level; the cell at each pair in components has them.
+
+    Every other cell is the identity.
+    """
+    ident = fc.identity_functor(level)
+
+    def cell(g, f):
+        comps = components.get((g, f))
+        return None if comps is None else fc.NatTransf(ident, ident, comps)
+
+    return ps.PseudoDiagram(site, lambda a: level, lambda f: ident, cell)
+
+
+def legless_pairs(site):
+    return [(g, f) for g, f in corpus.composable_pairs(site)
+            if not site.is_identity(f) and not site.is_identity(g)]
+
+
 def twisted_off_generators(site, seed):
     """Constant Z/2 diagram with the generator on random pairs (g, f), f no generator.
 
     Neither leg is an identity, so every check but coherence passes, and the
     generator walk only ever sees identity cells at its first map.
     """
-    ident = fc.identity_functor(Z2)
     rng = random.Random(seed)
     gens = set(site.generators())
-    twisted = {(g, f) for g, f in ps.composable_pairs(site)
-               if f not in gens and not site.is_identity(f) and not site.is_identity(g)
-               and rng.random() < 0.5}
-
-    def cell(g, f):
-        return fc.NatTransf(ident, ident, [1]) if (g, f) in twisted else None
-
-    return ps.PseudoDiagram(site, lambda a: Z2, lambda f: ident, cell)
+    return cells_at(site, Z2, {(g, f): [1] for g, f in legless_pairs(site)
+                               if f not in gens and rng.random() < 0.5})
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -316,6 +349,120 @@ def retarget(diagram, f_star, act):
         return made
 
     return ps.PseudoDiagram(site, diagram.level, action, cell)
+
+
+def recell(diagram, pair, components):
+    """diagram with the cell at pair given other components."""
+    def cell(g, f):
+        made = diagram.cell(g, f)
+        if (g, f) == pair:
+            return fc.NatTransf(made.source, made.target, components)
+        return made
+
+    return ps.PseudoDiagram(diagram.site, diagram.level, diagram.action, cell)
+
+
+def assert_matches_the_reference(d):
+    expected = reference_pseudo(d, 10**6)
+    assert expected
+    for max_problems in (1, 20, 10**6):
+        assert ps.validate_pseudo(d, max_problems=max_problems) == expected[:max_problems]
+    return expected
+
+
+@pytest.mark.parametrize("level, failure", [(IDEMPOTENT, "is not invertible"),
+                                            (LEFT_ZERO, "is not natural")],
+                         ids=["idempotent", "left zero"])
+def test_coherent_cells_failing_at_every_pair_are_found(level, failure):
+    # the same idempotent component on every cell without an identity leg:
+    # both pastings of a triple are that component, so only the checks of
+    # the cells themselves, made at the generator pairs, can see it
+    d = cells_at(ps.OrdinalSite(2), level, dict.fromkeys(legless_pairs(ps.OrdinalSite(2)), [1]))
+    expected = assert_matches_the_reference(d)
+    assert all(failure in p for p in expected)
+
+
+def test_a_cell_that_is_not_invertible_off_the_generators_is_found():
+    # the first map s0 d1 s0 of [1] is neither a generator nor an identity
+    g, f = ds.codegeneracy(0, 0), ds.SimplexMap(1, 1, (0, 0))
+    d = cells_at(ps.OrdinalSite(1), IDEMPOTENT, {(g, f): [1]})
+    expected = assert_matches_the_reference(d)
+    assert expected[0] == "cell at (%r, %r) is not invertible" % (g, f)
+
+
+@pytest.mark.parametrize("v", [0, 1])
+def test_a_twist_seen_only_from_one_coface_is_found(v):
+    # Z/2 on (s0, d) and (s0, d s0), for d the coface [0] -> [1] with value
+    # v: the cocycle law holds at every triple whose first map is another
+    # generator, so of the generator walk only the triples from d see it
+    site = ps.OrdinalSite(1)
+    d, s0 = ds.SimplexMap(0, 1, (v,)), ds.codegeneracy(0, 0)
+    expected = assert_matches_the_reference(
+        cells_at(site, Z2, {(s0, d): [1], (s0, site.compose(d, s0)): [1]}))
+    others = [s for s in site.generators() if s != d]
+    assert not any(p.endswith(", %r) on object 0" % (s,)) for p in expected for s in others)
+
+
+def test_a_cell_seen_only_from_the_codegeneracy_is_found():
+    # level 0 is a point and level 1 the monoid {1, z}; every action is
+    # constant, so whiskering by the action of a coface forgets z.  Then the
+    # cell z at (d, s0) is seen only by its own check and by the triples
+    # whose first map is s0; cofaces as first maps see nothing
+    site = ps.OrdinalSite(1)
+    levels = {0: fc.discrete(1), 1: IDEMPOTENT}
+
+    def action(f):
+        return fc.FunctorMap(levels[f.tgt_rank], levels[f.src_rank], [0],
+                             [0] * levels[f.tgt_rank].n_mor)
+
+    pair = (ds.coface(1, 1), ds.codegeneracy(0, 0))
+
+    def cell(g, f):
+        if (g, f) != pair:
+            return None
+        return fc.NatTransf(fc.compose_functors(action(f), action(g)),
+                            action(site.compose(g, f)), [1])
+
+    expected = assert_matches_the_reference(
+        ps.PseudoDiagram(site, levels.__getitem__, action, cell))
+    assert expected[0] == "cell at (%r, %r) is not invertible" % pair
+
+
+def test_an_identity_leg_cell_off_the_generators_is_found():
+    # a diagram given by bare methods, so that a cell with an identity leg
+    # can be other than the identity; its first map is no generator, and no
+    # triple of the generator walk reads it
+    site = ps.OrdinalSite(1)
+    ident = fc.identity_functor(Z2)
+    pair = (site.identity(1), ds.SimplexMap(1, 1, (0, 0)))
+    d = types.SimpleNamespace(
+        site=site, level=lambda a: Z2, action=lambda f: ident,
+        cell=lambda g, f: fc.NatTransf(ident, ident, [1 if (g, f) == pair else 0]))
+    expected = assert_matches_the_reference(d)
+    assert expected[0] == "cell with an identity leg at (%r, %r) is not the identity" % pair
+
+
+def test_tf2_cell_with_a_stray_component_off_the_generators_is_found(diagrams):
+    # every level of tf2 is thin, so there a cell with the right endpoints
+    # is natural and invertible; this one has a component that leaves the
+    # right object for the wrong one, at a first map that is neither a
+    # generator nor an identity
+    d = diagrams[("tf2", "cleavage")]
+    g, f = ds.codegeneracy(0, 0), ds.SimplexMap(1, 1, (0, 0))
+    comps = list(d.cell(g, f).components)
+    level = d.level(1)
+    comps[0] = next(m for m in range(level.n_mor) if level.src[m] == level.src[comps[0]]
+                    and level.tgt[m] != level.tgt[comps[0]])
+    expected = assert_matches_the_reference(recell(d, (g, f), comps))
+    assert expected[0] == ("cell at (%r, %r) is not natural: component at object 0 has"
+                           " wrong endpoints" % (g, f))
+
+
+@pytest.mark.parametrize("strategy", ["cleavage", "retraction"])
+@pytest.mark.parametrize("name", ["family", "tf2"])
+def test_family_and_tf2_match_the_exhaustive_reference(diagrams, name, strategy):
+    d = diagrams[(name, strategy)]
+    assert ps.validate_pseudo(d) == reference_pseudo(d) == []
 
 
 def test_swap_action_broken_at_a_composite_matches_the_reference():
@@ -421,13 +568,9 @@ def test_identities_acting_by_a_swap_are_reported():
 
 
 def test_a_cell_that_is_not_invertible_is_reported():
-    # the monoid {1, z} with z z = z is commutative, so z is natural on the
-    # identity functor, but it has no inverse
-    monoid = fc.FinCat(1, [0, 0], [0, 0], [0], {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 1})
-    ident = fc.identity_functor(monoid)
+    # z is natural on the identity functor, but it has no inverse
     g, f = ds.codegeneracy(0, 0), ds.coface(1, 1)
-    d = ps.PseudoDiagram(ps.OrdinalSite(1), lambda a: monoid, lambda h: ident,
-                         lambda *pair: fc.NatTransf(ident, ident, [1]) if pair == (g, f) else None)
+    d = cells_at(ps.OrdinalSite(1), IDEMPOTENT, {(g, f): [1]})
     first = "cell at (%r, %r) is not invertible" % (g, f)
     assert ps.validate_pseudo(d, max_problems=1) == [first]
     report = ps.validate_pseudo(d)
@@ -453,3 +596,45 @@ def test_an_identity_leg_over_a_site_without_units_is_refused():
             "identity-leg cell at (%r, %r): the composite action is not the action"
             " of the composite" % (g, f))):
         d.cell(g, f)
+
+
+@pytest.mark.parametrize("obj_map, message", [
+    ([5], "object map out of range"),
+    ([0, 0], "functor map lengths disagree with the source: the object map has length 2"
+             " but the source has 1 objects")], ids=["out of range", "length"])
+def test_a_malformed_action_is_named(obj_map, message):
+    level = fc.discrete(1)
+    d = ps.PseudoDiagram(ps.OrdinalSite(1), lambda a: level,
+                         lambda f: fc.FunctorMap(level, level, obj_map, [0]), lambda g, f: None)
+    # the first map that is not an identity
+    f = ds.SimplexMap(0, 1, (0,))
+    with pytest.raises(ValueError, match="^%s$" % re.escape("action of %r: %s" % (f, message))):
+        ps.validate_pseudo(d)
+
+
+@pytest.mark.parametrize("coherence", [True, False])
+@pytest.mark.parametrize("pair", [(ds.codegeneracy(0, 0), ds.coface(1, 1)),
+                                  (ds.codegeneracy(0, 0), ds.SimplexMap(1, 1, (0, 0)))],
+                         ids=["generator first", "composite first"])
+@pytest.mark.parametrize("components, message", [
+    ([], "one component per source object is required"),
+    ([7], "component out of range"),
+    ([None], "the components hold an entry that is not an id")],
+    ids=["none", "out of range", "not an id"])
+def test_a_malformed_cell_is_named(components, message, pair, coherence):
+    d = cells_at(ps.OrdinalSite(1), Z2, {pair: components})
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        fc.validate_nat(d.cell(*pair))
+    with pytest.raises(ValueError, match="^%s$" % re.escape(
+            "cell at (%r, %r): %s" % (pair + (message,)))):
+        ps.validate_pseudo(d, coherence=coherence)
+
+
+def test_a_cell_with_wrong_endpoints_and_no_components_is_reported_once():
+    # the coherence walk used to raise IndexError reading its components
+    other = fc.FunctorMap(Z2, Z2, [0], [0, 0])
+    pair = (ds.codegeneracy(0, 0), ds.SimplexMap(1, 1, (0, 0)))
+    ident = fc.identity_functor(Z2)
+    d = ps.PseudoDiagram(ps.OrdinalSite(1), lambda a: Z2, lambda f: ident,
+                         lambda g, f: fc.NatTransf(other, ident, []) if (g, f) == pair else None)
+    assert ps.validate_pseudo(d) == ["cell at (%r, %r) has wrong endpoints" % pair]

@@ -159,7 +159,7 @@ def test_nerve_action_is_functorial_exhaustively_on_the_nerve(nerve):
     for a in site.objects:
         assert x.nerve_action(site.identity(a)) == \
             fc.identity_functor(x.level(a))
-    for g, f in ps.composable_pairs(site):
+    for g, f in corpus.composable_pairs(site):
         assert x.nerve_action(site.compose(g, f)) == \
             fc.compose_functors(x.nerve_action(f), x.nerve_action(g))
 
@@ -398,7 +398,7 @@ def test_tr2_family_has_a_nontrivial_cell_through_level_zero(family_tr2):
 def is_strict(diagram):
     """True when every action composes on the nose and every cell is identity."""
     site = diagram.site
-    for g, f in ps.composable_pairs(site):
+    for g, f in corpus.composable_pairs(site):
         composite = fc.compose_functors(diagram.action(f), diagram.action(g))
         if composite != diagram.action(site.compose(g, f)):
             return False

@@ -19,9 +19,10 @@ an identity leg hold once the cells with an identity leg are identities;
 and the pentagon gives coherence at every other triple.
 ``validate_pseudo`` states the argument.  When a generator check fails, the
 exhaustive check of that item runs and words the problems, so the report is
-that of full enumeration.  Site maps hash once, and ``OrdinalSite.compose``
-hands back the site's own map objects, so the caches keyed by maps stay
-cheap.
+that of full enumeration.  Both use one coherence walk: rows of pastings
+first, then triples only in a row that differs.  Site maps hash once, and
+``OrdinalSite.compose`` hands back the site's own map objects, so the caches
+keyed by maps stay cheap.
 """
 
 from __future__ import annotations
@@ -206,9 +207,10 @@ def validate_pseudo(diagram, coherence=True, max_problems=20):
     at the first problem.  Pairs and triples that read an action reported
     with wrong endpoints are skipped, and so are triples whose pastings do
     not compose or read components out of shape (a cell already reported
-    as malformed).  The site maps are numbered once per call, and the
-    actions and cells the walks read are put into flat lists indexed by
-    those numbers.
+    as malformed).  The decision and the report share one coherence walk:
+    for each f and g the pastings of every h are compared as one row first,
+    and only a row that differs, does not compose or reads a cell missing
+    or out of shape is walked triple by triple.
     """
     site = diagram.site
     problems = []
@@ -229,23 +231,6 @@ def validate_pseudo(diagram, coherence=True, max_problems=20):
         if diagram.action(site.identity(a)) != fc.identity_functor(diagram.level(a)):
             if note("identity of %r does not act as the identity functor" % (a,)):
                 return problems
-    broken = set()
-    for a in site.objects:
-        for b in site.objects:
-            for f in site.hom(a, b):
-                act = diagram.action(f)
-                if act.source != diagram.level(b) or act.target != diagram.level(a):
-                    broken.add(f)
-                    if note("action of %r has wrong endpoints" % (f,)):
-                        return problems
-                    continue
-                try:
-                    bad = fc.validate_functor(act)
-                except ValueError as err:
-                    raise ValueError("action of %r: %s" % (f, err)) from None
-                if bad and note("action of %r is not a functor: %s" % (f, bad[0])):
-                    return problems
-    lawful = not problems
 
     # number the site maps once: pairs and triples then read flat lists
     # indexed by g*n + f instead of hashing the maps themselves
@@ -257,9 +242,24 @@ def validate_pseudo(diagram, coherence=True, max_problems=20):
     for i, f in enumerate(maps):
         out_of[site.src(f)].append(i)
     ident = [site.is_identity(f) for f in maps]
-    acts = [diagram.action(f) for f in maps]
-    # pairs and triples reading an action with wrong endpoints are skipped
-    ok = [f not in broken for f in maps]
+    acts, ok = [], []
+    for f in maps:
+        act = diagram.action(f)
+        acts.append(act)
+        # pairs reading an action with wrong endpoints are skipped
+        ok.append(act.source == diagram.level(site.tgt(f))
+                  and act.target == diagram.level(site.src(f)))
+        if not ok[-1]:
+            if note("action of %r has wrong endpoints" % (f,)):
+                return problems
+            continue
+        try:
+            bad = fc.validate_functor(act)
+        except ValueError as err:
+            raise ValueError("action of %r: %s" % (f, err)) from None
+        if bad and note("action of %r is not a functor: %s" % (f, bad[0])):
+            return problems
+    lawful = not problems
     after, comps_of = [None] * (n * n), [None] * (n * n)
 
     def pair_problems(natural_at):
@@ -298,87 +298,69 @@ def validate_pseudo(diagram, coherence=True, max_problems=20):
                         for x, c in enumerate(cell.components)):
                     yield "cell with an identity leg at (%r, %r) is not the identity" % (g, f)
 
-    def failures():
-        """(h, g, f, object) of every failing triple, in (f, g, h) order."""
-        obj_maps = [act.obj_map for act in acts]
-        for fi, f in enumerate(maps):
+    def failures(firsts, outs):
+        """Failing triples as (h, g, f, object), f in firsts, g and h in outs, by f, g, h.
+
+        object is None where the pastings do not compose.  Rows (the
+        pastings of every h for one f and g, joined in the order of h) are
+        compared first; only a row that differs, does not compose or reads a
+        cell that is missing or out of shape is walked triple by triple.
+        """
+        obj_row = {a: [x for hi in outs[a] for x in acts[hi].obj_map] for a in site.objects}
+        # cell(h, j) and h.j for every h out of the target of j; no cell row
+        # unless each of those cells is there with one component per object
+        cell_row, after_row = [], []
+        for j, f in enumerate(maps):
+            hs = outs[site.tgt(f)]
+            row = [comps_of[hi * n + j] for hi in hs]
+            fit = all(c is not None and len(c) == len(acts[hi].obj_map) for hi, c in zip(hs, row))
+            cell_row.append(list(chain.from_iterable(row)) if fit else None)
+            after_row.append([after[hi * n + j] for hi in hs])
+        for fi in firsts:
+            f = maps[fi]
             get = diagram.level(site.src(f)).comp.__getitem__
             af = acts[fi].mor_map.__getitem__
-            for gi in out_of[site.tgt(f)]:
-                gf = after[gi * n + fi]
+            for gi in outs[site.tgt(f)]:
+                g, gf = maps[gi], after[gi * n + fi]
                 if comps_of[gi * n + fi] is None:
                     continue
                 inner = comps_of[gi * n + fi].__getitem__
-                hs = out_of[site.tgt(maps[gi])]
-                if broken:
-                    hs = [hi for hi in hs if ok[hi] and ok[after[hi * n + gi]]
-                          and ok[after[hi * n + gf]]]
-                for hi in hs:
+                try:
+                    # cell(h.g, f) lines up with h when every cell(x, f) fits
+                    if cell_row[fi] is not None and (
+                            list(map(get, zip(cell_row[gf], map(inner, obj_row[site.tgt(g)]))))
+                            == list(map(get, zip(chain.from_iterable(
+                                [comps_of[hg * n + fi] for hg in after_row[gi]]),
+                                map(af, cell_row[gi]))))):
+                        continue
+                except (KeyError, IndexError, TypeError):
+                    pass
+                for hi in outs[site.tgt(g)]:
                     # cell(h, g.f) after cell(g, f) whiskered by h, against
                     # cell(h.g, f) after cell(h, g) whiskered by f, per object
                     try:
                         one = list(map(get, zip(comps_of[hi * n + gf],
-                                                map(inner, obj_maps[hi]))))
+                                                map(inner, acts[hi].obj_map))))
                         two = list(map(get, zip(comps_of[after[hi * n + gi] * n + fi],
                                                 map(af, comps_of[hi * n + gi]))))
                     except (KeyError, IndexError, TypeError):
-                        # a cell reported above is out of shape or does not
-                        # compose: no pasting
+                        yield hi, gi, fi, None
                         continue
                     if one != two:
                         for y, (u, v) in enumerate(zip(one, two)):
                             if u != v:
                                 yield hi, gi, fi, y
 
-    def coheres_from(firsts):
-        """Whether the triples (h, g, f), f numbered in firsts, g and h no identities, cohere.
-
-        Needs every cell to have one component per object (the pair pass
-        checks it).  For each f and g, the pastings of every h are compared
-        as one row: h's cells and object maps, joined in the order of h.
-        """
-        outs = {a: [i for i in out_of[a] if not ident[i]] for a in site.objects}
-        obj_row = {a: list(chain.from_iterable(acts[hi].obj_map for hi in outs[a]))
-                   for a in site.objects}
-        # cell(h, j) and h.j for every h out of the target of j
-        cell_row = [list(chain.from_iterable(comps_of[hi * n + j] for hi in outs[site.tgt(f)]))
-                    for j, f in enumerate(maps)]
-        after_row = [[after[hi * n + j] for hi in outs[site.tgt(f)]]
-                     for j, f in enumerate(maps)]
-        for fi in firsts:
-            f = maps[fi]
-            get = diagram.level(site.src(f)).comp.__getitem__
-            af = acts[fi].mor_map.__getitem__
-            for gi in outs[site.tgt(f)]:
-                gf = after[gi * n + fi]
-                inner = comps_of[gi * n + fi].__getitem__
-                outer2 = chain.from_iterable([comps_of[hg * n + fi] for hg in after_row[gi]])
-                try:
-                    if (list(map(get, zip(cell_row[gf], map(inner, obj_row[site.tgt(maps[gi])]))))
-                            != list(map(get, zip(outer2, map(af, cell_row[gi]))))):
-                        return False
-                except KeyError:
-                    return False
-        return True
-
     if coherence and lawful:
         gens = sorted(index[s] for s in site.generators())
+        outs = {a: [i for i in out_of[a] if not ident[i]] for a in site.objects}
         try:
-            holds = next(pair_problems(set(gens)), None) is None and coheres_from(gens)
+            holds = next(chain(pair_problems(set(gens)), failures(gens, outs)), None) is None
         except ValueError:
             # the exhaustive pass below raises it again, or stops before
             holds = False
         if holds:
             return problems
-    for msg in pair_problems(range(n)):
-        if note(msg):
-            return problems
-    if coherence:
-        for hi, gi, fi, y in failures():
-            if note("coherence fails at (%r, %r, %r) on object %d"
-                    % (maps[hi], maps[gi], maps[fi], y)):
-                return problems
-    return problems
     for msg in pair_problems(range(n)):
         if note(msg):
             return problems

@@ -292,7 +292,7 @@ def tr2_strong_segalic(x, strategy="cleavage"):
             2: sd.muhat2, 3: sd.muhat3}
     counits = {2: retr.counit2, 3: retr.counit3}
     hats = {2: sd.hat2, 3: sd.hat3}
-    transports, alphas, whisks = {}, {}, {}
+    transports, alphas = {}, {}
 
     def spine_at(f):
         if f.src_rank == 1 and f.tgt_rank >= 2 and f.values[1] == f.values[0] + 1:
@@ -329,18 +329,11 @@ def tr2_strong_segalic(x, strategy="cleavage"):
                                  for c in counits[k].components]
         return alphas[f]
 
-    def whisker(f):
-        # used when a composite passes through level zero
-        if f not in whisks:
-            whisks[f] = fc.compose_functors(ebar[f.src_rank], x.nerve_action(f))
-        return whisks[f]
-
     def cell(g, f):
         a, b, c = f.src_rank, f.tgt_rank, g.tgt_rank
         gf = site.compose(g, f)
-        hf = action(f)
-        hg = action(g)
-        hgf = action(gf) if not site.is_identity(gf) else fc.identity_functor(levels[a])
+        # the diagram's own actions: an identity composite acts by its cached identity
+        hf, hg, hgf = diagram.action(f), diagram.action(g), diagram.action(gf)
         bottom = levels[a]
         af, ag, agf = alpha(f), alpha(g), alpha(gf)
         tf = transport(f)
@@ -354,7 +347,8 @@ def tr2_strong_segalic(x, strategy="cleavage"):
             if b == 0:
                 w = x.nerve_action(g).obj(e[c].obj(y))
                 kap = an.only(x.x0.hom(sd.gamma_section.obj(sd.gamma.obj(w)), w))
-                steps.append(whisker(f).mor(kap))
+                # a composite through level zero: kap whiskered by f
+                steps.append(ebar[a].mor(x.nerve_action(f).mor(kap)))
             if agf is not None:
                 steps.append(bottom.inverse(agf[y]))
             if not steps:

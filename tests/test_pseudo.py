@@ -74,9 +74,15 @@ DIAGRAMS = {"z2": twisted_constant, "swap": twisted_swap}
 
 
 def reference_pairs(diagram, max_problems):
-    """Every check but coherence, by exhaustive enumeration of each item."""
+    """Every check but coherence, by exhaustive enumeration of each item.
+
+    ``fincat.validate_nat`` is a pure function of the cell's levels, the two
+    functors' maps and the components, so its verdict is kept per distinct
+    cell for the call: every square of every distinct cell is still checked.
+    """
     site = diagram.site
     problems = []
+    verdicts = {}
 
     def note(msg):
         problems.append(msg)
@@ -108,7 +114,13 @@ def reference_pairs(diagram, max_problems):
             if note("cell at (%r, %r) has wrong endpoints" % (g, f)):
                 return problems
             continue
-        bad = fc.validate_nat(cell)
+        s, t = cell.source, cell.target
+        key = (id(s.source), id(s.target), id(t.source), id(t.target),
+               s.obj_map, s.mor_map, t.obj_map, t.mor_map, cell.components)
+        if key not in verdicts:
+            # the cell is kept with its verdict, so that no id in a key is reused
+            verdicts[key] = (cell, fc.validate_nat(cell))
+        bad = verdicts[key][1]
         if bad:
             if note("cell at (%r, %r) is not natural: %s" % (g, f, bad[0])):
                 return problems
@@ -526,6 +538,19 @@ def test_tf2_cell_failing_off_the_generators_is_reported(diagrams):
         "cell at (%r, %r) is not natural: %s" % (g, f, fc.validate_nat(cell)[0])]
 
 
+def test_coherence_around_an_action_with_wrong_endpoints_matches_the_reference():
+    # the twisted Z/2 diagram with one action landing in the wrong levels:
+    # the rows of the coherence walk that read it are walked triple by
+    # triple, skipping only the triples through the broken action
+    d = twisted_constant(ps.OrdinalSite(2))
+    f_star = ds.SimplexMap(1, 2, (0, 2))
+    expected = assert_matches_the_reference(
+        retarget(d, f_star, fc.identity_functor(fc.discrete(1))))
+    assert len(expected) == 1083
+    assert expected[0] == "action of %r has wrong endpoints" % (f_star,)
+    assert all(p.startswith("coherence fails at") for p in expected[1:])
+
+
 def test_an_action_with_wrong_endpoints_does_not_stop_the_report():
     # acting by the identity of level 1 makes (1,) : [0] -> [1] land in the
     # wrong level; pairs through it used to raise "functors are not composable"
@@ -638,3 +663,31 @@ def test_a_cell_with_wrong_endpoints_and_no_components_is_reported_once():
     d = ps.PseudoDiagram(ps.OrdinalSite(1), lambda a: Z2, lambda f: ident,
                          lambda g, f: fc.NatTransf(other, ident, []) if (g, f) == pair else None)
     assert ps.validate_pseudo(d) == ["cell at (%r, %r) has wrong endpoints" % pair]
+
+
+# maps of OrdinalSite(1): the codegeneracy, the two cofaces and their composites
+S0, D0, D1 = ds.codegeneracy(0, 0), ds.coface(0, 1), ds.coface(1, 1)
+S0D0, S0D1 = ds.SimplexMap(1, 1, (1, 1)), ds.SimplexMap(1, 1, (0, 0))
+
+
+@pytest.mark.parametrize("wrong, twists, triple", [
+    ({(S0, S0D1): [], (S0D1, S0D1): [1, 0]}, {(S0, D1): [1]}, (S0D1, D1, S0)),
+    ({(S0D1, D1): [], (S0D0, D1): [0, 1]}, {(D0, S0): [1]}, (D0, S0, D1))],
+    ids=["cells at g.f", "cells at f"])
+def test_a_row_with_cells_of_the_wrong_length_is_walked_triple_by_triple(wrong, twists, triple):
+    # the wrong cells have wrong endpoints and no component or two: joined,
+    # the row of the triple (cells at g.f for the first pasting, at f for
+    # the second) lines up with the other pasting, while the triple itself
+    # does not cohere on the component it reads
+    ident = fc.identity_functor(Z2)
+    other = fc.FunctorMap(Z2, Z2, [0], [0, 0])
+
+    def cell(g, f):
+        if (g, f) in wrong:
+            return fc.NatTransf(other, ident, wrong[(g, f)])
+        return fc.NatTransf(ident, ident, twists.get((g, f), [0]))
+
+    report = ps.validate_pseudo(ps.PseudoDiagram(ps.OrdinalSite(1), lambda a: Z2,
+                                                 lambda f: ident, cell), max_problems=10**6)
+    assert report[:2] == ["cell at (%r, %r) has wrong endpoints" % pair for pair in wrong]
+    assert "coherence fails at (%r, %r, %r) on object 0" % triple in report

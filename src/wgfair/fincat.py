@@ -40,7 +40,7 @@ class FinCat:
     fills in the whole table on first read and keeps it.
     """
 
-    __slots__ = ("n_obj", "src", "tgt", "identity", "_comp", "_rule", "_hom", "_inv")
+    __slots__ = ("n_obj", "src", "tgt", "identity", "_comp", "_rule", "_hom", "_inv", "_gens")
 
     def __init__(self, n_obj, src, tgt, identity, comp=None, rule=None):
         if (comp is None) == (rule is None):
@@ -53,6 +53,7 @@ class FinCat:
         self._rule = rule
         self._hom = None
         self._inv = {}
+        self._gens = None
 
     @property
     def n_mor(self):
@@ -148,9 +149,12 @@ def thin_from_preorder(n, pairs):
 
     Morphisms are numbered in sorted pair order, and the composition table
     is enumerated the usual way: for each f, the g leaving its target in id
-    order.  pairs must lie in 0..n-1 and be reflexive and transitive;
-    ValueError naming the first offending pair or object otherwise.
+    order.  n must be at least 0, and pairs must lie in 0..n-1 and be
+    reflexive and transitive; ValueError naming n or the first offending
+    pair or object otherwise.
     """
+    if n < 0:
+        raise ValueError("n must be at least 0, not %r" % (n,))
     labels = sorted(set(pairs))
     for (x, y) in labels:
         if not (0 <= x < n and 0 <= y < n):
@@ -256,8 +260,11 @@ def generators(cat):
     before it (identities are free), so every morphism of cat is an identity
     or a composite of the returned ones.  The generated subcategory is grown
     by composing generators on the left: each member is found once and
-    multiplied once by every generator that leaves its target.
+    multiplied once by every generator that leaves its target.  The set is
+    computed once per category and kept on it.
     """
+    if cat._gens is not None:
+        return list(cat._gens)
     src, tgt, compose = cat.src, cat.tgt, cat.compose
     inside = [False] * cat.n_mor
     for e in cat.identity:
@@ -287,6 +294,7 @@ def generators(cat):
                     inside[y] = True
                     ending_at[tgt[y]].append(y)
                     todo.append(y)
+    cat._gens = tuple(gens)
     return gens
 
 
@@ -483,6 +491,17 @@ class NatTransf:
         self.components = tuple(self.components)
 
 
+def _check_components(nat):
+    """ValueError unless the components are one morphism id per source object."""
+    if len(nat.components) != nat.source.source.n_obj:
+        raise ValueError("one component per source object is required")
+    try:
+        if any(not 0 <= c < nat.source.target.n_mor for c in nat.components):
+            raise ValueError("component out of range")
+    except TypeError:
+        raise ValueError("the components hold an entry that is not an id") from None
+
+
 def validate_nat(nat):
     """Naturality as a violation list; malformed functors or components raise ValueError."""
     f, g = nat.source, nat.target
@@ -490,14 +509,8 @@ def validate_nat(nat):
         raise ValueError("the two functors are not parallel")
     _check_functor_shape(f)
     _check_functor_shape(g)
+    _check_components(nat)
     a, b = f.source, f.target
-    if len(nat.components) != a.n_obj:
-        raise ValueError("one component per source object is required")
-    try:
-        if any(not 0 <= c < b.n_mor for c in nat.components):
-            raise ValueError("component out of range")
-    except TypeError:
-        raise ValueError("the components hold an entry that is not an id") from None
     problems = []
     for x in range(a.n_obj):
         c = nat.components[x]

@@ -2,27 +2,30 @@
 
 A diagram assigns a category to every site object and a contravariant functor
 to every site map, together with invertible comparison cells measuring how
-composition is preserved.  Identity maps act as identity functors and cells
-with an identity leg are identities.
+composition is preserved.  ``PseudoDiagram`` owns the shape of what it hands
+out: identity maps act as identity functors, cells with an identity leg are
+identities, every other cell is built between its own two actions from the
+components the caller gives, and an action between the wrong levels or out
+of shape, or components that are not one id per object, raise ValueError
+there.
 
-Validation is exact, with no sampling.  Endpoints, identities and identity
-legs are checked on every map, pair and object.  Each action goes through
-``fincat.validate_functor``, which decides composition on the generators of
-its source level, and naturality squares are tried at the generators of the
-level too.  On the site, naturality and invertibility of the cells are
-checked only at the pairs whose first map is a generator, and coherence
-only at the triples whose first map is a generator and whose other two maps
-are not identities.  That decides every law: the coherence law at (h, g, s)
-writes cell(h, g.s) through cells whose first map is shorter, so by
-induction on that length every cell is a natural isomorphism; triples with
-an identity leg hold once the cells with an identity leg are identities;
-and the pentagon gives coherence at every other triple.
-``validate_pseudo`` states the argument.  When a generator check fails, the
-exhaustive check of that item runs and words the problems, so the report is
-that of full enumeration.  Both use one coherence walk: rows of pastings
-first, then triples only in a row that differs.  Site maps hash once, and
-``OrdinalSite.compose`` hands back the site's own map objects, so the caches
-keyed by maps stay cheap.
+Validation is exact, with no sampling, and judges only the laws.  Each
+action goes through ``fincat.validate_functor``, which decides composition
+on the generators of its source level, and naturality squares are tried at
+the generators of the level too.  On the site, naturality and invertibility
+of the cells are checked only at the pairs whose first map is a generator,
+and coherence only at the triples whose first map is a generator and whose
+other two maps are not identities.  That decides every law: the coherence
+law at (h, g, s) writes cell(h, g.s) through cells whose first map is
+shorter, so by induction on that length every cell is a natural
+isomorphism; triples with an identity leg hold because the cells with an
+identity leg are identities; and the pentagon gives coherence at every
+other triple.  ``validate_pseudo`` states the argument.  When a generator
+check fails, the exhaustive check of that item runs and words the problems,
+so the report is that of full enumeration.  Both use one coherence walk:
+rows of pastings first, then triples only in a row that differs.  Site maps
+hash once, and ``OrdinalSite.compose`` hands back the site's own map
+objects, so the caches keyed by maps stay cheap.
 """
 
 from __future__ import annotations
@@ -84,9 +87,19 @@ class PseudoDiagram:
     """Contravariant pseudo-functor on a finite site, normalized at identities.
 
     level_fn(a) gives the category at a site object; action_fn(f) the functor
-    level(tgt f) -> level(src f); cell_fn(g, f) the invertible comparison
-    action(f) . action(g) => action(g after f), or None for the identity.
+    level(tgt f) -> level(src f); cell_fn(g, f) the components of the
+    invertible comparison action(f) . action(g) => action(g after f), one
+    morphism id per object of level(tgt g), or None for the identity.
     Results are cached; consumers should go through level/action/cell.
+
+    ``action`` answers an identity with the identity functor, and raises
+    ValueError("action of f has wrong endpoints") for a functor between the
+    wrong levels and ValueError("action of f: ...") with ``fincat``'s
+    wording for maps out of shape.  ``cell`` answers a pair with an identity leg with the
+    identity, without asking cell_fn, and builds every other cell between
+    its own two actions; it raises ValueError("cell at (g, f): ...") with
+    ``fincat.validate_nat``'s wording when the components are not one id
+    per object.
     """
 
     def __init__(self, site, level_fn, action_fn, cell_fn):
@@ -105,62 +118,75 @@ class PseudoDiagram:
 
     def action(self, f):
         if f not in self._actions:
-            if self.site.is_identity(f):
-                self._actions[f] = fc.identity_functor(self.level(self.site.src(f)))
+            site = self.site
+            if site.is_identity(f):
+                act = fc.identity_functor(self.level(site.src(f)))
             else:
-                self._actions[f] = self._action_fn(f)
+                act = self._action_fn(f)
+                if act.source != self.level(site.tgt(f)) or act.target != self.level(site.src(f)):
+                    raise ValueError("action of %r has wrong endpoints" % (f,))
+                try:
+                    fc._check_functor_shape(act)
+                except ValueError as err:
+                    raise ValueError("action of %r: %s" % (f, err)) from None
+            self._actions[f] = act
         return self._actions[f]
 
     def cell(self, g, f):
         """Comparison action(f) . action(g) => action(g after f)."""
         key = (g, f)
         if key not in self._cells:
+            composite = fc.compose_functors(self.action(f), self.action(g))
+            target = self.action(self.site.compose(g, f))
             leg = self.site.is_identity(f) or self.site.is_identity(g)
-            made = None if leg else self._cell_fn(g, f)
-            if made is None:
-                composite = fc.compose_functors(self.action(f), self.action(g))
-                target = self.action(self.site.compose(g, f))
+            comps = None if leg else self._cell_fn(g, f)
+            if comps is None:
                 if leg and composite != target:
                     raise ValueError("identity-leg cell at (%r, %r): the composite"
                                      " action is not the action of the composite" % (g, f))
-                made = fc.NatTransf(composite, target,
-                                    [composite.target.identity[x] for x in composite.obj_map])
+                comps = [composite.target.identity[x] for x in composite.obj_map]
+            made = fc.NatTransf(composite, target, comps)
+            try:
+                fc._check_components(made)
+            except ValueError as err:
+                raise ValueError("cell at (%r, %r): %s" % (g, f, err)) from None
             self._cells[key] = made
         return self._cells[key]
 
 
-def _is_natural_on(nat, squares):
-    """Whether nat is natural, with squares tried only at the given morphisms.
+def _is_natural_on(nat, gens):
+    """Whether nat is natural, with squares tried only at the morphisms gens.
 
-    Both functors must be lawful and parallel: then squares paste, and
-    squares at a generating set give naturality everywhere.  With no squares
-    only the components' number and endpoints are checked.  Components out
-    of shape give False, so ``fincat.validate_nat`` can word the failure.
+    Both functors must be lawful and parallel, with one component per
+    object in range (what ``PseudoDiagram.cell`` builds): then squares
+    paste, and squares at a generating set give naturality everywhere.
+    With no gens only the components' endpoints are checked.  A failure
+    gives False, so ``fincat.validate_nat`` can word it.
     """
     f, g = nat.source, nat.target
-    b = f.target
+    a, b = f.source, f.target
     comps = nat.components
-    try:
-        if len(comps) != f.source.n_obj or (comps and not 0 <= min(comps) <= max(comps) < b.n_mor):
-            return False
-    except TypeError:
-        return False
     fo, go = f.obj_map, g.obj_map
     if any(b.src[c] != fo[x] or b.tgt[c] != go[x] for x, c in enumerate(comps)):
         return False
     get, fm, gm = b.comp.get, f.mor_map, g.mor_map
-    return all(get((gm[m], comps[x])) == get((comps[y], fm[m])) for m, x, y in squares)
+    return all(get((gm[m], comps[a.src[m]])) == get((comps[a.tgt[m]], fm[m])) for m in gens)
 
 
 def validate_pseudo(diagram, coherence=True, max_problems=20):
-    """Check the pseudo-functor axioms exactly; list of problems.
+    """Check the pseudo-functor laws exactly; list of problems.
 
-    Checks every action is a functor with the right endpoints, identities act
-    as identities, every comparison cell is an invertible natural
-    transformation with the right endpoints and identity legs give identity
-    cells, and (unless coherence=False) the two ways of pasting cells agree
-    on every composable triple of site maps.  An action or cell whose maps
-    or components are out of shape raises ValueError naming it.
+    The diagram must be a ``PseudoDiagram`` (ValueError naming its type
+    otherwise), so identities act as identities, cells with an identity leg
+    are identities and every cell runs between its own two actions, each
+    with one component per object; an action between the wrong levels or
+    with maps out of shape, or a cell with components out of shape, raises
+    ValueError naming it when it is first read.  What is reported is the
+    laws: every action is a functor, every comparison cell is an invertible
+    natural transformation (a component with wrong endpoints is a
+    naturality failure, as in ``fincat.validate_nat``), and (unless
+    coherence=False) the two ways of pasting cells agree on every
+    composable triple of site maps.
 
     Precondition: every level is a category (the ``FinCat`` contract), and
     the site's generators generate its maps (``OrdinalSite.generators``).
@@ -172,14 +198,15 @@ def validate_pseudo(diagram, coherence=True, max_problems=20):
       of the action's source level; its docstring gives why that is exact.
     - While no action problem has been recorded, every action is a functor,
       so a cell's naturality squares are checked at the generators of its
-      source level only, computed once per level per call: squares paste.
+      source level only (``fincat.generators``, kept on the level): squares
+      paste.
     - With coherence and no action problem, one pass over the composable
-      pairs checks at every pair the endpoints of the cell and of each
-      component, and identity legs, but naturality and invertibility only
-      at the pairs (g, s) whose first map s is a generator of the site.
-      The coherence walk then takes only generators as first maps and skips
-      triples with an identity second or third map.  If all of that passes,
-      every law holds at every pair and triple:
+      pairs checks at every pair the endpoints of each component, but
+      naturality and invertibility only at the pairs (g, s) whose first
+      map s is a generator of the site.  The coherence walk then takes only
+      generators as first maps and skips triples with an identity second or
+      third map.  If all of that passes, every law holds at every pair and
+      triple:
 
       * Every cell is a natural isomorphism, by induction on the length of
         its first map as a word in the generators.  A cell with an identity
@@ -189,9 +216,9 @@ def validate_pseudo(diagram, coherence=True, max_problems=20):
         cell(h, g.s) = [cell(h.g, s) . F(s)cell(h, g)] . (cell(g, s) at F(h))^-1,
         a composite of natural isomorphisms and their whiskerings by
         functors.
-      * A triple with an identity leg holds on its own once the cells with
-        an identity leg are identities: the pastings reduce to the same
-        cell.  A triple with an identity first map is one of these.
+      * A triple with an identity leg holds on its own because the cells
+        with an identity leg are identities: the pastings reduce to the
+        same cell.  A triple with an identity first map is one of these.
       * For composable k, h, g, s the pentagon of their five bracketings
         gives the law at (k, h, g.s) from those at (h, g, s), (k.h, g, s),
         (k, h.g, s) and (k, h, g), given natural invertible cells; induct
@@ -204,33 +231,21 @@ def validate_pseudo(diagram, coherence=True, max_problems=20):
     truncation are those of the exhaustive walk.  Problems are listed in
     visiting order (pairs by f, then g; triples by f, then g, then h) and
     the list stops at max_problems entries; a max_problems below one stops
-    at the first problem.  Pairs and triples that read an action reported
-    with wrong endpoints are skipped, and so are triples whose pastings do
-    not compose or read components out of shape (a cell already reported
-    as malformed).  The decision and the report share one coherence walk:
-    for each f and g the pastings of every h are compared as one row first,
-    and only a row that differs, does not compose or reads a cell missing
-    or out of shape is walked triple by triple.
+    at the first problem.  Triples whose pastings do not compose (they read
+    a component with wrong endpoints, already reported) are skipped.  The
+    decision and the report share one coherence walk: for each f and g the
+    pastings of every h are compared as one row first, and only a row that
+    differs or does not compose is walked triple by triple.
     """
+    if not isinstance(diagram, PseudoDiagram):
+        raise ValueError("validate_pseudo takes a PseudoDiagram, not %s"
+                         % type(diagram).__name__)
     site = diagram.site
     problems = []
-    squares = {}
 
     def note(msg):
         problems.append(msg)
         return len(problems) >= max_problems
-
-    def level_squares(a):
-        """The level's generators with their endpoints: the squares to try."""
-        if a not in squares:
-            cat = diagram.level(a)
-            squares[a] = [(s, cat.src[s], cat.tgt[s]) for s in fc.generators(cat)]
-        return squares[a]
-
-    for a in site.objects:
-        if diagram.action(site.identity(a)) != fc.identity_functor(diagram.level(a)):
-            if note("identity of %r does not act as the identity functor" % (a,)):
-                return problems
 
     # number the site maps once: pairs and triples then read flat lists
     # indexed by g*n + f instead of hashing the maps themselves
@@ -241,22 +256,10 @@ def validate_pseudo(diagram, coherence=True, max_problems=20):
     out_of = {a: [] for a in site.objects}
     for i, f in enumerate(maps):
         out_of[site.src(f)].append(i)
-    ident = [site.is_identity(f) for f in maps]
-    acts, ok = [], []
+    acts = []
     for f in maps:
-        act = diagram.action(f)
-        acts.append(act)
-        # pairs reading an action with wrong endpoints are skipped
-        ok.append(act.source == diagram.level(site.tgt(f))
-                  and act.target == diagram.level(site.src(f)))
-        if not ok[-1]:
-            if note("action of %r has wrong endpoints" % (f,)):
-                return problems
-            continue
-        try:
-            bad = fc.validate_functor(act)
-        except ValueError as err:
-            raise ValueError("action of %r: %s" % (f, err)) from None
+        acts.append(diagram.action(f))
+        bad = fc.validate_functor(acts[-1])
         if bad and note("action of %r is not a functor: %s" % (f, bad[0])):
             return problems
     lawful = not problems
@@ -266,55 +269,38 @@ def validate_pseudo(diagram, coherence=True, max_problems=20):
         """Cell problems pair by pair, f then g each in hom order; fills after and comps_of.
 
         Naturality and invertibility are checked at the pairs whose first
-        map is numbered in natural_at, everything else at every pair.
+        map is numbered in natural_at, component endpoints at every pair.
         """
         for fi, f in enumerate(maps):
             for gi in out_of[site.tgt(f)]:
                 g, k = maps[gi], gi * n + fi
-                gf = after[k] = index[site.compose(g, f)]
-                if not (ok[fi] and ok[gi] and ok[gf]):
-                    continue
+                after[k] = index[site.compose(g, f)]
                 cell = diagram.cell(g, f)
                 comps_of[k] = cell.components
-                composite = fc.compose_functors(acts[fi], acts[gi])
-                if cell.source != composite or cell.target != acts[gf]:
-                    yield "cell at (%r, %r) has wrong endpoints" % (g, f)
-                    continue
                 checked = fi in natural_at
                 if not (lawful and _is_natural_on(
-                        cell, level_squares(site.tgt(g)) if checked else ())):
-                    try:
-                        bad = fc.validate_nat(cell)
-                    except ValueError as err:
-                        raise ValueError("cell at (%r, %r): %s" % (g, f, err)) from None
+                        cell, fc.generators(diagram.level(site.tgt(g))) if checked else ())):
+                    bad = fc.validate_nat(cell)
                     if bad:
                         yield "cell at (%r, %r) is not natural: %s" % (g, f, bad[0])
                         continue
-                dcat = composite.target
-                if checked and not all(map(dcat.is_iso, cell.components)):
+                if checked and not all(map(cell.source.target.is_iso, cell.components)):
                     yield "cell at (%r, %r) is not invertible" % (g, f)
-                if (ident[fi] or ident[gi]) and any(
-                        c != dcat.identity[composite.obj_map[x]]
-                        for x, c in enumerate(cell.components)):
-                    yield "cell with an identity leg at (%r, %r) is not the identity" % (g, f)
 
     def failures(firsts, outs):
         """Failing triples as (h, g, f, object), f in firsts, g and h in outs, by f, g, h.
 
         object is None where the pastings do not compose.  Rows (the
         pastings of every h for one f and g, joined in the order of h) are
-        compared first; only a row that differs, does not compose or reads a
-        cell that is missing or out of shape is walked triple by triple.
+        compared first; only a row that differs or does not compose is
+        walked triple by triple.
         """
         obj_row = {a: [x for hi in outs[a] for x in acts[hi].obj_map] for a in site.objects}
-        # cell(h, j) and h.j for every h out of the target of j; no cell row
-        # unless each of those cells is there with one component per object
+        # cell(h, j) and h.j for every h out of the target of j
         cell_row, after_row = [], []
         for j, f in enumerate(maps):
             hs = outs[site.tgt(f)]
-            row = [comps_of[hi * n + j] for hi in hs]
-            fit = all(c is not None and len(c) == len(acts[hi].obj_map) for hi, c in zip(hs, row))
-            cell_row.append(list(chain.from_iterable(row)) if fit else None)
+            cell_row.append(list(chain.from_iterable(comps_of[hi * n + j] for hi in hs)))
             after_row.append([after[hi * n + j] for hi in hs])
         for fi in firsts:
             f = maps[fi]
@@ -322,18 +308,14 @@ def validate_pseudo(diagram, coherence=True, max_problems=20):
             af = acts[fi].mor_map.__getitem__
             for gi in outs[site.tgt(f)]:
                 g, gf = maps[gi], after[gi * n + fi]
-                if comps_of[gi * n + fi] is None:
-                    continue
                 inner = comps_of[gi * n + fi].__getitem__
                 try:
-                    # cell(h.g, f) lines up with h when every cell(x, f) fits
-                    if cell_row[fi] is not None and (
-                            list(map(get, zip(cell_row[gf], map(inner, obj_row[site.tgt(g)]))))
+                    if (list(map(get, zip(cell_row[gf], map(inner, obj_row[site.tgt(g)]))))
                             == list(map(get, zip(chain.from_iterable(
                                 [comps_of[hg * n + fi] for hg in after_row[gi]]),
                                 map(af, cell_row[gi]))))):
                         continue
-                except (KeyError, IndexError, TypeError):
+                except KeyError:
                     pass
                 for hi in outs[site.tgt(g)]:
                     # cell(h, g.f) after cell(g, f) whiskered by h, against
@@ -343,7 +325,7 @@ def validate_pseudo(diagram, coherence=True, max_problems=20):
                                                 map(inner, acts[hi].obj_map))))
                         two = list(map(get, zip(comps_of[after[hi * n + gi] * n + fi],
                                                 map(af, comps_of[hi * n + gi]))))
-                    except (KeyError, IndexError, TypeError):
+                    except KeyError:
                         yield hi, gi, fi, None
                         continue
                     if one != two:
@@ -353,7 +335,7 @@ def validate_pseudo(diagram, coherence=True, max_problems=20):
 
     if coherence and lawful:
         gens = sorted(index[s] for s in site.generators())
-        outs = {a: [i for i in out_of[a] if not ident[i]] for a in site.objects}
+        outs = {a: [i for i in out_of[a] if not site.is_identity(maps[i])] for a in site.objects}
         try:
             holds = next(chain(pair_problems(set(gens)), failures(gens, outs)), None) is None
         except ValueError:

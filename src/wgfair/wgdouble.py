@@ -331,11 +331,9 @@ def tr2_strong_segalic(x, strategy="cleavage"):
 
     def cell(g, f):
         a, b, c = f.src_rank, f.tgt_rank, g.tgt_rank
-        gf = site.compose(g, f)
-        # the diagram's own actions: an identity composite acts by its cached identity
-        hf, hg, hgf = diagram.action(f), diagram.action(g), diagram.action(gf)
+        hf, hg = diagram.action(f), diagram.action(g)
         bottom = levels[a]
-        af, ag, agf = alpha(f), alpha(g), alpha(gf)
+        af, ag, agf = alpha(f), alpha(g), alpha(site.compose(g, f))
         tf = transport(f)
         comps = []
         for y in range(levels[c].n_obj):
@@ -358,7 +356,7 @@ def tr2_strong_segalic(x, strategy="cleavage"):
                 for nxt in steps[1:]:
                     total = bottom.compose(nxt, total)
                 comps.append(total)
-        return fc.NatTransf(fc.compose_functors(hf, hg), hgf, comps)
+        return comps
 
     diagram = ps.PseudoDiagram(site, levels.__getitem__, action, cell)
     return Tr2Result(x, sd, retr, diagram, strategy)
@@ -604,8 +602,12 @@ def generate_random_wg(seed, max_base_objects=3, max_fiber=2):
     """Seeded weakly globular double category from a random thin base.
 
     With bounds (1, 1) this degenerates to the terminal instance.  Valid by
-    construction, and from_generators re-checks anyway.
+    construction, and from_generators re-checks anyway.  Both bounds must
+    be at least 1; ValueError naming the bound otherwise.
     """
+    for name, bound in (("max_base_objects", max_base_objects), ("max_fiber", max_fiber)):
+        if bound < 1:
+            raise ValueError("%s must be at least 1, not %r" % (name, bound))
     rng = random.Random(seed)
     n = rng.randint(1, max_base_objects)
     reach = [[i == j for j in range(n)] for i in range(n)]

@@ -259,6 +259,14 @@ def test_thin_from_preorder_names_the_bad_pair(n, pairs, message):
         fc.thin_from_preorder(n, pairs)
 
 
+@pytest.mark.parametrize("build", [lambda n: fc.thin_from_preorder(n, []), fc.discrete,
+                                   fc.chaotic], ids=["thin", "discrete", "chaotic"])
+def test_a_negative_size_is_refused(build):
+    # -1 objects used to give FinCat(-1 obj, 0 mor)
+    with pytest.raises(ValueError, match="^n must be at least 0, not -1$"):
+        build(-1)
+
+
 @given(st.lists(st.integers(1, 3), min_size=1, max_size=4))
 def test_disjoint_chaotic_blocks_are_hd(sizes):
     cat, _, _ = fc.disjoint_union([fc.chaotic(s) for s in sizes])

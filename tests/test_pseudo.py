@@ -35,7 +35,7 @@ def twisted_constant(site):
 
     def cell(g, f):
         if f.values[0] == 0 and g.tgt_rank == 2:
-            return fc.NatTransf(ident, ident, [1])
+            return [1]
         return None
 
     return ps.PseudoDiagram(site, lambda a: Z2, lambda f: ident, cell)
@@ -63,9 +63,7 @@ def twisted_swap(site):
     def cell(g, f):
         composite = fc.compose_functors(action(f), action(g))
         power = sum(g.values) + 2 * sum(f.values)
-        return fc.NatTransf(composite, action(site.compose(g, f)),
-                            [3 * x + (power + y) % 3
-                             for y, x in enumerate(composite.obj_map)])
+        return [3 * x + (power + y) % 3 for y, x in enumerate(composite.obj_map)]
 
     return ps.PseudoDiagram(site, lambda a: level, action, cell)
 
@@ -306,6 +304,51 @@ def test_nerve_matches_the_exhaustive_reference(diagrams, strategy):
     assert ps.validate_pseudo(d) == reference_pseudo(d) == []
 
 
+def test_validation_computes_the_generators_of_each_level_once(diagrams, monkeypatch):
+    # one call used to compute them once per action and once per level:
+    # 125 times on the family, for 4 levels
+    d = diagrams[("family", "cleavage")]
+    levels = [d.level(a) for a in d.site.objects]
+    before = [fc.generators(cat) for cat in levels]
+    for cat in levels:
+        monkeypatch.setattr(cat, "_gens", None)
+    computed, generators = [], fc.generators
+
+    def spy(cat):
+        if cat._gens is None:
+            computed.append(cat)
+        return generators(cat)
+
+    monkeypatch.setattr(fc, "generators", spy)
+    assert ps.validate_pseudo(d) == []
+    assert sorted(map(id, computed)) == sorted(map(id, levels))
+    assert [generators(cat) for cat in levels] == before
+    # what is kept on the category is what is handed out
+    monkeypatch.setattr(levels[0], "_gens", ("kept",))
+    assert generators(levels[0]) == ["kept"]
+
+
+def test_tr2_and_its_validation_compose_each_pair_of_actions_once(monkeypatch):
+    # the cell's source is composed where the cell is built, and nowhere
+    # else: one composite for each of the 5,374 composable pairs, and 250
+    # in building the nerve, its Tr2 and the actions (10,998 before cells
+    # came as components)
+    calls, compose = [], fc.compose_functors
+
+    def spy(g, f):
+        calls.append((g, f))
+        return compose(g, f)
+
+    monkeypatch.setattr(fc, "compose_functors", spy)
+    d = wg.tr2_strong_segalic(corpus.double("nerve")).diagram
+    assert ps.validate_pseudo(d, coherence=True) == []
+    site = d.site
+    acts = {id(d.action(f)) for a in site.objects for b in site.objects for f in site.hom(a, b)}
+    pairs = [(id(g), id(f)) for g, f in calls if id(g) in acts and id(f) in acts]
+    assert len(pairs) == len(set(pairs)) == len(list(corpus.composable_pairs(site)))
+    assert len(calls) == 5624
+
+
 def cells_at(site, level, components):
     """Identity actions on a one-object level; the cell at each pair in components has them.
 
@@ -313,11 +356,8 @@ def cells_at(site, level, components):
     """
     ident = fc.identity_functor(level)
 
-    def cell(g, f):
-        comps = components.get((g, f))
-        return None if comps is None else fc.NatTransf(ident, ident, comps)
-
-    return ps.PseudoDiagram(site, lambda a: level, lambda f: ident, cell)
+    return ps.PseudoDiagram(site, lambda a: level, lambda f: ident,
+                            lambda g, f: components.get((g, f)))
 
 
 def legless_pairs(site):
@@ -348,28 +388,18 @@ def test_twists_off_the_site_generators_are_found(seed):
 
 
 def retarget(diagram, f_star, act):
-    """diagram with act as the action of f_star; cells into it keep their components."""
-    site = diagram.site
-
+    """diagram with act as the action of f_star; every cell keeps its components."""
     def action(f):
         return act if f == f_star else diagram.action(f)
 
-    def cell(g, f):
-        made = diagram.cell(g, f)
-        if site.compose(g, f) == f_star:
-            return fc.NatTransf(made.source, act, made.components)
-        return made
-
-    return ps.PseudoDiagram(site, diagram.level, action, cell)
+    return ps.PseudoDiagram(diagram.site, diagram.level, action,
+                            lambda g, f: diagram.cell(g, f).components)
 
 
 def recell(diagram, pair, components):
     """diagram with the cell at pair given other components."""
     def cell(g, f):
-        made = diagram.cell(g, f)
-        if (g, f) == pair:
-            return fc.NatTransf(made.source, made.target, components)
-        return made
+        return components if (g, f) == pair else diagram.cell(g, f).components
 
     return ps.PseudoDiagram(diagram.site, diagram.level, diagram.action, cell)
 
@@ -429,29 +459,9 @@ def test_a_cell_seen_only_from_the_codegeneracy_is_found():
 
     pair = (ds.coface(1, 1), ds.codegeneracy(0, 0))
 
-    def cell(g, f):
-        if (g, f) != pair:
-            return None
-        return fc.NatTransf(fc.compose_functors(action(f), action(g)),
-                            action(site.compose(g, f)), [1])
-
-    expected = assert_matches_the_reference(
-        ps.PseudoDiagram(site, levels.__getitem__, action, cell))
+    expected = assert_matches_the_reference(ps.PseudoDiagram(
+        site, levels.__getitem__, action, lambda g, f: [1] if (g, f) == pair else None))
     assert expected[0] == "cell at (%r, %r) is not invertible" % pair
-
-
-def test_an_identity_leg_cell_off_the_generators_is_found():
-    # a diagram given by bare methods, so that a cell with an identity leg
-    # can be other than the identity; its first map is no generator, and no
-    # triple of the generator walk reads it
-    site = ps.OrdinalSite(1)
-    ident = fc.identity_functor(Z2)
-    pair = (site.identity(1), ds.SimplexMap(1, 1, (0, 0)))
-    d = types.SimpleNamespace(
-        site=site, level=lambda a: Z2, action=lambda f: ident,
-        cell=lambda g, f: fc.NatTransf(ident, ident, [1 if (g, f) == pair else 0]))
-    expected = assert_matches_the_reference(d)
-    assert expected[0] == "cell with an identity leg at (%r, %r) is not the identity" % pair
 
 
 def test_tf2_cell_with_a_stray_component_off_the_generators_is_found(diagrams):
@@ -540,20 +550,25 @@ def test_tf2_cell_failing_off_the_generators_is_reported(diagrams):
 
 def test_coherence_around_an_action_with_wrong_endpoints_matches_the_reference():
     # the twisted Z/2 diagram with one action landing in the wrong levels:
-    # the rows of the coherence walk that read it are walked triple by
-    # triple, skipping only the triples through the broken action
+    # the action is refused where it is first read, and so is every cell
+    # that reads it, before any law is judged
     d = twisted_constant(ps.OrdinalSite(2))
     f_star = ds.SimplexMap(1, 2, (0, 2))
-    expected = assert_matches_the_reference(
-        retarget(d, f_star, fc.identity_functor(fc.discrete(1))))
-    assert len(expected) == 1083
-    assert expected[0] == "action of %r has wrong endpoints" % (f_star,)
-    assert all(p.startswith("coherence fails at") for p in expected[1:])
+    bd = retarget(d, f_star, fc.identity_functor(fc.discrete(1)))
+    message = "^%s$" % re.escape("action of %r has wrong endpoints" % (f_star,))
+    with pytest.raises(ValueError, match=message):
+        bd.action(f_star)
+    with pytest.raises(ValueError, match=message):
+        bd.cell(ds.codegeneracy(0, 1), f_star)
+    for max_problems in (1, 20, 10**6):
+        with pytest.raises(ValueError, match=message):
+            ps.validate_pseudo(bd, max_problems=max_problems)
 
 
 def test_an_action_with_wrong_endpoints_does_not_stop_the_report():
     # acting by the identity of level 1 makes (1,) : [0] -> [1] land in the
-    # wrong level; pairs through it used to raise "functors are not composable"
+    # wrong level; pairs through it used to raise "functors are not
+    # composable", and now the action itself is refused with its map
     levels = {0: fc.discrete(1), 1: fc.discrete(2)}
 
     def constant(a, b, obj):
@@ -566,30 +581,13 @@ def test_an_action_with_wrong_endpoints_does_not_stop_the_report():
         return constant(f.tgt_rank, f.src_rank, f.values[-1] if f.src_rank else 0)
 
     d = ps.PseudoDiagram(ps.OrdinalSite(1), levels.__getitem__, action, lambda g, f: None)
-    first = "action of %r has wrong endpoints" % (ds.SimplexMap(0, 1, (1,)),)
-    assert ps.validate_pseudo(d, max_problems=1) == [first]
-    report = ps.validate_pseudo(d)
-    assert report[0] == first
-    assert report == reference_pseudo(d)
-
-
-# -- failure lines that only a malformed diagram or site reaches ---------------
-
-
-def test_identities_acting_by_a_swap_are_reported():
-    # a diagram given by bare methods, not normalized at identities: the one
-    # map of the site swaps the two objects of a chaotic category, and its
-    # cell runs from the identity onto the swap
-    level = fc.chaotic(2)
-    swap = fc.FunctorMap(level, level, [1, 0], [3, 2, 1, 0])
-    cell = fc.NatTransf(fc.identity_functor(level), swap, [1, 2])
-    site = ps.OrdinalSite(0)
-    d = types.SimpleNamespace(site=site, level=lambda a: level, action=lambda f: swap,
-                              cell=lambda g, f: cell)
-    ident = site.identity(0)
-    assert ps.validate_pseudo(d) == reference_pseudo(d) == [
-        "identity of 0 does not act as the identity functor",
-        "cell with an identity leg at (%r, %r) is not the identity" % (ident, ident)]
+    f_star = ds.SimplexMap(0, 1, (1,))
+    message = "^%s$" % re.escape("action of %r has wrong endpoints" % (f_star,))
+    with pytest.raises(ValueError, match=message):
+        d.action(f_star)
+    for coherence in (True, False):
+        with pytest.raises(ValueError, match=message):
+            ps.validate_pseudo(d, coherence=coherence, max_problems=1)
 
 
 def test_a_cell_that_is_not_invertible_is_reported():
@@ -601,6 +599,54 @@ def test_a_cell_that_is_not_invertible_is_reported():
     report = ps.validate_pseudo(d)
     assert report[0] == first
     assert report == reference_pseudo(d)
+
+
+# -- what PseudoDiagram guarantees, and the malformed input it refuses ---------
+
+
+def test_validate_pseudo_refuses_a_diagram_that_is_not_a_pseudo_diagram():
+    # a diagram given by bare methods could act on an identity by a swap
+    # and hand out any cell; validate_pseudo judges only PseudoDiagram values
+    level = fc.chaotic(2)
+    swap = fc.FunctorMap(level, level, [1, 0], [3, 2, 1, 0])
+    cell = fc.NatTransf(fc.identity_functor(level), swap, [1, 2])
+    d = types.SimpleNamespace(site=ps.OrdinalSite(0), level=lambda a: level,
+                              action=lambda f: swap, cell=lambda g, f: cell)
+    with pytest.raises(ValueError, match="^validate_pseudo takes a PseudoDiagram, not"
+                                         " SimpleNamespace$"):
+        ps.validate_pseudo(d)
+
+
+def test_identities_act_as_identities_and_identity_leg_cells_are_identities():
+    # action_fn answers every map with a swap and cell_fn every pair with
+    # non-identity components, but neither is asked about an identity map
+    # or a pair with an identity leg
+    level = fc.chaotic(2)
+    swap = fc.FunctorMap(level, level, [1, 0], [3, 2, 1, 0])
+    site = ps.OrdinalSite(1)
+    asked = []
+
+    def cell(g, f):
+        asked.append((g, f))
+        return [1, 2]
+
+    d = ps.PseudoDiagram(site, lambda a: level, lambda f: swap, cell)
+    for a in site.objects:
+        assert d.action(site.identity(a)) == fc.identity_functor(level)
+    for g, f in corpus.composable_pairs(site):
+        made = d.cell(g, f)
+        assert made.source == fc.compose_functors(d.action(f), d.action(g))
+        assert made.target == d.action(site.compose(g, f))
+        if site.is_identity(f) or site.is_identity(g):
+            assert made.components == tuple(level.identity[x] for x in made.source.obj_map)
+    assert asked and not any(site.is_identity(f) or site.is_identity(g) for g, f in asked)
+    # the generator at a pair with an identity leg and a first map that is
+    # no generator: no check could see it, and the type does not let it in
+    pair = (site.identity(1), ds.SimplexMap(1, 1, (0, 0)))
+    z2 = ps.PseudoDiagram(site, lambda a: Z2, lambda f: fc.identity_functor(Z2),
+                          lambda g, f: [1] if (g, f) == pair else None)
+    assert z2.cell(*pair).components == (0,)
+    assert ps.validate_pseudo(z2) == reference_pseudo(z2) == []
 
 
 def test_an_identity_leg_over_a_site_without_units_is_refused():
@@ -633,7 +679,12 @@ def test_a_malformed_action_is_named(obj_map, message):
                          lambda f: fc.FunctorMap(level, level, obj_map, [0]), lambda g, f: None)
     # the first map that is not an identity
     f = ds.SimplexMap(0, 1, (0,))
-    with pytest.raises(ValueError, match="^%s$" % re.escape("action of %r: %s" % (f, message))):
+    named = "^%s$" % re.escape("action of %r: %s" % (f, message))
+    with pytest.raises(ValueError, match=named):
+        d.action(f)
+    with pytest.raises(ValueError, match=named):
+        d.cell(ds.codegeneracy(0, 0), f)
+    with pytest.raises(ValueError, match=named):
         ps.validate_pseudo(d)
 
 
@@ -647,47 +698,28 @@ def test_a_malformed_action_is_named(obj_map, message):
     ([None], "the components hold an entry that is not an id")],
     ids=["none", "out of range", "not an id"])
 def test_a_malformed_cell_is_named(components, message, pair, coherence):
-    d = cells_at(ps.OrdinalSite(1), Z2, {pair: components})
+    # the wording is validate_nat's, from the one shape check both use
+    ident = fc.identity_functor(Z2)
     with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
-        fc.validate_nat(d.cell(*pair))
-    with pytest.raises(ValueError, match="^%s$" % re.escape(
-            "cell at (%r, %r): %s" % (pair + (message,)))):
+        fc.validate_nat(fc.NatTransf(ident, ident, components))
+    d = cells_at(ps.OrdinalSite(1), Z2, {pair: components})
+    named = "^%s$" % re.escape("cell at (%r, %r): %s" % (pair + (message,)))
+    with pytest.raises(ValueError, match=named):
+        d.cell(*pair)
+    with pytest.raises(ValueError, match=named):
         ps.validate_pseudo(d, coherence=coherence)
 
 
 def test_a_cell_with_wrong_endpoints_and_no_components_is_reported_once():
-    # the coherence walk used to raise IndexError reading its components
-    other = fc.FunctorMap(Z2, Z2, [0], [0, 0])
+    # the coherence walk used to raise IndexError reading such a cell; a
+    # cell now runs between its own actions, and no components is refused
+    # once, where the cell is built
     pair = (ds.codegeneracy(0, 0), ds.SimplexMap(1, 1, (0, 0)))
-    ident = fc.identity_functor(Z2)
-    d = ps.PseudoDiagram(ps.OrdinalSite(1), lambda a: Z2, lambda f: ident,
-                         lambda g, f: fc.NatTransf(other, ident, []) if (g, f) == pair else None)
-    assert ps.validate_pseudo(d) == ["cell at (%r, %r) has wrong endpoints" % pair]
-
-
-# maps of OrdinalSite(1): the codegeneracy, the two cofaces and their composites
-S0, D0, D1 = ds.codegeneracy(0, 0), ds.coface(0, 1), ds.coface(1, 1)
-S0D0, S0D1 = ds.SimplexMap(1, 1, (1, 1)), ds.SimplexMap(1, 1, (0, 0))
-
-
-@pytest.mark.parametrize("wrong, twists, triple", [
-    ({(S0, S0D1): [], (S0D1, S0D1): [1, 0]}, {(S0, D1): [1]}, (S0D1, D1, S0)),
-    ({(S0D1, D1): [], (S0D0, D1): [0, 1]}, {(D0, S0): [1]}, (D0, S0, D1))],
-    ids=["cells at g.f", "cells at f"])
-def test_a_row_with_cells_of_the_wrong_length_is_walked_triple_by_triple(wrong, twists, triple):
-    # the wrong cells have wrong endpoints and no component or two: joined,
-    # the row of the triple (cells at g.f for the first pasting, at f for
-    # the second) lines up with the other pasting, while the triple itself
-    # does not cohere on the component it reads
-    ident = fc.identity_functor(Z2)
-    other = fc.FunctorMap(Z2, Z2, [0], [0, 0])
-
-    def cell(g, f):
-        if (g, f) in wrong:
-            return fc.NatTransf(other, ident, wrong[(g, f)])
-        return fc.NatTransf(ident, ident, twists.get((g, f), [0]))
-
-    report = ps.validate_pseudo(ps.PseudoDiagram(ps.OrdinalSite(1), lambda a: Z2,
-                                                 lambda f: ident, cell), max_problems=10**6)
-    assert report[:2] == ["cell at (%r, %r) has wrong endpoints" % pair for pair in wrong]
-    assert "coherence fails at (%r, %r, %r) on object 0" % triple in report
+    d = cells_at(ps.OrdinalSite(1), Z2, {pair: []})
+    named = "^%s$" % re.escape("cell at (%r, %r): one component per source object is required"
+                               % pair)
+    with pytest.raises(ValueError, match=named):
+        d.cell(*pair)
+    for coherence in (True, False):
+        with pytest.raises(ValueError, match=named):
+            ps.validate_pseudo(d, coherence=coherence, max_problems=10**6)

@@ -431,7 +431,8 @@ def answering(res, f_star, g_star):
     """res with a diagram that answers the site map f_star with g_star's action."""
     d = res.diagram
     tampered = ps.PseudoDiagram(d.site, d.level,
-                                lambda f: d.action(g_star if f == f_star else f), d.cell)
+                                lambda f: d.action(g_star if f == f_star else f),
+                                lambda g, f: d.cell(g, f).components)
     return dataclasses.replace(res, diagram=tampered)
 
 
@@ -667,6 +668,13 @@ def test_surjection_must_be_onto():
 def test_bounds_one_one_gives_the_terminal_instance():
     x, _ = wg.generate_random_wg(7, max_base_objects=1, max_fiber=1)
     assert (x.x0.n_obj, x.x1.n_obj, x.pairs.cat.n_obj) == (1, 1, 1)
+
+
+@pytest.mark.parametrize("bound", ["max_base_objects", "max_fiber"])
+def test_bounds_below_one_are_refused(bound):
+    # they used to fail inside random with "empty range for randrange()"
+    with pytest.raises(ValueError, match="^%s must be at least 1, not 0$" % bound):
+        wg.generate_random_wg(1, **{bound: 0})
 
 
 @settings(max_examples=10, deadline=None)

@@ -14,9 +14,11 @@ passed to ``pi1``) and in where a transport moves the end of an arrow
 (the ``moved_end`` passed to ``transport_table``); the walks take a
 per-side ``step``.
 
-The law-checked assembly both builders run lives here too: ``check_maps``
-for the anchoring functors, ``compose_pairs`` for the strict pair chain
-and its composition, ``check_associative`` over the composable triples.
+The law-checked assembly both builders run lives here too: ``raise_first``
+for the levels' category laws, ``check_maps`` for the anchoring functors,
+``compose_pairs`` for the strict pair chain and its composition,
+``check_associative`` over the pairs joined on their middle entry, so no
+builder materializes the composable triples.
 Weak globularity goes through ``segal_map``, maps through ``map_problems``.
 """
 
@@ -47,17 +49,22 @@ def only(items):
 # Assembly with law checks
 
 
+def raise_first(prefix, check, arg):
+    """ValueError: prefix and the first problem check(arg) lists or raises as ValueError."""
+    try:
+        bad = check(arg)
+    except ValueError as err:
+        bad = [str(err)]
+    if bad:
+        raise ValueError(prefix + bad[0])
+
+
 def check_maps(maps):
     """ValueError naming the first (name, functor, source, target) that is not a functor between them."""
     for name, fun, source, target in maps:
         if fun.source != source or fun.target != target:
             raise ValueError("%s map has wrong endpoints" % name)
-        try:
-            bad = fc.validate_functor(fun)
-        except ValueError as err:
-            bad = [str(err)]
-        if bad:
-            raise ValueError("%s map is not a functor: %s" % (name, bad[0]))
+        raise_first("%s map is not a functor: " % name, fc.validate_functor, fun)
 
 
 def compose_pairs(level, end, start, compose_obj, compose_mor, tag):
@@ -70,20 +77,22 @@ def compose_pairs(level, end, start, compose_obj, compose_mor, tag):
     comp = fc.FunctorMap(pairs.cat, level,
                          [compose_obj(*t) for t in pairs.obj_label],
                          [compose_mor(*t) for t in pairs.mor_label])
-    try:
-        bad = fc.validate_functor(comp)
-    except ValueError as err:
-        bad = [str(err)]
-    if bad:
-        raise ValueError("%scomposition is not functorial: %s" % (tag, bad[0]))
+    raise_first("%scomposition is not functorial: " % tag, fc.validate_functor, comp)
     return pairs, comp
 
 
-def check_associative(triples, pairs, comp, tag):
-    """ValueError at the first triple, objects before morphisms, where comp does not associate."""
-    for labels, pid, c in ((triples.obj_label, pairs.obj_id, comp.obj_map),
-                           (triples.mor_label, pairs.mor_id, comp.mor_map)):
-        for t in labels:
+def check_associative(pairs, comp, tag):
+    """ValueError at the first triple, objects before morphisms, where comp does not associate.
+
+    The triples are the pairs joined on their middle entry: (f, g) in chain
+    order with each (g, h), h ascending, which is the strict triples' order.
+    """
+    for labels, pid, c in ((pairs.obj_label, pairs.obj_id, comp.obj_map),
+                           (pairs.mor_label, pairs.mor_id, comp.mor_map)):
+        after = {}
+        for g, h in labels:
+            after.setdefault(g, []).append(h)
+        for t in ((f, g, h) for f, g in labels for h in after.get(g, ())):
             f, g, h = t
             if c[pid[(c[pid[(f, g)]], h)]] != c[pid[(f, c[pid[(g, h)]])]]:
                 raise ValueError("%scomposition is not associative at triple %r" % (tag, t))

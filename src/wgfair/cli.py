@@ -44,7 +44,7 @@ def build_instance(name):
 def report(x):
     """Print level sizes and axiom verdicts of x; 0 if weakly globular, else 1."""
     levels = [("x0", x.x0), ("x1", x.x1), ("pairs", x.pairs.cat),
-              ("triples", x.triples.cat)]
+              ("triples", x.chain(3).cat)]
     try:
         sd = wg.segal_data(x)
     except ValueError as exc:

@@ -74,7 +74,12 @@ def from_presentation(points, arrows, units, src, tgt, value, as_arrow,
     in diagram order, objects and morphisms separately.  There are no unit
     laws to check; associativity, anchor compatibility and the unit
     embedding being a semi-functor all raise ValueError with a witness.
+    Points, arrows and units must be categories, since
+    ``fincat.validate_functor`` decides the functor checks on generators: a
+    level that is not raises, naming it and its first law.
     """
+    for name, level in (("points", points), ("arrows", arrows), ("units", units)):
+        an.raise_first("the %s are not a category: " % name, fc.validate_category, level)
     an.check_maps((("source", src, arrows, points), ("target", tgt, arrows, points),
                    ("value", value, units, points), ("unit", as_arrow, units, arrows)))
     for name, anchor in (("start", src), ("end", tgt)):
@@ -94,11 +99,8 @@ def from_presentation(points, arrows, units, src, tgt, value, as_arrow,
     if fc.compose_functors(value, comp_units) != fc.compose_functors(value, pru[0]):
         raise ValueError("unit composition does not stay over its point")
 
-    for tag, level, end, start, chain, comp in (
-            ("", arrows, tgt, src, pair_arrows, comp_arrows),
-            ("unit ", units, value, value, pair_units, comp_units)):
-        triples = fc.chain_fiber_product([level] * 3, [end] * 2, [start] * 2)
-        an.check_associative(triples, chain, comp, tag)
+    an.check_associative(pair_arrows, comp_arrows, "")
+    an.check_associative(pair_units, comp_units, "unit ")
     for lab, pid, uid, cu, ca in (
             (pair_units.obj_label, pair_arrows.obj_id, as_arrow.obj,
              comp_units.obj, comp_arrows.obj),
@@ -128,13 +130,15 @@ class FairDiagram:
 
     Levels are built edgewise, so the Segal maps are identities by
     construction; the action of a colored map against the diagram direction
-    is a functor between levels.
+    is a functor between levels.  The chains of o-o-o and o=o=o are the
+    presentation's pair chains; the others are built on first use.
     """
 
     def __init__(self, p):
         self.p = p
         self._shapes = None
-        self._chains = {}
+        self._chains = {ds.parse_ordinal("o-o-o"): p.pair_arrows,
+                        ds.parse_ordinal("o=o=o"): p.pair_units}
         self._actions = {}
         self._disc = None
 

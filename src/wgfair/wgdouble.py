@@ -2,8 +2,9 @@
 
 An instance keeps vertical arrows at level zero and horizontal arrows and
 cells at level one; levels two and three are the strict chains of composable
-pairs and triples, and ``WGDouble.nerve_action`` is the simplicial structure
-on levels 0..3.  Weak globularity asks level zero to be homotopically
+pairs and triples, the pairs built with the composition and the triples on
+first use, and ``WGDouble.nerve_action`` is the simplicial structure on
+levels 0..3.  Weak globularity asks level zero to be homotopically
 discrete and the Segal maps induced over its discretization to be
 equivalences.  Everything is checked by enumeration.
 
@@ -28,10 +29,11 @@ class WGDouble:
 
     d1 gives the source vertical object of a horizontal arrow, d0 the
     target; s0 picks identity horizontal arrows; comp composes the strict
-    pairs category onto level one.
+    pairs category onto level one.  The instance owns its chains of
+    composable tuples (``chain``): the pairs come from the builder.
     """
 
-    def __init__(self, x0, x1, d0, d1, s0, comp, pairs, triples):
+    def __init__(self, x0, x1, d0, d1, s0, comp, pairs):
         self.x0 = x0
         self.x1 = x1
         self.d0 = d0
@@ -39,8 +41,7 @@ class WGDouble:
         self.s0 = s0
         self.comp = comp
         self.pairs = pairs
-        self.triples = triples
-        self.edges = fc.single_chain(x1)
+        self._chains = {1: fc.single_chain(x1), 2: pairs}
         self._nerve = {}
         self._segal = None
 
@@ -48,10 +49,12 @@ class WGDouble:
         return self.x0 if k == 0 else self.chain(k).cat
 
     def chain(self, k):
-        """The strict fiber product of composable k-tuples, k in (1, 2, 3)."""
+        """The strict chain of composable k-tuples, k in 1..3; triples are built on first use."""
         if k not in (1, 2, 3):
             raise ValueError("rank %d has no chain of composable tuples (ranks 1 to 3 do)" % k)
-        return (self.edges, self.pairs, self.triples)[k - 1]
+        if k not in self._chains:
+            self._chains[k] = fc.chain_fiber_product([self.x1] * 3, [self.d0] * 2, [self.d1] * 2)
+        return self._chains[k]
 
     def nerve_action(self, f):
         """Contravariant action of a weakly increasing map on the nerve.
@@ -109,10 +112,14 @@ def from_generators(x0, x1, d0, d1, s0, compose_obj, compose_mor):
     compose_obj / compose_mor give the composite of a strictly composable
     pair in diagram order.  Violations of the category laws raise ValueError
     with a witness; an all-empty instance is fine, but a nonempty level one
-    over an empty level zero is rejected.
+    over an empty level zero is rejected.  Both levels must be categories,
+    since ``fincat.validate_functor`` decides the functor checks on
+    generators: a level that is not raises, naming it and its first law.
     """
     if x0.n_obj == 0 and x1.n_obj > 0:
         raise ValueError("level zero is empty but level one is not")
+    for name, level in (("level zero", x0), ("level one", x1)):
+        an.raise_first("%s is not a category: " % name, fc.validate_category, level)
     an.check_maps((("target", d0, x1, x0), ("source", d1, x1, x0), ("identity", s0, x0, x1)))
     for name, fun in (("source", d1), ("target", d0)):
         if fc.compose_functors(fun, s0) != fc.identity_functor(x0):
@@ -126,8 +133,7 @@ def from_generators(x0, x1, d0, d1, s0, compose_obj, compose_mor):
             if e1[cm[i]] != e1[f] or e0[cm[i]] != e0[g]:
                 raise ValueError("composite of %s %d has wrong endpoints" % (what, i))
 
-    triples = fc.chain_fiber_product([x1, x1, x1], [d0, d0], [d1, d1])
-    x = WGDouble(x0, x1, d0, d1, s0, comp, pairs, triples)
+    x = WGDouble(x0, x1, d0, d1, s0, comp, pairs)
 
     for i, tag in ((0, "left"), (1, "right")):
         unit = fc.compose_functors(comp, x.nerve_action(ds.codegeneracy(i, 1)))
@@ -137,7 +143,7 @@ def from_generators(x0, x1, d0, d1, s0, compose_obj, compose_mor):
                     or unit.mor_map[x1.identity[o]] != x1.identity[o]]
             wits += [("cell", m) for m in range(x1.n_mor) if unit.mor_map[m] != m]
             raise ValueError("%s unit law fails at %s %d" % ((tag,) + wits[0]))
-    an.check_associative(triples, pairs, comp, "")
+    an.check_associative(pairs, comp, "")
     return x
 
 

@@ -7,6 +7,8 @@ those checks, so a refactoring of the builders has to keep every message
 and every witness.
 """
 
+import itertools
+
 import pytest
 
 from wgfair import fair2 as f2
@@ -106,6 +108,39 @@ def double_unit_law_on_a_cell():
     return x0, x1, const(x1, x0), const(x1, x0), const(x0, x1), zero, zero
 
 
+def three_cells(products):
+    """One object, cells 0 (the identity), 1 and 2; products maps the pairs of 1 and 2."""
+    table = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (0, 2): 2, (2, 0): 2}
+    table.update(products)
+    return fc.FinCat(1, (0, 0, 0), (0, 0, 0), (0,), table)
+
+
+def lookup(products):
+    """Composition of cells by three_cells' table: 0 is neutral, products the rest."""
+    return lambda m, n: n if m == 0 else m if n == 0 else products[(m, n)]
+
+
+# vertical composition of these cells does not associate at (1, 1, 1), while
+# their horizontal composition is lawful
+NOT_ASSOCIATIVE = {(1, 1): 2, (1, 2): 2, (2, 1): 1, (2, 2): 1}
+HORIZONTAL = {(1, 1): 2, (1, 2): 1, (2, 1): 1, (2, 2): 2}
+
+
+def z2_missing():
+    """Z/2 with the composite of 1 after 1 left out."""
+    return fc.FinCat(1, (0, 0), (0, 0), (0,), {(0, 0): 0, (0, 1): 1, (1, 0): 1})
+
+
+def malformed():
+    """One object whose identity is out of range."""
+    return fc.FinCat(1, (0,), (0,), (5,), {(0, 0): 0})
+
+
+def double_level(x0, x1, compose_mor=zero):
+    """One-point generating data over levels x0 and x1; every arrow composes to arrow 0."""
+    return x0, x1, const(x1, x0), const(x1, x0), const(x0, x1), zero, compose_mor
+
+
 def double_not_associative():
     # e is the unit; (p.p).q = q while p.(p.q) = p
     x0, x1 = fc.discrete(1), fc.discrete(3)
@@ -122,6 +157,13 @@ def double_not_associative():
 
 DOUBLE_CASES = [
     ("empty base", double_empty_base, "level zero is empty but level one is not"),
+    ("level zero malformed", lambda: double_level(malformed(), fc.discrete(1)),
+     "^level zero is not a category: identity table out of range$"),
+    ("level one not associative",
+     lambda: double_level(fc.discrete(1), three_cells(NOT_ASSOCIATIVE), lookup(HORIZONTAL)),
+     r"^level one is not a category: associativity fails on \(1, 1, 1\)$"),
+    ("level one missing a composite", lambda: double_level(fc.discrete(1), z2_missing()),
+     "^level one is not a category: composite of 1 after 1 is missing$"),
     ("wrong endpoints", double_wrong_endpoints, "target map has wrong endpoints"),
     ("not a functor", double_not_a_functor,
      r"target map is not a functor: morphism 0 is not sent"),
@@ -269,6 +311,13 @@ def fair_not_associative(which):
 
 
 FAIR_CASES = [
+    ("points malformed", lambda: fair_data(points=malformed()),
+     "^the points are not a category: identity table out of range$"),
+    ("arrows not associative",
+     lambda: fair_data(arrows=three_cells(NOT_ASSOCIATIVE), ca=(zero, lookup(HORIZONTAL))),
+     r"^the arrows are not a category: associativity fails on \(1, 1, 1\)$"),
+    ("units missing a composite", lambda: fair_data(units=z2_missing()),
+     "^the units are not a category: composite of 1 after 1 is missing$"),
     ("wrong endpoints", lambda: fair_data(src=const(fc.discrete(2), fc.discrete(1))),
      "source map has wrong endpoints"),
     ("unit wrong endpoints",
@@ -322,3 +371,41 @@ FAIR_CASES = [
 def test_from_presentation_names_the_broken_law(make, message):
     with pytest.raises(ValueError, match=message):
         f2.from_presentation(*make())
+
+
+# -- levels that are not categories -------------------------------------------
+
+
+def unital_products():
+    """Every table of products of cells 1 and 2 into {0, 1, 2}: 81 of them."""
+    pairs = [(1, 1), (1, 2), (2, 1), (2, 2)]
+    return [dict(zip(pairs, values)) for values in itertools.product(range(3), repeat=4)]
+
+
+def test_every_level_that_is_not_a_category_is_refused_with_its_law():
+    # all 81 unital vertical tables on one object with three cells, crossed
+    # with all 81 unital horizontal tables, through both builders
+    tables = unital_products()
+    laws = {i: fc.validate_category(three_cells(v)) for i, v in enumerate(tables)}
+    assert sum(1 for bad in laws.values() if not bad) == 11
+    refused = 0
+    for i, vertical in enumerate(tables):
+        for horizontal in tables:
+            level, co = three_cells(vertical), lookup(horizontal)
+            for build, data, prefix in (
+                    (wg.from_generators, double_level(fc.discrete(1), level, co),
+                     "level one is not a category: "),
+                    (f2.from_presentation, fair_data(arrows=level, ca=(zero, co)),
+                     "the arrows are not a category: ")):
+                try:
+                    build(*data)
+                    message = None
+                except ValueError as err:
+                    message = str(err)
+                if laws[i]:
+                    assert message == prefix + laws[i][0]
+                    assert laws[i][0].startswith("associativity fails on ")
+                    refused += 1
+                else:
+                    assert message is None or "not a category" not in message
+    assert refused == 2 * 70 * 81

@@ -23,7 +23,7 @@ def check_sizes_and_pass(capsys, name, x):
     assert cli.main(["report", name]) == 0
     out = capsys.readouterr().out.splitlines()
     sd = wg.segal_data(x)
-    sizes = [x.x0, x.x1, x.pairs.cat, x.triples.cat, sd.hat2.cat, sd.hat3.cat]
+    sizes = [x.x0, x.x1, x.pairs.cat, x.chain(3).cat, sd.hat2.cat, sd.hat3.cat]
     for line, cat in zip(out, sizes):
         assert line.split()[1:] == [str(cat.n_obj), "objects,", str(cat.n_mor), "morphisms"]
     assert out[-1].startswith("weakly globular")

@@ -205,7 +205,7 @@ def test_family_levels_reuse_the_double_levels(family, family_fair):
     x, _ = family
     assert family_fair.level(ds.parse_ordinal("o-o")) is x.x1
     assert family_fair.level(ds.parse_ordinal("o-o-o")) == x.pairs.cat
-    assert family_fair.level(ds.parse_ordinal("o-o-o-o")) == x.triples.cat
+    assert family_fair.level(ds.parse_ordinal("o-o-o-o")) == x.chain(3).cat
 
 
 def test_family_plain_actions_match_the_nerve(family, family_fair):

@@ -40,7 +40,7 @@ class ReferenceSimplicial:
         x = self.x
         if (k, i) not in self._faces:
             pr2 = x.pairs.projections
-            pr3 = x.triples.projections
+            pr3 = x.chain(3).projections
             if k == 1:
                 fun = (x.d0, x.d1)[i]
             elif k == 2:
@@ -74,7 +74,7 @@ class ReferenceSimplicial:
                 u1 = fc.compose_functors(x.s0, fc.compose_functors(x.d0, pr[0]))
                 u2 = fc.compose_functors(x.s0, fc.compose_functors(x.d0, pr[1]))
                 legs = ([us, pr[0], pr[1]], [pr[0], u1, pr[1]], [pr[0], pr[1], u2])[i]
-                fun = mid(x.triples, legs)
+                fun = mid(x.chain(3), legs)
             self._degens[(k, i)] = fun
         return self._degens[(k, i)]
 

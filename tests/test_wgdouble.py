@@ -103,7 +103,7 @@ def test_family_pinned_sizes(family):
     assert (x.x0.n_obj, x.x0.n_mor) == (3, 5)
     assert (x.x1.n_obj, x.x1.n_mor) == (7, 21)
     assert x.pairs.cat.n_obj == 15
-    assert x.triples.cat.n_obj == 31
+    assert x.chain(3).cat.n_obj == 31
     sd = wg.segal_data(x)
     assert sd.x0d.n_obj == 2
     assert sd.hat2.cat.n_obj == 27
@@ -329,7 +329,7 @@ def test_sections_retract_the_segal_maps(family, strategy):
     r = wg.segal_retractions(x, sd, strategy)
     for nu, muhat, counit, level in (
             (r.nu2, sd.muhat2, r.counit2, x.pairs.cat),
-            (r.nu3, sd.muhat3, r.counit3, x.triples.cat)):
+            (r.nu3, sd.muhat3, r.counit3, x.chain(3).cat)):
         assert fc.validate_functor(nu) == []
         assert fc.compose_functors(nu, muhat) == fc.identity_functor(level)
         assert fc.validate_nat(counit) == []

@@ -98,15 +98,14 @@ def check_associative(pairs, comp, tag):
                 raise ValueError("%scomposition is not associative at triple %r" % (tag, t))
 
 
-def segal_map(strict, quotient, ends, starts):
-    """(hat, muhat): the strict chain's tuples inside those composable over quotient.
+def segal_map(strict, ends, starts):
+    """(hat, muhat): the strict chain's tuples inside those composable over the point classes.
 
-    hat matches strict's factors by quotient . ends[i] and quotient .
-    starts[i]; muhat keeps each tuple's label, so it is injective on objects.
+    hat matches strict's factors by ends[i] and starts[i], the anchors
+    already composed with the quotient onto the classes; muhat keeps each
+    tuple's label, so it is injective on objects.
     """
-    hat = fc.chain_fiber_product([pr.target for pr in strict.projections],
-                                 [fc.compose_functors(quotient, e) for e in ends],
-                                 [fc.compose_functors(quotient, s) for s in starts])
+    hat = fc.chain_fiber_product([pr.target for pr in strict.projections], ends, starts)
     return hat, fc.mediating_functor(hat, strict.projections)
 
 

@@ -341,9 +341,10 @@ def validate_fair2(d):
 
 def class_chain(d, shape):
     """(edgewise fiber product over the point classes, embedding of the strict level)."""
-    return an.segal_map(d.chain(shape), d.discretization().quotient,
-                        [d.right_anchor(shape, i) for i in range(shape.dots - 2)],
-                        [d.left_anchor(shape, i + 1) for i in range(shape.dots - 2)])
+    q, joins = d.discretization().quotient, range(shape.dots - 2)
+    return an.segal_map(d.chain(shape),
+                        [fc.compose_functors(q, d.right_anchor(shape, i)) for i in joins],
+                        [fc.compose_functors(q, d.left_anchor(shape, i + 1)) for i in joins])
 
 
 def validate_fairwg(d):

@@ -491,12 +491,12 @@ class NatTransf:
         self.components = tuple(self.components)
 
 
-def _check_components(nat):
-    """ValueError unless the components are one morphism id per source object."""
-    if len(nat.components) != nat.source.source.n_obj:
+def _check_components(components, n_obj, n_mor):
+    """ValueError unless components are one morphism id below n_mor for each of n_obj objects."""
+    if len(components) != n_obj:
         raise ValueError("one component per source object is required")
     try:
-        if any(not 0 <= c < nat.source.target.n_mor for c in nat.components):
+        if any(not 0 <= c < n_mor for c in components):
             raise ValueError("component out of range")
     except TypeError:
         raise ValueError("the components hold an entry that is not an id") from None
@@ -509,8 +509,8 @@ def validate_nat(nat):
         raise ValueError("the two functors are not parallel")
     _check_functor_shape(f)
     _check_functor_shape(g)
-    _check_components(nat)
     a, b = f.source, f.target
+    _check_components(nat.components, a.n_obj, b.n_mor)
     problems = []
     for x in range(a.n_obj):
         c = nat.components[x]

@@ -4,10 +4,10 @@ A diagram assigns a category to every site object and a contravariant functor
 to every site map, together with invertible comparison cells measuring how
 composition is preserved.  ``PseudoDiagram`` owns the shape of what it hands
 out: identity maps act as identity functors, cells with an identity leg are
-identities, every other cell is built between its own two actions from the
-components the caller gives, and an action between the wrong levels or out
-of shape, or components that are not one id per object, raise ValueError
-there.
+identities, every other cell has the components the caller gives, and an
+action between the wrong levels or out of shape, or components that are not
+one id per object, raise ValueError there.  A cell's components are its
+data; the ``NatTransf`` between its two actions is built only on request.
 
 Validation is exact, with no sampling, and judges only the laws.  Each
 action goes through ``fincat.validate_functor``, which decides composition
@@ -90,16 +90,16 @@ class PseudoDiagram:
     level(tgt f) -> level(src f); cell_fn(g, f) the components of the
     invertible comparison action(f) . action(g) => action(g after f), one
     morphism id per object of level(tgt g), or None for the identity.
-    Results are cached; consumers should go through level/action/cell.
+    Results are cached; consumers go through level/action/components/cell.
 
     ``action`` answers an identity with the identity functor, and raises
     ValueError("action of f has wrong endpoints") for a functor between the
     wrong levels and ValueError("action of f: ...") with ``fincat``'s
-    wording for maps out of shape.  ``cell`` answers a pair with an identity leg with the
-    identity, without asking cell_fn, and builds every other cell between
-    its own two actions; it raises ValueError("cell at (g, f): ...") with
-    ``fincat.validate_nat``'s wording when the components are not one id
-    per object.
+    wording for maps out of shape.  ``components`` answers a pair with an
+    identity leg with identities, without asking cell_fn, and raises
+    ValueError("cell at (g, f): ...") with ``fincat.validate_nat``'s
+    wording when the components are not one id per object.  ``cell`` builds
+    the ``NatTransf`` from them between the cell's own two actions.
     """
 
     def __init__(self, site, level_fn, action_fn, cell_fn):
@@ -109,6 +109,7 @@ class PseudoDiagram:
         self._cell_fn = cell_fn
         self._levels = {}
         self._actions = {}
+        self._components = {}
         self._cells = {}
 
     def level(self, a):
@@ -132,45 +133,37 @@ class PseudoDiagram:
             self._actions[f] = act
         return self._actions[f]
 
-    def cell(self, g, f):
-        """Comparison action(f) . action(g) => action(g after f)."""
+    def components(self, g, f):
+        """Components of cell(g, f) as a tuple: one morphism id per object of level(tgt g)."""
         key = (g, f)
-        if key not in self._cells:
-            composite = fc.compose_functors(self.action(f), self.action(g))
-            target = self.action(self.site.compose(g, f))
-            leg = self.site.is_identity(f) or self.site.is_identity(g)
+        if key not in self._components:
+            site = self.site
+            af, ag = self.action(f), self.action(g)
+            leg = site.is_identity(f) or site.is_identity(g)
             comps = None if leg else self._cell_fn(g, f)
             if comps is None:
-                if leg and composite != target:
+                if leg and fc.compose_functors(af, ag) != self.action(site.compose(g, f)):
                     raise ValueError("identity-leg cell at (%r, %r): the composite"
                                      " action is not the action of the composite" % (g, f))
-                comps = [composite.target.identity[x] for x in composite.obj_map]
-            made = fc.NatTransf(composite, target, comps)
-            try:
-                fc._check_components(made)
-            except ValueError as err:
-                raise ValueError("cell at (%r, %r): %s" % (g, f, err)) from None
-            self._cells[key] = made
+                ident, fo = af.target.identity, af.obj_map
+                comps = tuple([ident[fo[y]] for y in ag.obj_map])
+            else:
+                comps = tuple(comps)
+                try:
+                    fc._check_components(comps, ag.source.n_obj, af.target.n_mor)
+                except ValueError as err:
+                    raise ValueError("cell at (%r, %r): %s" % (g, f, err)) from None
+            self._components[key] = comps
+        return self._components[key]
+
+    def cell(self, g, f):
+        """Comparison action(f) . action(g) => action(g after f), built on first request."""
+        key = (g, f)
+        if key not in self._cells:
+            comps = self.components(g, f)
+            self._cells[key] = fc.NatTransf(fc.compose_functors(self.action(f), self.action(g)),
+                                            self.action(self.site.compose(g, f)), comps)
         return self._cells[key]
-
-
-def _is_natural_on(nat, gens):
-    """Whether nat is natural, with squares tried only at the morphisms gens.
-
-    Both functors must be lawful and parallel, with one component per
-    object in range (what ``PseudoDiagram.cell`` builds): then squares
-    paste, and squares at a generating set give naturality everywhere.
-    With no gens only the components' endpoints are checked.  A failure
-    gives False, so ``fincat.validate_nat`` can word it.
-    """
-    f, g = nat.source, nat.target
-    a, b = f.source, f.target
-    comps = nat.components
-    fo, go = f.obj_map, g.obj_map
-    if any(b.src[c] != fo[x] or b.tgt[c] != go[x] for x, c in enumerate(comps)):
-        return False
-    get, fm, gm = b.comp.get, f.mor_map, g.mor_map
-    return all(get((gm[m], comps[a.src[m]])) == get((comps[a.tgt[m]], fm[m])) for m in gens)
 
 
 def validate_pseudo(diagram, coherence=True, max_problems=20):
@@ -203,10 +196,13 @@ def validate_pseudo(diagram, coherence=True, max_problems=20):
     - With coherence and no action problem, one pass over the composable
       pairs checks at every pair the endpoints of each component, but
       naturality and invertibility only at the pairs (g, s) whose first
-      map s is a generator of the site.  The coherence walk then takes only
-      generators as first maps and skips triples with an identity second or
-      third map.  If all of that passes, every law holds at every pair and
-      triple:
+      map s is a generator of the site.  It reads the cells' components
+      (``PseudoDiagram.components``) and the actions' maps, so a square
+      reads the composite action only at a generator; a cell is built, for
+      ``fincat.validate_nat`` to word, only where a check fails.  The
+      coherence walk then takes only generators as first maps and skips
+      triples with an identity second or third map.  If all of that passes,
+      every law holds at every pair and triple:
 
       * Every cell is a natural isomorphism, by induction on the length of
         its first map as a word in the generators.  A cell with an identity
@@ -272,19 +268,28 @@ def validate_pseudo(diagram, coherence=True, max_problems=20):
         map is numbered in natural_at, component endpoints at every pair.
         """
         for fi, f in enumerate(maps):
+            fo, fm, bottom = acts[fi].obj_map, acts[fi].mor_map, acts[fi].target
+            src_of, tgt_of, get = bottom.src.__getitem__, bottom.tgt.__getitem__, bottom.comp.get
+            checked = fi in natural_at
             for gi in out_of[site.tgt(f)]:
                 g, k = maps[gi], gi * n + fi
-                after[k] = index[site.compose(g, f)]
-                cell = diagram.cell(g, f)
-                comps_of[k] = cell.components
-                checked = fi in natural_at
-                if not (lawful and _is_natural_on(
-                        cell, fc.generators(diagram.level(site.tgt(g))) if checked else ())):
-                    bad = fc.validate_nat(cell)
+                gf = after[k] = index[site.compose(g, f)]
+                comps = comps_of[k] = diagram.components(g, f)
+                # each component runs from action(f) . action(g) to action(g.f) at its object
+                ok = (lawful and list(map(src_of, comps)) == [fo[y] for y in acts[gi].obj_map]
+                      and tuple(map(tgt_of, comps)) == acts[gf].obj_map)
+                if ok and checked:
+                    # the squares at the generators of level(tgt g) paste to every square
+                    level, gm, tm = diagram.level(site.tgt(g)), acts[gi].mor_map, acts[gf].mor_map
+                    ok = all(get((tm[m], comps[level.src[m]]))
+                             == get((comps[level.tgt[m]], fm[gm[m]]))
+                             for m in fc.generators(level))
+                if not ok:
+                    bad = fc.validate_nat(diagram.cell(g, f))
                     if bad:
                         yield "cell at (%r, %r) is not natural: %s" % (g, f, bad[0])
                         continue
-                if checked and not all(map(cell.source.target.is_iso, cell.components)):
+                if checked and not all(map(bottom.is_iso, comps)):
                     yield "cell at (%r, %r) is not invertible" % (g, f)
 
     def failures(firsts, outs):

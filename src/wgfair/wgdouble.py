@@ -173,9 +173,10 @@ def segal_data(x):
     if x._segal is not None:
         return x._segal
     dz = fc.discretize(x.x0)
+    # each anchor is composed with the quotient once, for both ranks
+    end, start = (fc.compose_functors(dz.quotient, d) for d in (x.d0, x.d1))
     (hat2, muhat2), (hat3, muhat3) = (
-        an.segal_map(x.chain(k), dz.quotient, [x.d0] * (k - 1), [x.d1] * (k - 1))
-        for k in (2, 3))
+        an.segal_map(x.chain(k), [end] * (k - 1), [start] * (k - 1)) for k in (2, 3))
     x._segal = SegalData(dz.discrete, dz.quotient, dz.section, hat2, muhat2, hat3, muhat3)
     return x._segal
 
@@ -336,32 +337,34 @@ def tr2_strong_segalic(x, strategy="cleavage"):
         return alphas[f]
 
     def cell(g, f):
+        """Components of the comparison at (g, f), or None where it is the identity."""
         a, b, c = f.src_rank, f.tgt_rank, g.tgt_rank
-        hf, hg = diagram.action(f), diagram.action(g)
-        bottom = levels[a]
         af, ag, agf = alpha(f), alpha(g), alpha(site.compose(g, f))
-        tf = transport(f)
+        if b != 0 and af is None and ag is None and agf is None:
+            return None
+        bottom = levels[a]
+        go, tfm = diagram.action(g).obj_map, transport(f).mor_map
+        if b == 0:
+            wo, eo, fm = x.nerve_action(g).obj_map, e[c].obj_map, x.nerve_action(f).mor_map
+            so, qo, ebm = sd.gamma_section.obj_map, sd.gamma.obj_map, ebar[a].mor_map
         comps = []
         for y in range(levels[c].n_obj):
             steps = []
             if af is not None:
-                steps.append(af[hg.obj(y)])
+                steps.append(af[go[y]])
             if ag is not None:
-                steps.append(tf.mor(ag[y]))
+                steps.append(tfm[ag[y]])
             if b == 0:
-                w = x.nerve_action(g).obj(e[c].obj(y))
-                kap = an.only(x.x0.hom(sd.gamma_section.obj(sd.gamma.obj(w)), w))
+                w = wo[eo[y]]
+                kap = an.only(x.x0.hom(so[qo[w]], w))
                 # a composite through level zero: kap whiskered by f
-                steps.append(ebar[a].mor(x.nerve_action(f).mor(kap)))
+                steps.append(ebm[fm[kap]])
             if agf is not None:
                 steps.append(bottom.inverse(agf[y]))
-            if not steps:
-                comps.append(bottom.identity[hf.obj(hg.obj(y))])
-            else:
-                total = steps[0]
-                for nxt in steps[1:]:
-                    total = bottom.compose(nxt, total)
-                comps.append(total)
+            total = steps[0]
+            for nxt in steps[1:]:
+                total = bottom.compose(nxt, total)
+            comps.append(total)
         return comps
 
     diagram = ps.PseudoDiagram(site, levels.__getitem__, action, cell)

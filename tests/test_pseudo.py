@@ -329,10 +329,12 @@ def test_validation_computes_the_generators_of_each_level_once(diagrams, monkeyp
 
 
 def test_tr2_and_its_validation_compose_each_pair_of_actions_once(monkeypatch):
-    # the cell's source is composed where the cell is built, and nowhere
-    # else: one composite for each of the 5,374 composable pairs, and 250
-    # in building the nerve, its Tr2 and the actions (10,998 before cells
-    # came as components)
+    # validation reads each cell's components, so two actions of the diagram
+    # are composed only to check the pairs with an identity leg, once each:
+    # 238 of the 5,374 composable pairs.  The other 246 calls build the
+    # nerve, its Tr2 and the actions Tr2 makes on first request (5,624
+    # while validation built every cell, 10,998 before cells came as
+    # components)
     calls, compose = [], fc.compose_functors
 
     def spy(g, f):
@@ -345,8 +347,12 @@ def test_tr2_and_its_validation_compose_each_pair_of_actions_once(monkeypatch):
     site = d.site
     acts = {id(d.action(f)) for a in site.objects for b in site.objects for f in site.hom(a, b)}
     pairs = [(id(g), id(f)) for g, f in calls if id(g) in acts and id(f) in acts]
-    assert len(pairs) == len(set(pairs)) == len(list(corpus.composable_pairs(site)))
-    assert len(calls) == 5624
+    legs = {(id(d.action(f)), id(d.action(g))) for g, f in corpus.composable_pairs(site)
+            if site.is_identity(f) or site.is_identity(g)}
+    assert len(pairs) == len(set(pairs)) == len(legs) == 238
+    assert set(pairs) == legs
+    assert d._cells == {}
+    assert len(calls) == 484
 
 
 def cells_at(site, level, components):
@@ -480,6 +486,33 @@ def test_tf2_cell_with_a_stray_component_off_the_generators_is_found(diagrams):
                            " wrong endpoints" % (g, f))
 
 
+@pytest.fixture(scope="module")
+def tf2_to_rank_2(diagrams):
+    """Tr2 of tf2 on the ranks up to 2, where the exhaustive reference is quick."""
+    d = diagrams[("tf2", "cleavage")]
+    return ps.PseudoDiagram(ps.OrdinalSite(2), d.level, d.action, d.components)
+
+
+@pytest.mark.parametrize("end", ["target", "source"])
+@pytest.mark.parametrize("pair", [(ds.SimplexMap(1, 0, (0, 0)), ds.SimplexMap(1, 1, (1, 1))),
+                                  (ds.SimplexMap(2, 0, (0, 0, 0)), ds.SimplexMap(2, 2, (0, 1, 1)))],
+                         ids=["rank 1", "rank 2"])
+def test_a_component_with_one_wrong_end_off_the_generators_is_found(tf2_to_rank_2, pair, end):
+    # level 0 of tf2 is a point, so no naturality square reads the one
+    # component of a cell at (g, f) with g into [0]: only the check of
+    # component endpoints, made at every pair, sees one end of it moved
+    d = tf2_to_rank_2
+    g, f = pair
+    assert f not in d.site.generators() and not d.site.is_identity(f)
+    level = d.level(f.src_rank)
+    (c,) = d.components(g, f)
+    keep, move = (level.src, level.tgt) if end == "target" else (level.tgt, level.src)
+    stray = next(m for m in range(level.n_mor) if keep[m] == keep[c] and move[m] != move[c])
+    expected = assert_matches_the_reference(recell(d, pair, [stray]))
+    assert expected[0] == ("cell at (%r, %r) is not natural: component at object 0 has"
+                           " wrong endpoints" % pair)
+
+
 @pytest.mark.parametrize("strategy", ["cleavage", "retraction"])
 @pytest.mark.parametrize("name", ["family", "tf2"])
 def test_family_and_tf2_match_the_exhaustive_reference(diagrams, name, strategy):
@@ -506,6 +539,24 @@ def test_swap_action_broken_at_a_composite_matches_the_reference():
     assert any("naturality square at morphism 2 does not commute" in p for p in expected)
     for max_problems in (1, 2, 20, 10**6):
         assert ps.validate_pseudo(bd, max_problems=max_problems) == expected[:max_problems]
+
+
+@pytest.mark.parametrize("g_star", [ds.SimplexMap(0, 2, (1,)), ds.SimplexMap(1, 1, (0, 0))])
+def test_a_square_failing_only_through_the_composite_action_is_found(g_star):
+    # g_star acts by the identity of two copies of Z/3; acting by negation
+    # instead keeps every object map, so every component keeps its
+    # endpoints, and at a pair (g_star, s) the actions of s and of g_star.s
+    # are as before: only the composite action(s) . action(g_star) moves,
+    # and only on morphisms
+    d = twisted_swap(ps.OrdinalSite(2))
+    level = d.level(0)
+    assert d.action(g_star) == fc.identity_functor(level)
+    neg = fc.FunctorMap(level, level, range(2), [3 * (m // 3) + (-m) % 3 for m in range(6)])
+    expected = assert_matches_the_reference(retarget(d, g_star, neg))
+    for s in d.site.generators():
+        if s.tgt_rank == g_star.src_rank:
+            assert ("cell at (%r, %r) is not natural: naturality square at morphism 1 does"
+                    " not commute" % (g_star, s)) in expected
 
 
 def test_tf2_action_broken_off_the_generators_is_reported(diagrams):
@@ -723,3 +774,78 @@ def test_a_cell_with_wrong_endpoints_and_no_components_is_reported_once():
     for coherence in (True, False):
         with pytest.raises(ValueError, match=named):
             ps.validate_pseudo(d, coherence=coherence, max_problems=10**6)
+
+
+# -- components: the data of a cell, read without building it -----------------
+
+
+@pytest.mark.parametrize("make", [lambda: wg.tr2_strong_segalic(corpus.double("nerve")).diagram,
+                                  lambda: twisted_swap(ps.OrdinalSite(2))],
+                         ids=["nerve", "swap"])
+def test_components_are_the_components_of_the_cell(make):
+    d = make()
+    for g, f in corpus.composable_pairs(d.site):
+        assert d.cell(g, f).components == d.components(g, f)
+
+
+@pytest.mark.parametrize("components, message", [
+    ([], "one component per source object is required"),
+    ([7], "component out of range"),
+    ([None], "the components hold an entry that is not an id")],
+    ids=["none", "out of range", "not an id"])
+def test_malformed_components_are_refused_before_a_cell_is_built(components, message,
+                                                                monkeypatch):
+    def no_cell(*args):
+        raise AssertionError("a cell was built")
+
+    monkeypatch.setattr(fc, "NatTransf", no_cell)
+    pair = (ds.codegeneracy(0, 0), ds.SimplexMap(1, 1, (0, 0)))
+    d = cells_at(ps.OrdinalSite(1), Z2, {pair: components})
+    named = "^%s$" % re.escape("cell at (%r, %r): %s" % (pair + (message,)))
+    with pytest.raises(ValueError, match=named):
+        d.components(*pair)
+    for coherence in (True, False):
+        with pytest.raises(ValueError, match=named):
+            ps.validate_pseudo(d, coherence=coherence)
+
+
+def test_identity_leg_components_over_a_site_without_units_are_refused():
+    # the identity of [1] after the coface skipping 0 is the other coface
+    class Skewed(ps.OrdinalSite):
+        def compose(self, g, f):
+            if self.is_identity(g) and f == ds.coface(0, 1):
+                return ds.coface(1, 1)
+            return super().compose(g, f)
+
+    levels = {0: fc.discrete(2), 1: fc.discrete(1)}
+    d = ps.PseudoDiagram(Skewed(1), levels.__getitem__,
+                         lambda f: fc.FunctorMap(levels[1], levels[0], f.values, f.values),
+                         lambda g, f: None)
+    g, f = ds.identity_simplex(1), ds.coface(0, 1)
+    with pytest.raises(ValueError, match="^%s$" % re.escape(
+            "identity-leg cell at (%r, %r): the composite action is not the action"
+            " of the composite" % (g, f))):
+        d.components(g, f)
+    assert d._cells == {}
+
+
+def test_components_given_as_none_are_identities_read_without_composing(monkeypatch):
+    # a map whose ranks differ by an odd number acts by the swap of two
+    # objects, so some identities sit at the objects the composite action
+    # reaches, not at the objects of level(tgt g) they are indexed by
+    level = fc.chaotic(2)
+    swap = fc.FunctorMap(level, level, [1, 0], [3, 2, 1, 0])
+    site = ps.OrdinalSite(1)
+    d = ps.PseudoDiagram(site, lambda a: level,
+                         lambda f: swap if (f.tgt_rank - f.src_rank) % 2
+                         else fc.identity_functor(level), lambda g, f: None)
+    composed = []
+    monkeypatch.setattr(fc, "compose_functors", lambda g, f: composed.append((g, f)))
+    found = {pair: d.components(*pair) for pair in legless_pairs(site)}
+    assert composed == []
+    monkeypatch.undo()
+    for (g, f), comps in found.items():
+        composite = fc.compose_functors(d.action(f), d.action(g))
+        assert comps == tuple(level.identity[x] for x in composite.obj_map)
+    assert set(found.values()) == {level.identity, level.identity[::-1]}
+    assert ps.validate_pseudo(d) == reference_pseudo(d) == []

@@ -126,6 +126,26 @@ def test_tf2_pinned_sizes(tf2):
     assert wg.validate_catwg2(x) == []
 
 
+def test_segal_data_composes_each_anchor_with_the_quotient_once(monkeypatch):
+    # both ranks match their tuples over the same two anchors: building Tr2
+    # of the nerve composes 8 pairs of functors, none twice (12 with 4
+    # repeats while each rank composed the quotient with its anchors)
+    x = corpus.double("nerve")
+    calls, compose = [], fc.compose_functors
+
+    def spy(g, f):
+        calls.append((g, f))
+        return compose(g, f)
+
+    monkeypatch.setattr(fc, "compose_functors", spy)
+    quotient = wg.segal_data(x).gamma
+    assert [(g, f) for g, f in calls if f is x.d0 or f is x.d1] == [(quotient, x.d0),
+                                                                    (quotient, x.d1)]
+    wg.tr2_strong_segalic(x)
+    pairs = [(id(g), id(f)) for g, f in calls]
+    assert len(pairs) == len(set(pairs)) == 8
+
+
 def test_micro_counterexample_fails_exactly_the_equivalence_axiom():
     x = wg.micro_counterexample()
     report = wg.validate_catwg2(x)

@@ -702,7 +702,6 @@ def full_subcategory(cat, objects):
 
 @dataclass
 class Retraction:
-    forward: FunctorMap
     backward: FunctorMap
     counit: NatTransf
 
@@ -740,4 +739,4 @@ def retraction_pseudo_inverse(fun):
         gmor.append(cand[0])
     g = FunctorMap(b, a, gobj, gmor)
     counit = NatTransf(compose_functors(fun, g), identity_functor(b), eps)
-    return Retraction(fun, g, counit)
+    return Retraction(g, counit)

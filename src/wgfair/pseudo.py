@@ -12,10 +12,11 @@ data; the ``NatTransf`` between its two actions is built only on request.
 Validation is exact, with no sampling, and judges only the laws.  Each
 action goes through ``fincat.validate_functor``, which decides composition
 on the generators of its source level, and naturality squares are tried at
-the generators of the level too.  On the site, naturality and invertibility
-of the cells are checked only at the pairs whose first map is a generator,
-and coherence only at the triples whose first map is a generator and whose
-other two maps are not identities.  That decides every law: the coherence
+the generators of the level too.  On the site, the component endpoints,
+naturality and invertibility of the cells are checked only at the pairs
+whose first map is a generator, and coherence only at the triples whose
+first map is a generator and whose other two maps are not identities.  A
+wrong end elsewhere shows in that walk.  That decides every law: the coherence
 law at (h, g, s) writes cell(h, g.s) through cells whose first map is
 shorter, so by induction on that length every cell is a natural
 isomorphism; triples with an identity leg hold because the cells with an
@@ -194,9 +195,9 @@ def validate_pseudo(diagram, coherence=True, max_problems=20):
       source level only (``fincat.generators``, kept on the level): squares
       paste.
     - With coherence and no action problem, one pass over the composable
-      pairs checks at every pair the endpoints of each component, but
-      naturality and invertibility only at the pairs (g, s) whose first
-      map s is a generator of the site.  It reads the cells' components
+      pairs checks the endpoints of each component, naturality and
+      invertibility only at the pairs (g, s) whose first map s is a
+      generator of the site.  It reads the cells' components
       (``PseudoDiagram.components``) and the actions' maps, so a square
       reads the composite action only at a generator; a cell is built, for
       ``fincat.validate_nat`` to word, only where a check fails.  The
@@ -204,6 +205,13 @@ def validate_pseudo(diagram, coherence=True, max_problems=20):
       triples with an identity second or third map.  If all of that passes,
       every law holds at every pair and triple:
 
+      * Every component has the right ends.  A cell with an identity leg
+        is built with them, and one whose first map is a generator is
+        checked.  Any other first map is g'.s with s a generator and g' not
+        an identity, and the walk at (g, g', s) composes cell(g, g'.s) at y
+        after cell(g', s) at F(g)y, whose target F(g'.s)F(g)y is the right
+        source; the two pastings compose and agree only if the target is
+        F(g.g'.s)y, that of cell(g.g', s) at y.
       * Every cell is a natural isomorphism, by induction on the length of
         its first map as a word in the generators.  A cell with an identity
         leg is an identity, so natural and invertible.  Any other first map
@@ -261,23 +269,24 @@ def validate_pseudo(diagram, coherence=True, max_problems=20):
     lawful = not problems
     after, comps_of = [None] * (n * n), [None] * (n * n)
 
-    def pair_problems(natural_at):
+    def pair_problems(checked_at):
         """Cell problems pair by pair, f then g each in hom order; fills after and comps_of.
 
-        Naturality and invertibility are checked at the pairs whose first
-        map is numbered in natural_at, component endpoints at every pair.
+        Component endpoints, naturality and invertibility are checked at the
+        pairs whose first map is numbered in checked_at.
         """
         for fi, f in enumerate(maps):
             fo, fm, bottom = acts[fi].obj_map, acts[fi].mor_map, acts[fi].target
             src_of, tgt_of, get = bottom.src.__getitem__, bottom.tgt.__getitem__, bottom.comp.get
-            checked = fi in natural_at
+            checked = fi in checked_at
             for gi in out_of[site.tgt(f)]:
                 g, k = maps[gi], gi * n + fi
                 gf = after[k] = index[site.compose(g, f)]
                 comps = comps_of[k] = diagram.components(g, f)
                 # each component runs from action(f) . action(g) to action(g.f) at its object
-                ok = (lawful and list(map(src_of, comps)) == [fo[y] for y in acts[gi].obj_map]
-                      and tuple(map(tgt_of, comps)) == acts[gf].obj_map)
+                ok = lawful and (not checked or (
+                    list(map(src_of, comps)) == [fo[y] for y in acts[gi].obj_map]
+                    and tuple(map(tgt_of, comps)) == acts[gf].obj_map))
                 if ok and checked:
                     # the squares at the generators of level(tgt g) paste to every square
                     level, gm, tm = diagram.level(site.tgt(g)), acts[gi].mor_map, acts[gf].mor_map

@@ -82,20 +82,14 @@ class WGDouble:
                  self.d0.mor_map, self.s0.mor_map)):
             out = []
             for e in range(count):
-                if n == 0:
-                    out.append(e if m == 0 else ids[(s0[e],) * m])
-                    continue
-                t = labels[e]
+                t = labels[e] if n else ()
+                verts = [d1[t[0]], *map(d0.__getitem__, t)] if n else [e]
                 if m == 0:
-                    j = vals[0]
-                    out.append(d1[t[0]] if j == 0 else d0[t[j - 1]])
+                    out.append(verts[vals[0]])
                     continue
                 parts = []
                 for lo, hi in spans:
-                    if lo == hi:
-                        parts.append(s0[d1[t[0]] if lo == 0 else d0[t[lo - 1]]])
-                        continue
-                    c = t[lo]
+                    c = s0[verts[lo]] if lo == hi else t[lo]
                     for g in t[lo + 1:hi]:
                         c = comp[pair_id[(c, g)]]
                     parts.append(c)
@@ -234,8 +228,8 @@ class Retractions:
     counit3: fc.NatTransf
 
 
-def segal_retractions(x, sd, strategy="cleavage"):
-    """Chosen pseudo-inverses nu_k to the induced Segal maps, with counits.
+def segal_retractions(x, strategy="cleavage"):
+    """Chosen pseudo-inverses nu_k to the Segal maps of ``segal_data(x)``, with counits.
 
     strategy "cleavage" walks each gamma-composable tuple left to right,
     anchoring the first component and transporting the rest to start
@@ -246,6 +240,8 @@ def segal_retractions(x, sd, strategy="cleavage"):
     nu_k . muhat_k is the identity on the nose and the counit
     muhat_k . nu_k => Id is an invertible natural transformation.
     """
+    sd = segal_data(x)
+
     def walks():
         table = build_cleavage(x)
         s0img = {x.s0.obj(o): o for o in range(x.x0.n_obj)}
@@ -279,18 +275,22 @@ def tr2_strong_segalic(x, strategy="cleavage"):
     """Segalic pseudo-functor on the truncated ordinal site.
 
     Levels are the discretized level zero, level one, and the fiber products
-    of gamma-composable tuples; the Segal maps of the result are identities
-    by construction.  Faces act through the chosen section nu_k, spine maps
-    act as strict projections, and the comparison cells absorb the
-    difference.  Between levels 0 and 1 the actions are the faces rebased
-    through gamma and the degeneracy rebased through its section.  Rejects
-    instances that fail the globularity axioms.
+    hat_k of gamma-composable tuples, and two rules make the rest.  A spine
+    map [1] -> [k] acts as the projection of hat_k onto its factor, so the
+    Segal maps of the result are identities; every other map acts by
+    transport, the nerve action between the sections nu_k and the embeddings
+    muhat_k (between levels 0 and 1, the faces rebased through gamma and the
+    degeneracy through its section).  The comparison iso from the action of a
+    spine map, or of an identity at rank 2 or 3, to its transport is the
+    inverse of rank k's counit seen through the action; any other map has
+    none, and the cells paste these isos.  Rejects instances that fail the
+    globularity axioms.
     """
     problems = validate_catwg2(x)
     if problems:
         raise ValueError("not weakly globular: %s" % problems[0])
     sd = segal_data(x)
-    retr = segal_retractions(x, sd, strategy)
+    retr = segal_retractions(x, strategy)
     site = ps.OrdinalSite(3)
     levels = {0: sd.x0d, 1: x.x1, 2: sd.hat2.cat, 3: sd.hat3.cat}
     e = {0: sd.gamma_section, 1: fc.identity_functor(x.x1),
@@ -298,42 +298,24 @@ def tr2_strong_segalic(x, strategy="cleavage"):
     ebar = {0: sd.gamma, 1: fc.identity_functor(x.x1),
             2: sd.muhat2, 3: sd.muhat3}
     counits = {2: retr.counit2, 3: retr.counit3}
-    hats = {2: sd.hat2, 3: sd.hat3}
+    spines = {ds.SimplexMap(1, k, (j - 1, j)): hat.projections[j - 1]
+              for k, hat in ((2, sd.hat2), (3, sd.hat3)) for j in range(1, k + 1)}
     transports, alphas = {}, {}
-
-    def spine_at(f):
-        if f.src_rank == 1 and f.tgt_rank >= 2 and f.values[1] == f.values[0] + 1:
-            return f.values[1]
-        return None
 
     def transport(f):
         if f not in transports:
             transports[f] = fc.compose_functors(
-                ebar[f.src_rank],
-                fc.compose_functors(x.nerve_action(f), e[f.tgt_rank]))
+                ebar[f.src_rank], fc.compose_functors(x.nerve_action(f), e[f.tgt_rank]))
         return transports[f]
-
-    def action(f):
-        j = spine_at(f)
-        if j is not None:
-            return hats[f.tgt_rank].projections[j - 1]
-        return transport(f)
 
     def alpha(f):
         """Components of the chosen iso action(f) => transport(f), or None."""
         if f not in alphas:
             k = f.tgt_rank
-            if site.is_identity(f) and f.src_rank >= 2:
-                cat = levels[f.src_rank]
-                alphas[f] = [cat.inverse(c) for c in counits[f.src_rank].components]
-            else:
-                j = spine_at(f)
-                if j is None:
-                    alphas[f] = None
-                else:
-                    lab = hats[k].mor_label
-                    alphas[f] = [x.x1.inverse(lab[c][j - 1])
-                                 for c in counits[k].components]
+            alphas[f] = None
+            if f in spines or (site.is_identity(f) and k >= 2):
+                act, inverse = diagram.action(f).mor_map, levels[k].inverse
+                alphas[f] = [act[inverse(c)] for c in counits[k].components]
         return alphas[f]
 
     def cell(g, f):
@@ -367,7 +349,8 @@ def tr2_strong_segalic(x, strategy="cleavage"):
             comps.append(total)
         return comps
 
-    diagram = ps.PseudoDiagram(site, levels.__getitem__, action, cell)
+    diagram = ps.PseudoDiagram(site, levels.__getitem__,
+                               lambda f: spines.get(f) or transport(f), cell)
     return Tr2Result(x, sd, retr, diagram, strategy)
 
 
@@ -384,9 +367,7 @@ def tr2_map(fmap, res_src, res_tgt):
     if fmap.source is not res_src.base or fmap.target is not res_tgt.base:
         raise ValueError("the map does not run between the instances the two results strictify")
     sds, sdt = res_src.segal, res_tgt.segal
-    class_map = [sdt.gamma.obj(fmap.f0.obj(sds.gamma_section.obj(c)))
-                 for c in range(sds.x0d.n_obj)]
-    comps = {0: fc.FunctorMap(sds.x0d, sdt.x0d, class_map, class_map),
+    comps = {0: fc.compose_functors(sdt.gamma, fc.compose_functors(fmap.f0, sds.gamma_section)),
              1: fmap.f1}
     for k, hat_s, hat_t in ((2, sds.hat2, sdt.hat2), (3, sds.hat3, sdt.hat3)):
         comps[k] = fc.chain_map(hat_s, hat_t, [fmap.f1] * k)
@@ -419,8 +400,7 @@ def tr2_face_report(res):
 def tr2_segal_report(res):
     """The Segal maps of the diagram, assembled from spine actions, are identities."""
     problems = []
-    for k in (2, 3):
-        hat = res.segal.hat2 if k == 2 else res.segal.hat3
+    for k, hat in ((2, res.segal.hat2), (3, res.segal.hat3)):
         legs = [res.diagram.action(ds.SimplexMap(1, k, (j - 1, j)))
                 for j in range(1, k + 1)]
         if fc.mediating_functor(hat, legs) != fc.identity_functor(hat.cat):

@@ -499,8 +499,8 @@ def tf2_to_rank_2(diagrams):
                          ids=["rank 1", "rank 2"])
 def test_a_component_with_one_wrong_end_off_the_generators_is_found(tf2_to_rank_2, pair, end):
     # level 0 of tf2 is a point, so no naturality square reads the one
-    # component of a cell at (g, f) with g into [0]: only the check of
-    # component endpoints, made at every pair, sees one end of it moved
+    # component of a cell at (g, f) with g into [0]: of the generator
+    # checks only the coherence walk sees one end of it moved
     d = tf2_to_rank_2
     g, f = pair
     assert f not in d.site.generators() and not d.site.is_identity(f)
@@ -511,6 +511,22 @@ def test_a_component_with_one_wrong_end_off_the_generators_is_found(tf2_to_rank_
     expected = assert_matches_the_reference(recell(d, pair, [stray]))
     assert expected[0] == ("cell at (%r, %r) is not natural: component at object 0 has"
                            " wrong endpoints" % pair)
+
+
+@pytest.mark.parametrize("end", ["target", "source"])
+def test_a_wrong_end_is_the_only_fault_at_a_pair_off_the_generators(end):
+    # identity actions and cells on the chaotic category on two objects,
+    # except one cell whose component at object 0 runs into or out of
+    # object 1; its first map is neither a generator nor an identity, so
+    # the decision reads its ends only through the generator walk
+    site, level = ps.OrdinalSite(2), fc.chaotic(2)
+    gens = site.generators()
+    (stray,) = level.hom(0, 1) if end == "target" else level.hom(1, 0)
+    for pair in [(g, f) for g, f in legless_pairs(site) if f not in gens][::25]:
+        expected = assert_matches_the_reference(
+            cells_at(site, level, {pair: [stray, level.identity[1]]}))
+        assert expected[0] == ("cell at (%r, %r) is not natural: component at object 0 has"
+                               " wrong endpoints" % pair)
 
 
 @pytest.mark.parametrize("strategy", ["cleavage", "retraction"])

@@ -23,6 +23,29 @@ def unreachable(tree):
             for i, stmt in enumerate(block[:-1]) if isinstance(stmt, jumps)]
 
 
+def module_state(tree):
+    """Line of every mutable display bound at module or class level, and of every cache.
+
+    A display is a list, dict or set, or a comprehension of one, anywhere in
+    the value of an assignment; a cache is any use of ``functools.cache``
+    or ``functools.lru_cache``, under either name.
+    """
+    displays = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id in ("cache", "lru_cache")
+             or isinstance(node, ast.Attribute) and node.attr in ("cache", "lru_cache")]
+    bodies = [tree.body]
+    while bodies:
+        for stmt in bodies.pop():
+            if isinstance(stmt, (ast.ClassDef, ast.If, ast.Try, ast.With)):
+                bodies += [getattr(stmt, field, []) for field in ("body", "orelse", "finalbody")]
+                bodies += [handler.body for handler in getattr(stmt, "handlers", [])]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)) and stmt.value:
+                found += [node.lineno for node in ast.walk(stmt.value)
+                          if isinstance(node, displays)]
+    return sorted(found)
+
+
 def test_library_has_no_assert_statements():
     # result guards must raise real errors: python -O strips assert statements
     found = ["%s:%d" % (name, node.lineno)
@@ -56,3 +79,35 @@ def test_unreachable_statements_are_found_in_every_kind_of_block():
         "    x = 3",            # 16
     ])
     assert sorted(unreachable(ast.parse(source))) == [4, 9, 12, 16]
+
+
+def test_library_keeps_no_module_level_state():
+    # every table and cache belongs to an instance: results never depend on
+    # what an earlier call left behind, and memory goes with the instance
+    found = ["%s:%d" % (name, line)
+             for name, tree in library_trees() for line in module_state(tree)]
+    assert found == []
+
+
+def test_module_state_is_found_at_every_level():
+    source = "\n".join([
+        "import functools",                 # 1
+        "NAMES = ('a', 'b')",               # 2
+        "TABLE = {}",                       # 3
+        "class C:",                         # 4
+        "    seen: list = []",              # 5
+        "    def f(self):",                 # 6
+        "        local = [1]",              # 7
+        "if NAMES:",                        # 8
+        "    PAIRS = (1, {2})",             # 9
+        "try:",                             # 10
+        "    SQUARES = [i * i for i in NAMES]",  # 11
+        "except ImportError:",              # 12
+        "    SQUARES = {i: i for i in NAMES}",  # 13
+        "@functools.lru_cache(None)",       # 14
+        "def g(x):",                        # 15
+        "    return x",                     # 16
+        "from functools import cache",      # 17
+        "h = cache(g)",                     # 18
+    ])
+    assert module_state(ast.parse(source)) == [3, 5, 9, 11, 13, 14, 18]

@@ -346,7 +346,7 @@ def test_validate_cleavage_rejects_a_table_outside_the_instance(nerve, key, entr
 def test_sections_retract_the_segal_maps(family, strategy):
     x, _ = family
     sd = wg.segal_data(x)
-    r = wg.segal_retractions(x, sd, strategy)
+    r = wg.segal_retractions(x, strategy)
     for nu, muhat, counit, level in (
             (r.nu2, sd.muhat2, r.counit2, x.pairs.cat),
             (r.nu3, sd.muhat3, r.counit3, x.chain(3).cat)):
@@ -364,7 +364,7 @@ def test_sections_retract_the_segal_maps(family, strategy):
 def test_tf2_sections_move_something(tf2, strategy):
     x, _ = tf2
     sd = wg.segal_data(x)
-    r = wg.segal_retractions(x, sd, strategy)
+    r = wg.segal_retractions(x, strategy)
     idents = set(sd.hat2.cat.identity)
     assert any(c not in idents for c in r.counit2.components)
 
@@ -372,7 +372,7 @@ def test_tf2_sections_move_something(tf2, strategy):
 def test_unknown_strategy_is_rejected(family):
     x, _ = family
     with pytest.raises(ValueError, match="unknown strategy"):
-        wg.segal_retractions(x, wg.segal_data(x), "guess")
+        wg.segal_retractions(x, "guess")
 
 
 # -- the strictified diagram -------------------------------------------------

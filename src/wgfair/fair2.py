@@ -136,16 +136,13 @@ class FairDiagram:
 
     def __init__(self, p):
         self.p = p
-        self._shapes = None
         self._chains = {ds.parse_ordinal("o-o-o"): p.pair_arrows,
                         ds.parse_ordinal("o=o=o"): p.pair_units}
         self._actions = {}
         self._disc = None
 
     def shapes(self):
-        if self._shapes is None:
-            self._shapes = ds.window_objects()
-        return self._shapes
+        return ds.window_objects()
 
     def discretization(self):
         if self._disc is None:
@@ -435,13 +432,14 @@ def validate_fair_map(fmap):
 
 
 def level_map_fair(fmap, shape):
-    """The induced functor on the level of a colored ordinal."""
-    n = shape.dots - 1
-    if n == 0:
+    """The induced functor on the level of a colored ordinal; each component read must fit."""
+    names = ["units" if i in shape.colored else "arrows" for i in range(shape.dots - 1)]
+    for name in dict.fromkeys(names or ["points"]):
+        fc._check_functor_shape(getattr(fmap, "on_" + name), name)
+    if not names:
         return fmap.on_points
     return fc.chain_map(fmap.source.chain(shape), fmap.target.chain(shape),
-                        [fmap.on_units if i in shape.colored else fmap.on_arrows
-                         for i in range(n)])
+                        [getattr(fmap, "on_" + name) for name in names])
 
 
 def identity_fair_map(d):
@@ -453,6 +451,9 @@ def identity_fair_map(d):
 def compose_fair_maps(g, f):
     if g.source is not f.target and g.source.p is not f.target.p:
         raise ValueError("fair maps are not composable")
+    for m in (g, f):
+        for name in ("points", "arrows", "units"):
+            fc._check_functor_shape(getattr(m, "on_" + name), name)
     return FairMap(f.source, g.target,
                    fc.compose_functors(g.on_points, f.on_points),
                    fc.compose_functors(g.on_arrows, f.on_arrows),

@@ -6,8 +6,8 @@ composition is preserved.  ``PseudoDiagram`` owns the shape of what it hands
 out: identity maps act as identity functors, cells with an identity leg are
 identities, every other cell has the components the caller gives, and an
 action between the wrong levels or out of shape, or components that are not
-one id per object, raise ValueError there.  A cell's components are its
-data; the ``NatTransf`` between its two actions is built only on request.
+one id per object, raise ValueError there.  Only actions are cached, as
+validation reads each thousands of times and each cell's components once.
 
 Validation is exact, with no sampling, and judges only the laws.  Each
 action goes through ``fincat.validate_functor``, which decides composition
@@ -26,7 +26,7 @@ check fails, the exhaustive check of that item runs and words the problems,
 so the report is that of full enumeration.  Both use one coherence walk:
 rows of pastings first, then triples only in a row that differs.  Site maps
 hash once, and ``OrdinalSite.compose`` hands back the site's own map
-objects, so the caches keyed by maps stay cheap.
+objects, so the action cache keyed by maps stays cheap.
 """
 
 from __future__ import annotations
@@ -44,10 +44,10 @@ class OrdinalSite:
         self.max_level = max_level
         self.objects = list(range(max_level + 1))
         self._hom = {}
-        # the site's maps by (source, target, values), so that compose hands
-        # back these very objects instead of building new ones
-        self._maps = {(f.src_rank, f.tgt_rank, f.values): f
-                      for a in self.objects for b in self.objects for f in self.hom(a, b)}
+        # every map numbered once, by source, target and hom order; _maps finds
+        # them by (source, target, values), so that compose hands them back
+        self.maps = [f for a in self.objects for b in self.objects for f in self.hom(a, b)]
+        self._maps = {(f.src_rank, f.tgt_rank, f.values): f for f in self.maps}
 
     def hom(self, m, n):
         if (m, n) not in self._hom:
@@ -91,7 +91,9 @@ class PseudoDiagram:
     level(tgt f) -> level(src f); cell_fn(g, f) the components of the
     invertible comparison action(f) . action(g) => action(g after f), one
     morphism id per object of level(tgt g), or None for the identity.
-    Results are cached; consumers go through level/action/components/cell.
+    ``level`` is level_fn itself, which must return the same category object
+    each time (a level keeps its ``fincat.generators``).  Only actions are
+    cached; components and cells are made and checked on every request.
 
     ``action`` answers an identity with the identity functor, and raises
     ValueError("action of f has wrong endpoints") for a functor between the
@@ -105,18 +107,10 @@ class PseudoDiagram:
 
     def __init__(self, site, level_fn, action_fn, cell_fn):
         self.site = site
-        self._level_fn = level_fn
+        self.level = level_fn
         self._action_fn = action_fn
         self._cell_fn = cell_fn
-        self._levels = {}
         self._actions = {}
-        self._components = {}
-        self._cells = {}
-
-    def level(self, a):
-        if a not in self._levels:
-            self._levels[a] = self._level_fn(a)
-        return self._levels[a]
 
     def action(self, f):
         if f not in self._actions:
@@ -136,35 +130,28 @@ class PseudoDiagram:
 
     def components(self, g, f):
         """Components of cell(g, f) as a tuple: one morphism id per object of level(tgt g)."""
-        key = (g, f)
-        if key not in self._components:
-            site = self.site
-            af, ag = self.action(f), self.action(g)
-            leg = site.is_identity(f) or site.is_identity(g)
-            comps = None if leg else self._cell_fn(g, f)
-            if comps is None:
-                if leg and fc.compose_functors(af, ag) != self.action(site.compose(g, f)):
-                    raise ValueError("identity-leg cell at (%r, %r): the composite"
-                                     " action is not the action of the composite" % (g, f))
-                ident, fo = af.target.identity, af.obj_map
-                comps = tuple([ident[fo[y]] for y in ag.obj_map])
-            else:
-                comps = tuple(comps)
-                try:
-                    fc._check_components(comps, ag.source.n_obj, af.target.n_mor)
-                except ValueError as err:
-                    raise ValueError("cell at (%r, %r): %s" % (g, f, err)) from None
-            self._components[key] = comps
-        return self._components[key]
+        site = self.site
+        af, ag = self.action(f), self.action(g)
+        leg = site.is_identity(f) or site.is_identity(g)
+        comps = None if leg else self._cell_fn(g, f)
+        if comps is None:
+            if leg and fc.compose_functors(af, ag) != self.action(site.compose(g, f)):
+                raise ValueError("identity-leg cell at (%r, %r): the composite"
+                                 " action is not the action of the composite" % (g, f))
+            ident, fo = af.target.identity, af.obj_map
+            return tuple([ident[fo[y]] for y in ag.obj_map])
+        comps = tuple(comps)
+        try:
+            fc._check_components(comps, ag.source.n_obj, af.target.n_mor)
+        except ValueError as err:
+            raise ValueError("cell at (%r, %r): %s" % (g, f, err)) from None
+        return comps
 
     def cell(self, g, f):
-        """Comparison action(f) . action(g) => action(g after f), built on first request."""
-        key = (g, f)
-        if key not in self._cells:
-            comps = self.components(g, f)
-            self._cells[key] = fc.NatTransf(fc.compose_functors(self.action(f), self.action(g)),
-                                            self.action(self.site.compose(g, f)), comps)
-        return self._cells[key]
+        """Comparison action(f) . action(g) => action(g after f), built on every request."""
+        comps = self.components(g, f)
+        return fc.NatTransf(fc.compose_functors(self.action(f), self.action(g)),
+                            self.action(self.site.compose(g, f)), comps)
 
 
 def validate_pseudo(diagram, coherence=True, max_problems=20):
@@ -251,15 +238,13 @@ def validate_pseudo(diagram, coherence=True, max_problems=20):
         problems.append(msg)
         return len(problems) >= max_problems
 
-    # number the site maps once: pairs and triples then read flat lists
-    # indexed by g*n + f instead of hashing the maps themselves
-    maps = [f for a in site.objects for b in site.objects for f in site.hom(a, b)]
+    # pairs and triples read flat lists indexed by g*n + f in the site's
+    # numbering of its maps instead of hashing the maps themselves
+    maps = site.maps
     n = len(maps)
     index = {f: i for i, f in enumerate(maps)}
     # maps out of each object, in the order of their targets and homs
-    out_of = {a: [] for a in site.objects}
-    for i, f in enumerate(maps):
-        out_of[site.src(f)].append(i)
+    out_of = {a: [i for i, f in enumerate(maps) if site.src(f) == a] for a in site.objects}
     acts = []
     for f in maps:
         acts.append(diagram.action(f))

@@ -367,8 +367,9 @@ def tr2_map(fmap, res_src, res_tgt):
     if fmap.source is not res_src.base or fmap.target is not res_tgt.base:
         raise ValueError("the map does not run between the instances the two results strictify")
     sds, sdt = res_src.segal, res_tgt.segal
-    comps = {0: fc.compose_functors(sdt.gamma, fc.compose_functors(fmap.f0, sds.gamma_section)),
-             1: fmap.f1}
+    to_classes = fc.compose_functors(level_map(fmap, 0), sds.gamma_section)
+    fc._check_functor_shape(fmap.f1, "arrows")
+    comps = {0: fc.compose_functors(sdt.gamma, to_classes), 1: fmap.f1}
     for k, hat_s, hat_t in ((2, sds.hat2, sdt.hat2), (3, sds.hat3, sdt.hat3)):
         comps[k] = fc.chain_map(hat_s, hat_t, [fmap.f1] * k)
     report = []
@@ -435,7 +436,8 @@ def validate_double_map(fmap):
 
 
 def level_map(fmap, k):
-    """The induced functor on level k."""
+    """The induced functor on level k; the component it reads must fit its source."""
+    fc._check_functor_shape(fmap.f1 if k else fmap.f0, "arrows" if k else "points")
     if k == 0:
         return fmap.f0
     return fc.chain_map(fmap.source.chain(k), fmap.target.chain(k), [fmap.f1] * k)

@@ -435,6 +435,38 @@ def test_short_component_is_named_with_both_lengths(arrow_fair, component):
         " has length 1 but the source has %d morphisms" % (component, cat.n_mor))
 
 
+SHORT_COMPONENT_READERS = {
+    "compose after the identity":
+        lambda fmap: f2.compose_fair_maps(fmap, f2.identity_fair_map(fmap.source)),
+    "compose before the identity":
+        lambda fmap: f2.compose_fair_maps(f2.identity_fair_map(fmap.source), fmap),
+    "compose with itself": lambda fmap: f2.compose_fair_maps(fmap, fmap),
+}
+SHORT_LEVEL_READS = [("o", "points"), ("o-o", "arrows"), ("o=o", "units"),
+                     ("o=o-o", "arrows"), ("o-o=o", "units")]
+
+
+@pytest.mark.parametrize("reader, component", [
+    *[("level_map_fair " + text, component) for text, component in SHORT_LEVEL_READS],
+    *[(reader, component) for reader in sorted(SHORT_COMPONENT_READERS)
+      for component in ("points", "arrows", "units")]])
+def test_short_component_is_named_by_the_reader_that_takes_it(nerve_fair, reader, component):
+    # each reader checks the shape of the components it reads, so none of
+    # them indexes past the end of a short map or composes one into another
+    p = nerve_fair.p
+    maps = {name: fc.identity_functor(getattr(p, name)) for name in ("points", "arrows", "units")}
+    cat = getattr(p, component)
+    maps[component] = fc.FunctorMap(cat, cat, [0], [0])
+    fmap = f2.FairMap(nerve_fair, nerve_fair, maps["points"], maps["arrows"], maps["units"])
+    read = SHORT_COMPONENT_READERS.get(reader) or (
+        lambda fmap: f2.level_map_fair(fmap, ds.parse_ordinal(reader.split()[-1])))
+    with pytest.raises(ValueError) as err:
+        read(fmap)
+    assert str(err.value) == (
+        "functor map lengths disagree with the source: the %s component's object map"
+        " has length 1 but the source has %d objects" % (component, cat.n_obj))
+
+
 def test_identity_and_composition_of_fair_maps(family_fair, collapse):
     ident = f2.identity_fair_map(family_fair)
     assert f2.validate_fair_map(ident) == []

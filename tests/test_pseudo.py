@@ -156,7 +156,7 @@ def reference_coherence(diagram, max_problems):
         problems.append(msg)
         return len(problems) >= max_problems
 
-    maps = [f for a in site.objects for b in site.objects for f in site.hom(a, b)]
+    maps = site.maps
     index = {f: i for i, f in enumerate(maps)}
     out_of = {a: [i for i, f in enumerate(maps) if site.src(f) == a] for a in site.objects}
     acts = [diagram.action(f) for f in maps]
@@ -168,7 +168,7 @@ def reference_coherence(diagram, max_problems):
         key = (index[g], index[f])
         after[key] = index[site.compose(g, f)]
         if not broken & {key[0], key[1], after[key]}:
-            cells[key] = diagram.cell(g, f).components
+            cells[key] = diagram.components(g, f)
     for fi, f in enumerate(maps):
         comp = diagram.level(site.src(f)).comp
         af = acts[fi].mor_map
@@ -255,8 +255,9 @@ def test_site_generators_generate_every_map():
     gens = site.generators()
     assert len(gens) == len(set(gens)) == 15
     assert not any(site.is_identity(s) for s in gens)
-    maps = [f for a in site.objects for b in site.objects for f in site.hom(a, b)]
+    maps = site.maps
     assert len(maps) == 121
+    assert maps == sorted(maps, key=lambda f: (f.src_rank, f.tgt_rank, f.values))
     reached = closure(gens, [site.identity(a) for a in site.objects], site.compose,
                       lambda g, f: site.src(g) == site.tgt(f))
     assert reached == set(maps)
@@ -264,8 +265,7 @@ def test_site_generators_generate_every_map():
 
 def test_compose_hands_back_the_sites_own_maps():
     site = ps.OrdinalSite(2)
-    maps = [f for a in site.objects for b in site.objects for f in site.hom(a, b)]
-    own = {id(f) for f in maps}
+    own = {id(f) for f in site.maps}
     for g, f in corpus.composable_pairs(site):
         gf = site.compose(g, f)
         assert id(gf) in own and gf == ds.compose_simplex(g, f)
@@ -343,16 +343,29 @@ def test_tr2_and_its_validation_compose_each_pair_of_actions_once(monkeypatch):
 
     monkeypatch.setattr(fc, "compose_functors", spy)
     d = wg.tr2_strong_segalic(corpus.double("nerve")).diagram
+    nat, built = fc.NatTransf, []
+    monkeypatch.setattr(fc, "NatTransf", lambda *args: built.append(args) or nat(*args))
     assert ps.validate_pseudo(d, coherence=True) == []
     site = d.site
-    acts = {id(d.action(f)) for a in site.objects for b in site.objects for f in site.hom(a, b)}
+    acts = {id(d.action(f)) for f in site.maps}
     pairs = [(id(g), id(f)) for g, f in calls if id(g) in acts and id(f) in acts]
     legs = {(id(d.action(f)), id(d.action(g))) for g, f in corpus.composable_pairs(site)
             if site.is_identity(f) or site.is_identity(g)}
     assert len(pairs) == len(set(pairs)) == len(legs) == 238
     assert set(pairs) == legs
-    assert d._cells == {}
+    assert built == []
     assert len(calls) == 484
+
+
+def test_a_lawful_validation_asks_for_each_cell_without_an_identity_leg_once(monkeypatch):
+    # components are not cached, so this also pins that the pair pass reads
+    # each pair once and the coherence walk reads what the pass kept
+    d = wg.tr2_strong_segalic(corpus.double("nerve")).diagram
+    asked, cell_fn = [], d._cell_fn
+    monkeypatch.setattr(d, "_cell_fn", lambda g, f: asked.append((g, f)) or cell_fn(g, f))
+    assert ps.validate_pseudo(d) == []
+    assert len(asked) == len(set(asked)) == 5136
+    assert set(asked) == set(legless_pairs(d.site))
 
 
 def cells_at(site, level, components):
@@ -398,14 +411,13 @@ def retarget(diagram, f_star, act):
     def action(f):
         return act if f == f_star else diagram.action(f)
 
-    return ps.PseudoDiagram(diagram.site, diagram.level, action,
-                            lambda g, f: diagram.cell(g, f).components)
+    return ps.PseudoDiagram(diagram.site, diagram.level, action, diagram.components)
 
 
 def recell(diagram, pair, components):
     """diagram with the cell at pair given other components."""
     def cell(g, f):
-        return components if (g, f) == pair else diagram.cell(g, f).components
+        return components if (g, f) == pair else diagram.components(g, f)
 
     return ps.PseudoDiagram(diagram.site, diagram.level, diagram.action, cell)
 
@@ -825,7 +837,7 @@ def test_malformed_components_are_refused_before_a_cell_is_built(components, mes
             ps.validate_pseudo(d, coherence=coherence)
 
 
-def test_identity_leg_components_over_a_site_without_units_are_refused():
+def test_identity_leg_components_over_a_site_without_units_are_refused(monkeypatch):
     # the identity of [1] after the coface skipping 0 is the other coface
     class Skewed(ps.OrdinalSite):
         def compose(self, g, f):
@@ -838,11 +850,15 @@ def test_identity_leg_components_over_a_site_without_units_are_refused():
                          lambda f: fc.FunctorMap(levels[1], levels[0], f.values, f.values),
                          lambda g, f: None)
     g, f = ds.identity_simplex(1), ds.coface(0, 1)
-    with pytest.raises(ValueError, match="^%s$" % re.escape(
-            "identity-leg cell at (%r, %r): the composite action is not the action"
-            " of the composite" % (g, f))):
+    nat, built = fc.NatTransf, []
+    monkeypatch.setattr(fc, "NatTransf", lambda *args: built.append(args) or nat(*args))
+    refused = "^%s$" % re.escape("identity-leg cell at (%r, %r): the composite action is not"
+                                 " the action of the composite" % (g, f))
+    with pytest.raises(ValueError, match=refused):
         d.components(g, f)
-    assert d._cells == {}
+    with pytest.raises(ValueError, match=refused):
+        d.cell(g, f)
+    assert built == []
 
 
 def test_components_given_as_none_are_identities_read_without_composing(monkeypatch):

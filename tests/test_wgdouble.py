@@ -606,6 +606,38 @@ def test_short_component_is_named_with_both_lengths(nerve, component, level):
         " has length 1 but the source has %d objects" % (component, cat.n_obj))
 
 
+def tr2_map_on_the_source(fmap):
+    res = wg.tr2_strong_segalic(fmap.source)
+    return wg.tr2_map(fmap, res, res)
+
+
+SHORT_COMPONENT_READERS = {
+    "level_map 0": lambda fmap: wg.level_map(fmap, 0),
+    "level_map 1": lambda fmap: wg.level_map(fmap, 1),
+    "level_map 2": lambda fmap: wg.level_map(fmap, 2),
+    "level_map 3": lambda fmap: wg.level_map(fmap, 3),
+    "tr2_map": tr2_map_on_the_source,
+}
+
+
+@pytest.mark.parametrize("reader, component", [
+    ("level_map 0", "points"), ("level_map 1", "arrows"), ("level_map 2", "arrows"),
+    ("level_map 3", "arrows"), ("tr2_map", "points"), ("tr2_map", "arrows")])
+def test_short_component_is_named_by_the_reader_that_takes_it(nerve, reader, component):
+    # each reader checks the shape of the components it reads, so none of
+    # them indexes past the end of a short map
+    x, _ = nerve
+    level = {"points": "x0", "arrows": "x1"}[component]
+    maps = {"x0": fc.identity_functor(x.x0), "x1": fc.identity_functor(x.x1)}
+    cat = getattr(x, level)
+    maps[level] = fc.FunctorMap(cat, cat, [0], [0])
+    with pytest.raises(ValueError) as err:
+        SHORT_COMPONENT_READERS[reader](wg.DoubleMap(x, x, maps["x0"], maps["x1"]))
+    assert str(err.value) == (
+        "functor map lengths disagree with the source: the %s component's object map"
+        " has length 1 but the source has %d objects" % (component, cat.n_obj))
+
+
 def test_collapse_is_a_2equivalence(family, nerve):
     fmap = corpus.collapse_map(family, nerve)
     flags = wg.is_2equivalence_double(fmap)

@@ -126,9 +126,11 @@ def map_problems(components, squares, compositions):
     squares (name, (a, b), (c, d)) ask a . b == c . d; compositions (tag,
     names, chain_x, chain_y, comp_x, comp_y, on) ask comp_y . (on x on) ==
     on . comp_x, unless a named square failed and pairs need not map to pairs.
+    A component whose maps do not fit its source raises ValueError naming it.
     """
     problems = []
     for tag, fun in components:
+        fc._check_functor_shape(fun, tag)
         bad = fc.validate_functor(fun)
         if bad:
             problems.append("%s component is not a functor: %s" % (tag, bad[0]))
@@ -325,6 +327,11 @@ def walk_section(level, end, hat, strict, step):
     The first component is the anchor; step(a, point) moves each later
     component a to start at point, the end of the one before, and returns
     (object, invertible cell onto a).  Morphisms are conjugated by the cells.
+
+    Precondition: level is a category (``from_generators`` and
+    ``from_presentation`` check their levels).  Each cell of the walks is
+    inverted once, and an identity cell is not composed with, which the
+    identity laws make exact.
     """
     walks = []
     for t in hat.obj_label:
@@ -335,14 +342,18 @@ def walk_section(level, end, hat, strict, step):
             lams.append(lam)
         walks.append((tuple(objs), tuple(lams)))
     obj_map = [strict.obj_id[objs] for objs, _ in walks]
-    mor_map = []
-    for mid, mt in enumerate(hat.mor_label):
-        _, lams_a = walks[hat.cat.src[mid]]
-        _, lams_b = walks[hat.cat.tgt[mid]]
-        parts = tuple(
-            level.compose(level.inverse(lams_b[j]), level.compose(mt[j], lams_a[j]))
-            for j in range(len(mt)))
-        mor_map.append(strict.mor_id[parts])
+    ident = set(level.identity)
+    inverse = {lam: level.inverse(lam) for _, lams in walks for lam in lams if lam not in ident}
+    mor_map, compose, mor_id = [], level.compose, strict.mor_id
+    for mt, s, t in zip(hat.mor_label, hat.cat.src, hat.cat.tgt):
+        parts = []
+        for m, lam_s, lam_t in zip(mt, walks[s][1], walks[t][1]):
+            if lam_s not in ident:
+                m = compose(m, lam_s)
+            if lam_t not in ident:
+                m = compose(inverse[lam_t], m)
+            parts.append(m)
+        mor_map.append(mor_id[tuple(parts)])
     nu = fc.FunctorMap(hat.cat, strict.cat, obj_map, mor_map)
     return nu, [hat.mor_id[lams] for _, lams in walks]
 

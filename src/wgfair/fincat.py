@@ -12,7 +12,8 @@ and remember the entries they compute, so they never force the table;
 reading ``comp`` yields the complete plain dict, built once on first read in
 the order of a full enumeration (for each f, the g composable after it).
 ``iso_classes`` asks ``is_iso`` only of morphisms between two classes it
-has not joined yet, so it forces no composite inside a class.
+has not joined yet, so it forces no composite inside a class; like
+``generators``, the classes are computed once per category and kept on it.
 ``validate_functor`` decides composition on generators, entry by entry, so
 it forces no table either; only a functor that breaks a law is walked in
 full.
@@ -40,7 +41,8 @@ class FinCat:
     fills in the whole table on first read and keeps it.
     """
 
-    __slots__ = ("n_obj", "src", "tgt", "identity", "_comp", "_rule", "_hom", "_inv", "_gens")
+    __slots__ = ("n_obj", "src", "tgt", "identity", "_comp", "_rule", "_hom", "_inv", "_gens",
+                 "_isos")
 
     def __init__(self, n_obj, src, tgt, identity, comp=None, rule=None):
         if (comp is None) == (rule is None):
@@ -54,6 +56,7 @@ class FinCat:
         self._hom = None
         self._inv = {}
         self._gens = None
+        self._isos = None
 
     @property
     def n_mor(self):
@@ -308,29 +311,33 @@ def iso_classes(cat):
     union-find in morphism order.  A morphism whose ends are already in one
     class cannot change the partition, so ``is_iso`` is asked only of a
     morphism between two classes; the result depends on the partition alone,
-    so it is the one every morphism's test gives.
+    so it is the one every morphism's test gives.  The classes are computed
+    once per category and kept on it; each call returns fresh lists.
     """
-    parent = list(range(cat.n_obj))
+    if cat._isos is None:
+        parent = list(range(cat.n_obj))
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
 
-    for m, (x, y) in enumerate(zip(cat.src, cat.tgt)):
-        a, b = find(x), find(y)
-        if a != b and cat.is_iso(m):
-            parent[max(a, b)] = min(a, b)
-    groups = {}
-    for x in range(cat.n_obj):
-        groups.setdefault(find(x), []).append(x)
-    classes = sorted(groups.values())
-    class_of = [0] * cat.n_obj
-    for i, cls in enumerate(classes):
-        for x in cls:
-            class_of[x] = i
-    return classes, tuple(class_of)
+        for m, (x, y) in enumerate(zip(cat.src, cat.tgt)):
+            a, b = find(x), find(y)
+            if a != b and cat.is_iso(m):
+                parent[max(a, b)] = min(a, b)
+        groups = {}
+        for x in range(cat.n_obj):
+            groups.setdefault(find(x), []).append(x)
+        classes = sorted(groups.values())
+        class_of = [0] * cat.n_obj
+        for i, cls in enumerate(classes):
+            for x in cls:
+                class_of[x] = i
+        cat._isos = tuple(map(tuple, classes)), tuple(class_of)
+    classes, class_of = cat._isos
+    return list(map(list, classes)), class_of
 
 
 def is_homotopically_discrete(cat):
@@ -657,18 +664,14 @@ def mediating_functor(chain, cone_maps):
     t = cone_maps[0].source
     for i, c in enumerate(cone_maps):
         _check_lengths(c, t, "cone leg %d's " % i, "the cone's source")
-    obj_map, mor_map = [], []
-    for x in range(t.n_obj):
-        lab = tuple(c.obj_map[x] for c in cone_maps)
-        if lab not in chain.obj_id:
-            raise ValueError("cone legs disagree on object %d" % x)
-        obj_map.append(chain.obj_id[lab])
-    for m in range(t.n_mor):
-        lab = tuple(c.mor_map[m] for c in cone_maps)
-        if lab not in chain.mor_id:
-            raise ValueError("cone legs disagree on morphism %d" % m)
-        mor_map.append(chain.mor_id[lab])
-    return FunctorMap(t, chain.cat, obj_map, mor_map)
+    maps = []
+    for kind, ids, legs in (("object", chain.obj_id, [c.obj_map for c in cone_maps]),
+                            ("morphism", chain.mor_id, [c.mor_map for c in cone_maps])):
+        image = list(map(ids.get, zip(*legs)))
+        if None in image:
+            raise ValueError("cone legs disagree on %s %d" % (kind, image.index(None)))
+        maps.append(image)
+    return FunctorMap(t, chain.cat, *maps)
 
 
 def chain_map(source, target, components):
@@ -712,6 +715,15 @@ def retraction_pseudo_inverse(fun):
     Counit components FG => Id are identities on the image of F; off the
     image the smallest witnessing object and then the smallest iso are
     chosen, so the result is deterministic.
+
+    Precondition: source and target are categories (the ``FinCat``
+    contract; the builders check their levels, and the hat and strict
+    chains are fiber products of those).  G sends m : y0 -> y1 to the
+    preimage of eps[y1]^-1 . m . eps[y0], read from one dict of F's
+    morphism map, which is injective once F is fully faithful and
+    injective on objects.  Each counit component is inverted once, and an
+    identity component is not composed with, which the identity laws make
+    exact.
     """
     flags = equivalence_flags(fun)
     if not (flags["is_equivalence"] and flags["injective_on_objects"]):
@@ -728,15 +740,18 @@ def retraction_pseudo_inverse(fun):
                          for m in b.hom(fun.obj_map[x], y) if b.is_iso(m))
             gobj.append(found[0])
             eps.append(found[1])
-    gmor = []
-    for m in range(b.n_mor):
-        y0, y1 = b.src[m], b.tgt[m]
-        conj = b.compose(b.inverse(eps[y1]), b.compose(m, eps[y0]))
-        cand = [n for n in a.hom(gobj[y0], gobj[y1]) if fun.mor_map[n] == conj]
-        if len(cand) != 1:
-            raise ValueError("transport of morphism %d has %d preimages, not one"
-                             % (m, len(cand)))
-        gmor.append(cand[0])
+    ident = set(b.identity)
+    inverse = {e: b.inverse(e) for e in eps if e not in ident}
+    mor_pre = {fm: n for n, fm in enumerate(fun.mor_map)}
+    gmor, compose = [], b.compose
+    for m, (y0, y1) in enumerate(zip(b.src, b.tgt)):
+        conj = m if eps[y0] in ident else compose(m, eps[y0])
+        if eps[y1] not in ident:
+            conj = compose(inverse[eps[y1]], conj)
+        n = mor_pre.get(conj)
+        if n is None:
+            raise ValueError("transport of morphism %d has 0 preimages, not one" % m)
+        gmor.append(n)
     g = FunctorMap(b, a, gobj, gmor)
     counit = NatTransf(compose_functors(fun, g), identity_functor(b), eps)
     return Retraction(g, counit)

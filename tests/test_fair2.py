@@ -162,10 +162,11 @@ def test_evaluation_builds_actions_on_demand(family, monkeypatch):
     assert built == [fat for _, fat in f2.unit_generator_maps()]
 
 
-def test_iso_classes_asks_is_iso_only_across_classes(family, monkeypatch):
+def test_iso_classes_asks_is_iso_only_across_classes(monkeypatch):
     # an edge inside a current class cannot change the partition, so where
     # every morphism is an iso each test merges two classes; validate_fairwg
-    # on pi* of the family asked 10,348 times when every morphism was tested
+    # on pi* of the family asked 10,348 times when every morphism was tested.
+    # The classes are kept on the category, so the family is built afresh.
     asked = []
     is_iso = fc.FinCat.is_iso
 
@@ -174,13 +175,19 @@ def test_iso_classes_asks_is_iso_only_across_classes(family, monkeypatch):
         return is_iso(self, m)
 
     monkeypatch.setattr(fc.FinCat, "is_iso", counted)
+    family, _ = corpus.surjection("family")
     two_blocks, _, _ = fc.disjoint_union([fc.chaotic(2), fc.chaotic(3)])
-    for cat in (fc.chaotic(1), fc.chaotic(4), two_blocks, family[0].x0):
+    for cat in (fc.chaotic(1), fc.chaotic(4), two_blocks, family.x0):
         asked.clear()
         classes, _ = fc.iso_classes(cat)
         assert len(asked) == cat.n_obj - len(classes)
+        # asked again, the kept classes come back as new lists
+        again, _ = fc.iso_classes(cat)
+        assert len(asked) == cat.n_obj - len(classes)
+        assert again == classes
+        assert again is not classes and all(a is not c for a, c in zip(again, classes))
     asked.clear()
-    assert f2.validate_fairwg(f2.pi_star(family[0])) == []
+    assert f2.validate_fairwg(f2.pi_star(family)) == []
     assert len(asked) <= 400
 
 
@@ -433,6 +440,21 @@ def test_short_component_is_named_with_both_lengths(arrow_fair, component):
     assert str(err.value) == (
         "functor map lengths disagree with the source: the %s component's morphism map"
         " has length 1 but the source has %d morphisms" % (component, cat.n_mor))
+
+
+@pytest.mark.parametrize("component, tag", [("points", "point"), ("arrows", "arrow"),
+                                            ("units", "unit")])
+def test_validate_fair_map_names_a_short_component(nerve_fair, component, tag):
+    p = nerve_fair.p
+    maps = {name: fc.identity_functor(getattr(p, name)) for name in ("points", "arrows", "units")}
+    cat = getattr(p, component)
+    maps[component] = fc.FunctorMap(cat, cat, [0], range(cat.n_mor))
+    with pytest.raises(ValueError) as err:
+        f2.validate_fair_map(f2.FairMap(nerve_fair, nerve_fair, maps["points"],
+                                        maps["arrows"], maps["units"]))
+    assert str(err.value) == (
+        "functor map lengths disagree with the source: the %s component's object map"
+        " has length 1 but the source has %d objects" % (tag, cat.n_obj))
 
 
 SHORT_COMPONENT_READERS = {

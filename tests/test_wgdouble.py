@@ -606,6 +606,19 @@ def test_short_component_is_named_with_both_lengths(nerve, component, level):
         " has length 1 but the source has %d objects" % (component, cat.n_obj))
 
 
+@pytest.mark.parametrize("tag, level", [("vertical", "x0"), ("horizontal", "x1")])
+def test_validate_double_map_names_a_short_component(nerve, tag, level):
+    x, _ = nerve
+    maps = {"x0": fc.identity_functor(x.x0), "x1": fc.identity_functor(x.x1)}
+    cat = getattr(x, level)
+    maps[level] = fc.FunctorMap(cat, cat, [0], range(cat.n_mor))
+    with pytest.raises(ValueError) as err:
+        wg.validate_double_map(wg.DoubleMap(x, x, maps["x0"], maps["x1"]))
+    assert str(err.value) == (
+        "functor map lengths disagree with the source: the %s component's object map"
+        " has length 1 but the source has %d objects" % (tag, cat.n_obj))
+
+
 def tr2_map_on_the_source(fmap):
     res = wg.tr2_strong_segalic(fmap.source)
     return wg.tr2_map(fmap, res, res)

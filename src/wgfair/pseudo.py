@@ -24,9 +24,9 @@ identity leg are identities; and the pentagon gives coherence at every
 other triple.  ``validate_pseudo`` states the argument.  When a generator
 check fails, the exhaustive check of that item runs and words the problems,
 so the report is that of full enumeration.  Both use one coherence walk:
-rows of pastings first, then triples only in a row that differs.  Site maps
-hash once, and ``OrdinalSite.compose`` hands back the site's own map
-objects, so the action cache keyed by maps stays cheap.
+rows of pastings first, then triples only in a row that differs.  The site
+is a numbered finite category, so diagrams and validation work on map
+numbers and the site's composition table; only messages read the labels.
 """
 
 from __future__ import annotations
@@ -38,64 +38,56 @@ from . import fincat as fc
 
 
 class OrdinalSite:
-    """Ordinals 0..max_level with all weakly increasing maps."""
+    """Ordinals 0..max_level with all weakly increasing maps, as a numbered ``fc.FinCat``.
+
+    ``maps[i]`` is the label (a ``deltasite.SimplexMap``) of morphism i of
+    ``cat``, numbered by source, target and values in lexicographic order;
+    ``index`` gives a label's number.  ``cat`` composes through a rule that
+    looks up the composite's values, so a composite is found only when it is
+    asked for, and reading ``cat.comp`` forces the whole table.
+    """
 
     def __init__(self, max_level=3):
         self.max_level = max_level
         self.objects = list(range(max_level + 1))
-        self._hom = {}
-        # every map numbered once, by source, target and hom order; _maps finds
-        # them by (source, target, values), so that compose hands them back
-        self.maps = [f for a in self.objects for b in self.objects for f in self.hom(a, b)]
-        self._maps = {(f.src_rank, f.tgt_rank, f.values): f for f in self.maps}
+        self.maps = maps = [ds.SimplexMap(m, n, values) for m in self.objects for n in self.objects
+                            for values in combinations_with_replacement(range(n + 1), m + 1)]
+        self.index = {f: i for i, f in enumerate(maps)}
+        # a map is its target rank and values; g after f reads g's values at f's
+        by_values = {(f.tgt_rank, f.values): i for i, f in enumerate(maps)}
 
-    def hom(self, m, n):
-        if (m, n) not in self._hom:
-            self._hom[(m, n)] = [
-                ds.SimplexMap(m, n, values)
-                for values in combinations_with_replacement(range(n + 1), m + 1)
-            ]
-        return self._hom[(m, n)]
+        def rule(g, f):
+            values = maps[g].values
+            return by_values[(maps[g].tgt_rank, tuple([values[v] for v in maps[f].values]))]
 
-    def compose(self, g, f):
-        """g after f: the site's own map when the composite lies in the site."""
-        if f.tgt_rank == g.src_rank:
-            values = g.values
-            found = self._maps.get((f.src_rank, g.tgt_rank, tuple([values[v] for v in f.values])))
-            if found is not None:
-                return found
-        return ds.compose_simplex(g, f)
-
-    def identity(self, a):
-        return ds.identity_simplex(a)
-
-    def src(self, f):
-        return f.src_rank
-
-    def tgt(self, f):
-        return f.tgt_rank
-
-    def is_identity(self, f):
-        return f.src_rank == f.tgt_rank and f.values == tuple(range(f.src_rank + 1))
+        self.cat = fc.FinCat(len(self.objects), [f.src_rank for f in maps],
+                             [f.tgt_rank for f in maps],
+                             [by_values[(a, tuple(range(a + 1)))] for a in self.objects],
+                             rule=rule)
 
     def generators(self):
-        """The cofaces and codegeneracies; every other map is a composite of them."""
-        return ([ds.coface(i, n) for n in range(1, self.max_level + 1) for i in range(n + 1)]
-                + [ds.codegeneracy(i, n) for n in range(self.max_level) for i in range(n + 1)])
+        """Numbers of the cofaces and codegeneracies; every other map is a composite of them."""
+        return [self.index[s] for s in
+                [ds.coface(i, n) for n in range(1, self.max_level + 1) for i in range(n + 1)]
+                + [ds.codegeneracy(i, n) for n in range(self.max_level) for i in range(n + 1)]]
 
 
 class PseudoDiagram:
     """Contravariant pseudo-functor on a finite site, normalized at identities.
 
-    level_fn(a) gives the category at a site object; action_fn(f) the functor
+    Site maps are the morphism numbers of ``site.cat``.  level_fn(a) gives
+    the category at a site object; action_fn(f) the functor
     level(tgt f) -> level(src f); cell_fn(g, f) the components of the
     invertible comparison action(f) . action(g) => action(g after f), one
     morphism id per object of level(tgt g), or None for the identity.
     ``level`` is level_fn itself, which must return the same category object
     each time (a level keeps its ``fincat.generators``).  Only actions are
-    cached; components and cells are made and checked on every request.
+    cached, in a list indexed by number; components and cells are made and
+    checked on every request.  Messages name each map by ``site.maps[f]``.
 
-    ``action`` answers an identity with the identity functor, and raises
+    ``action`` (so ``components`` and ``cell`` too) refuses a map that is not
+    an int in 0..len(site.maps)-1 with ValueError naming it and the site's
+    size, answers an identity with the identity functor, and raises
     ValueError("action of f has wrong endpoints") for a functor between the
     wrong levels and ValueError("action of f: ...") with ``fincat``'s
     wording for maps out of shape.  ``components`` answers a pair with an
@@ -110,48 +102,52 @@ class PseudoDiagram:
         self.level = level_fn
         self._action_fn = action_fn
         self._cell_fn = cell_fn
-        self._actions = {}
+        self._actions = [None] * len(site.maps)
 
     def action(self, f):
-        if f not in self._actions:
-            site = self.site
-            if site.is_identity(f):
-                act = fc.identity_functor(self.level(site.src(f)))
+        acts = self._actions
+        if not isinstance(f, int) or not 0 <= f < len(acts):
+            raise ValueError("site map %r is not one of the %d map numbers" % (f, len(acts)))
+        act = acts[f]
+        if act is None:
+            cat = self.site.cat
+            if f == cat.identity[cat.src[f]]:
+                act = fc.identity_functor(self.level(cat.src[f]))
             else:
                 act = self._action_fn(f)
-                if act.source != self.level(site.tgt(f)) or act.target != self.level(site.src(f)):
-                    raise ValueError("action of %r has wrong endpoints" % (f,))
+                if act.source != self.level(cat.tgt[f]) or act.target != self.level(cat.src[f]):
+                    raise ValueError("action of %r has wrong endpoints" % (self.site.maps[f],))
                 try:
                     fc._check_functor_shape(act)
                 except ValueError as err:
-                    raise ValueError("action of %r: %s" % (f, err)) from None
-            self._actions[f] = act
-        return self._actions[f]
+                    raise ValueError("action of %r: %s" % (self.site.maps[f], err)) from None
+            acts[f] = act
+        return act
 
     def components(self, g, f):
         """Components of cell(g, f) as a tuple: one morphism id per object of level(tgt g)."""
-        site = self.site
         af, ag = self.action(f), self.action(g)
-        leg = site.is_identity(f) or site.is_identity(g)
+        maps, cat = self.site.maps, self.site.cat
+        leg = f == cat.identity[cat.src[f]] or g == cat.identity[cat.src[g]]
         comps = None if leg else self._cell_fn(g, f)
         if comps is None:
-            if leg and fc.compose_functors(af, ag) != self.action(site.compose(g, f)):
-                raise ValueError("identity-leg cell at (%r, %r): the composite"
-                                 " action is not the action of the composite" % (g, f))
+            if leg and fc.compose_functors(af, ag) != self.action(cat.compose(g, f)):
+                raise ValueError("identity-leg cell at (%r, %r): the composite action is not"
+                                 " the action of the composite" % (maps[g], maps[f]))
             ident, fo = af.target.identity, af.obj_map
             return tuple([ident[fo[y]] for y in ag.obj_map])
         comps = tuple(comps)
         try:
             fc._check_components(comps, ag.source.n_obj, af.target.n_mor)
         except ValueError as err:
-            raise ValueError("cell at (%r, %r): %s" % (g, f, err)) from None
+            raise ValueError("cell at (%r, %r): %s" % (maps[g], maps[f], err)) from None
         return comps
 
     def cell(self, g, f):
         """Comparison action(f) . action(g) => action(g after f), built on every request."""
         comps = self.components(g, f)
         return fc.NatTransf(fc.compose_functors(self.action(f), self.action(g)),
-                            self.action(self.site.compose(g, f)), comps)
+                            self.action(self.site.cat.compose(g, f)), comps)
 
 
 def validate_pseudo(diagram, coherence=True, max_problems=20):
@@ -239,19 +235,20 @@ def validate_pseudo(diagram, coherence=True, max_problems=20):
         return len(problems) >= max_problems
 
     # pairs and triples read flat lists indexed by g*n + f in the site's
-    # numbering of its maps instead of hashing the maps themselves
-    maps = site.maps
-    n = len(maps)
-    index = {f: i for i, f in enumerate(maps)}
+    # numbering of its maps; messages name the maps by their labels
+    cat, maps = site.cat, site.maps
+    n, src, tgt = len(maps), cat.src, cat.tgt
     # maps out of each object, in the order of their targets and homs
-    out_of = {a: [i for i, f in enumerate(maps) if site.src(f) == a] for a in site.objects}
+    out_of = {a: [i for i in range(n) if src[i] == a] for a in site.objects}
     acts = []
-    for f in maps:
+    for f in range(n):
         acts.append(diagram.action(f))
         bad = fc.validate_functor(acts[-1])
-        if bad and note("action of %r is not a functor: %s" % (f, bad[0])):
+        if bad and note("action of %r is not a functor: %s" % (maps[f], bad[0])):
             return problems
     lawful = not problems
+    # the pair pass reads every composite, so the site's table is forced once
+    table = cat.comp
     after, comps_of = [None] * (n * n), [None] * (n * n)
 
     def pair_problems(checked_at):
@@ -260,31 +257,31 @@ def validate_pseudo(diagram, coherence=True, max_problems=20):
         Component endpoints, naturality and invertibility are checked at the
         pairs whose first map is numbered in checked_at.
         """
-        for fi, f in enumerate(maps):
+        for fi in range(n):
             fo, fm, bottom = acts[fi].obj_map, acts[fi].mor_map, acts[fi].target
             src_of, tgt_of, get = bottom.src.__getitem__, bottom.tgt.__getitem__, bottom.comp.get
             checked = fi in checked_at
-            for gi in out_of[site.tgt(f)]:
-                g, k = maps[gi], gi * n + fi
-                gf = after[k] = index[site.compose(g, f)]
-                comps = comps_of[k] = diagram.components(g, f)
+            for gi in out_of[tgt[fi]]:
+                k = gi * n + fi
+                gf = after[k] = table[(gi, fi)]
+                comps = comps_of[k] = diagram.components(gi, fi)
                 # each component runs from action(f) . action(g) to action(g.f) at its object
                 ok = lawful and (not checked or (
                     list(map(src_of, comps)) == [fo[y] for y in acts[gi].obj_map]
                     and tuple(map(tgt_of, comps)) == acts[gf].obj_map))
                 if ok and checked:
                     # the squares at the generators of level(tgt g) paste to every square
-                    level, gm, tm = diagram.level(site.tgt(g)), acts[gi].mor_map, acts[gf].mor_map
+                    level, gm, tm = diagram.level(tgt[gi]), acts[gi].mor_map, acts[gf].mor_map
                     ok = all(get((tm[m], comps[level.src[m]]))
                              == get((comps[level.tgt[m]], fm[gm[m]]))
                              for m in fc.generators(level))
                 if not ok:
-                    bad = fc.validate_nat(diagram.cell(g, f))
+                    bad = fc.validate_nat(diagram.cell(gi, fi))
                     if bad:
-                        yield "cell at (%r, %r) is not natural: %s" % (g, f, bad[0])
+                        yield "cell at (%r, %r) is not natural: %s" % (maps[gi], maps[fi], bad[0])
                         continue
                 if checked and not all(map(bottom.is_iso, comps)):
-                    yield "cell at (%r, %r) is not invertible" % (g, f)
+                    yield "cell at (%r, %r) is not invertible" % (maps[gi], maps[fi])
 
     def failures(firsts, outs):
         """Failing triples as (h, g, f, object), f in firsts, g and h in outs, by f, g, h.
@@ -297,26 +294,25 @@ def validate_pseudo(diagram, coherence=True, max_problems=20):
         obj_row = {a: [x for hi in outs[a] for x in acts[hi].obj_map] for a in site.objects}
         # cell(h, j) and h.j for every h out of the target of j
         cell_row, after_row = [], []
-        for j, f in enumerate(maps):
-            hs = outs[site.tgt(f)]
+        for j in range(n):
+            hs = outs[tgt[j]]
             cell_row.append(list(chain.from_iterable(comps_of[hi * n + j] for hi in hs)))
             after_row.append([after[hi * n + j] for hi in hs])
         for fi in firsts:
-            f = maps[fi]
-            get = diagram.level(site.src(f)).comp.__getitem__
+            get = diagram.level(src[fi]).comp.__getitem__
             af = acts[fi].mor_map.__getitem__
-            for gi in outs[site.tgt(f)]:
-                g, gf = maps[gi], after[gi * n + fi]
+            for gi in outs[tgt[fi]]:
+                gf = after[gi * n + fi]
                 inner = comps_of[gi * n + fi].__getitem__
                 try:
-                    if (list(map(get, zip(cell_row[gf], map(inner, obj_row[site.tgt(g)]))))
+                    if (list(map(get, zip(cell_row[gf], map(inner, obj_row[tgt[gi]]))))
                             == list(map(get, zip(chain.from_iterable(
                                 [comps_of[hg * n + fi] for hg in after_row[gi]]),
                                 map(af, cell_row[gi]))))):
                         continue
                 except KeyError:
                     pass
-                for hi in outs[site.tgt(g)]:
+                for hi in outs[tgt[gi]]:
                     # cell(h, g.f) after cell(g, f) whiskered by h, against
                     # cell(h.g, f) after cell(h, g) whiskered by f, per object
                     try:
@@ -333,8 +329,9 @@ def validate_pseudo(diagram, coherence=True, max_problems=20):
                                 yield hi, gi, fi, y
 
     if coherence and lawful:
-        gens = sorted(index[s] for s in site.generators())
-        outs = {a: [i for i in out_of[a] if not site.is_identity(maps[i])] for a in site.objects}
+        gens = sorted(site.generators())
+        units = set(cat.identity)
+        outs = {a: [i for i in out_of[a] if i not in units] for a in site.objects}
         try:
             holds = next(chain(pair_problems(set(gens)), failures(gens, outs)), None) is None
         except ValueError:

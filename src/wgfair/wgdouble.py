@@ -283,8 +283,9 @@ def tr2_strong_segalic(x, strategy="cleavage"):
     degeneracy through its section).  The comparison iso from the action of a
     spine map, or of an identity at rank 2 or 3, to its transport is the
     inverse of rank k's counit seen through the action; any other map has
-    none, and the cells paste these isos.  Rejects instances that fail the
-    globularity axioms.
+    none, and the cells paste these isos.  All of these are kept by site map
+    number; only the nerve action reads a map's label.  Rejects instances
+    that fail the globularity axioms.
     """
     problems = validate_catwg2(x)
     if problems:
@@ -292,43 +293,44 @@ def tr2_strong_segalic(x, strategy="cleavage"):
     sd = segal_data(x)
     retr = segal_retractions(x, strategy)
     site = ps.OrdinalSite(3)
+    cat, maps = site.cat, site.maps
     levels = {0: sd.x0d, 1: x.x1, 2: sd.hat2.cat, 3: sd.hat3.cat}
     e = {0: sd.gamma_section, 1: fc.identity_functor(x.x1),
          2: retr.nu2, 3: retr.nu3}
     ebar = {0: sd.gamma, 1: fc.identity_functor(x.x1),
             2: sd.muhat2, 3: sd.muhat3}
     counits = {2: retr.counit2, 3: retr.counit3}
-    spines = {ds.SimplexMap(1, k, (j - 1, j)): hat.projections[j - 1]
+    spines = {site.index[ds.SimplexMap(1, k, (j - 1, j))]: hat.projections[j - 1]
               for k, hat in ((2, sd.hat2), (3, sd.hat3)) for j in range(1, k + 1)}
-    transports, alphas = {}, {}
+    isos = set(spines) | {cat.identity[2], cat.identity[3]}
+    transports, alphas = [None] * len(maps), [None] * len(maps)
 
     def transport(f):
-        if f not in transports:
+        if transports[f] is None:
             transports[f] = fc.compose_functors(
-                ebar[f.src_rank], fc.compose_functors(x.nerve_action(f), e[f.tgt_rank]))
+                ebar[cat.src[f]], fc.compose_functors(x.nerve_action(maps[f]), e[cat.tgt[f]]))
         return transports[f]
 
     def alpha(f):
         """Components of the chosen iso action(f) => transport(f), or None."""
-        if f not in alphas:
-            k = f.tgt_rank
-            alphas[f] = None
-            if f in spines or (site.is_identity(f) and k >= 2):
-                act, inverse = diagram.action(f).mor_map, levels[k].inverse
-                alphas[f] = [act[inverse(c)] for c in counits[k].components]
+        if alphas[f] is None and f in isos:
+            k = cat.tgt[f]
+            act, inverse = diagram.action(f).mor_map, levels[k].inverse
+            alphas[f] = [act[inverse(c)] for c in counits[k].components]
         return alphas[f]
 
     def cell(g, f):
         """Components of the comparison at (g, f), or None where it is the identity."""
-        a, b, c = f.src_rank, f.tgt_rank, g.tgt_rank
-        af, ag, agf = alpha(f), alpha(g), alpha(site.compose(g, f))
+        a, b, c = cat.src[f], cat.tgt[f], cat.tgt[g]
+        af, ag, agf = alpha(f), alpha(g), alpha(cat.compose(g, f))
         if b != 0 and af is None and ag is None and agf is None:
             return None
         bottom = levels[a]
         go, tfm = diagram.action(g).obj_map, transport(f).mor_map
         if b == 0:
-            wo, eo, fm = x.nerve_action(g).obj_map, e[c].obj_map, x.nerve_action(f).mor_map
-            so, qo, ebm = sd.gamma_section.obj_map, sd.gamma.obj_map, ebar[a].mor_map
+            wo, fm = x.nerve_action(maps[g]).obj_map, x.nerve_action(maps[f]).mor_map
+            eo, so, qo = e[c].obj_map, sd.gamma_section.obj_map, sd.gamma.obj_map
+            ebm = ebar[a].mor_map
         comps = []
         for y in range(levels[c].n_obj):
             steps = []
@@ -375,7 +377,7 @@ def tr2_map(fmap, res_src, res_tgt):
     report = []
     for k in (1, 2, 3):
         for i in range(k + 1):
-            dmap = ds.coface(i, k)
+            dmap = res_src.diagram.site.index[ds.coface(i, k)]
             lhs = fc.compose_functors(comps[k - 1], res_src.diagram.action(dmap))
             rhs = fc.compose_functors(res_tgt.diagram.action(dmap), comps[k])
             if lhs != rhs:
@@ -386,13 +388,13 @@ def tr2_map(fmap, res_src, res_tgt):
 def tr2_face_report(res):
     """Exactness of the semi-simplicial face identities of the diagram."""
     problems = []
+    index, action = res.diagram.site.index, res.diagram.action
+    face = {(i, k): action(index[ds.coface(i, k)]) for k in (1, 2, 3) for i in range(k + 1)}
     for k in (2, 3):
         for j in range(k + 1):
             for i in range(j):
-                lhs = fc.compose_functors(res.diagram.action(ds.coface(i, k - 1)),
-                                          res.diagram.action(ds.coface(j, k)))
-                rhs = fc.compose_functors(res.diagram.action(ds.coface(j - 1, k - 1)),
-                                          res.diagram.action(ds.coface(i, k)))
+                lhs = fc.compose_functors(face[(i, k - 1)], face[(j, k)])
+                rhs = fc.compose_functors(face[(j - 1, k - 1)], face[(i, k)])
                 if lhs != rhs:
                     problems.append("face identity (%d,%d) fails at level %d" % (i, j, k))
     return problems
@@ -402,7 +404,7 @@ def tr2_segal_report(res):
     """The Segal maps of the diagram, assembled from spine actions, are identities."""
     problems = []
     for k, hat in ((2, res.segal.hat2), (3, res.segal.hat3)):
-        legs = [res.diagram.action(ds.SimplexMap(1, k, (j - 1, j)))
+        legs = [res.diagram.action(res.diagram.site.index[ds.SimplexMap(1, k, (j - 1, j))])
                 for j in range(1, k + 1)]
         if fc.mediating_functor(hat, legs) != fc.identity_functor(hat.cat):
             problems.append("assembled Segal map at level %d is not the identity" % k)

@@ -5,8 +5,8 @@ named double categories are the command line's (``cli.build_instance``)
 plus tf2, the surjection of two points onto the point; random instances are
 named "seed <n>" here and "wg<n>" on the command line.  The two double maps
 at the end are tested on both sides, the fair side through
-``fair2.pi_star_map``.  ``composable_pairs`` walks the pairs of an ordinal
-site in the order ``pseudo.validate_pseudo`` reports them.
+``fair2.pi_star_map``.  ``composable_pairs`` walks the pairs of map numbers
+of an ordinal site in the order ``pseudo.validate_pseudo`` reports them.
 """
 
 import functools
@@ -55,13 +55,12 @@ def seeds(numbers):
 
 
 def composable_pairs(site):
-    """Every (g, f) with g after f defined, f then g each in hom order."""
-    for a in site.objects:
-        for b in site.objects:
-            for f in site.hom(a, b):
-                for c in site.objects:
-                    for g in site.hom(b, c):
-                        yield g, f
+    """Every (g, f) of map numbers with g after f defined, f then g each in hom order."""
+    cat = site.cat
+    for f in range(cat.n_mor):
+        for g in range(cat.n_mor):
+            if cat.src[g] == cat.tgt[f]:
+                yield g, f
 
 
 def collapse_map(family, nerve):

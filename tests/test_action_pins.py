@@ -47,11 +47,8 @@ def window_actions(d):
 
 
 def nerve_actions(x):
-    site = ps.OrdinalSite(3)
-    for m in site.objects:
-        for n in site.objects:
-            for f in site.hom(m, n):
-                yield x.nerve_action(f)
+    for f in ps.OrdinalSite(3).maps:
+        yield x.nerve_action(f)
 
 
 PINS = {

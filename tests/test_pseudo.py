@@ -32,9 +32,10 @@ def twisted_constant(site):
     cocycle law can fail.
     """
     ident = fc.identity_functor(Z2)
+    maps = site.maps
 
     def cell(g, f):
-        if f.values[0] == 0 and g.tgt_rank == 2:
+        if maps[f].values[0] == 0 and maps[g].tgt_rank == 2:
             return [1]
         return None
 
@@ -56,13 +57,14 @@ def twisted_swap(site):
     ident = fc.identity_functor(level)
     # morphism 3c + k is the k-th power of the generator on copy c
     swap = fc.FunctorMap(level, level, [1, 0], [(1 - m // 3) * 3 + (-m) % 3 for m in range(6)])
+    maps = site.maps
 
     def action(f):
-        return swap if (f.tgt_rank - f.src_rank) % 2 else ident
+        return swap if (maps[f].tgt_rank - maps[f].src_rank) % 2 else ident
 
     def cell(g, f):
         composite = fc.compose_functors(action(f), action(g))
-        power = sum(g.values) + 2 * sum(f.values)
+        power = sum(maps[g].values) + 2 * sum(maps[f].values)
         return [3 * x + (power + y) % 3 for y, x in enumerate(composite.obj_map)]
 
     return ps.PseudoDiagram(site, lambda a: level, action, cell)
@@ -71,14 +73,22 @@ def twisted_swap(site):
 DIAGRAMS = {"z2": twisted_constant, "swap": twisted_swap}
 
 
+# id of an action -> (the action, its reference_validate_functor verdict)
+FUNCTOR_VERDICTS = {}
+
+
 def reference_pairs(diagram, max_problems):
     """Every check but coherence, by exhaustive enumeration of each item.
 
     ``fincat.validate_nat`` is a pure function of the cell's levels, the two
     functors' maps and the components, so its verdict is kept per distinct
     cell for the call: every square of every distinct cell is still checked.
+    Likewise each distinct action object is walked in full by
+    ``reference_validate_functor`` once for the session (``FUNCTOR_VERDICTS``):
+    a mutant diagram that shares its parent's actions reuses their verdicts.
     """
     site = diagram.site
+    cat, maps = site.cat, site.maps
     problems = []
     verdicts = {}
 
@@ -87,29 +97,32 @@ def reference_pairs(diagram, max_problems):
         return len(problems) >= max_problems
 
     for a in site.objects:
-        if diagram.action(site.identity(a)) != fc.identity_functor(diagram.level(a)):
+        if diagram.action(cat.identity[a]) != fc.identity_functor(diagram.level(a)):
             if note("identity of %r does not act as the identity functor" % (a,)):
                 return problems
     broken = set()
     for a in site.objects:
         for b in site.objects:
-            for f in site.hom(a, b):
+            for f in cat.hom(a, b):
                 act = diagram.action(f)
                 if act.source != diagram.level(b) or act.target != diagram.level(a):
                     broken.add(f)
-                    if note("action of %r has wrong endpoints" % (f,)):
+                    if note("action of %r has wrong endpoints" % (maps[f],)):
                         return problems
                     continue
-                bad = reference_validate_functor(act)
-                if bad and note("action of %r is not a functor: %s" % (f, bad[0])):
+                if id(act) not in FUNCTOR_VERDICTS:
+                    # the action is kept with its verdict, so that its id is not reused
+                    FUNCTOR_VERDICTS[id(act)] = (act, reference_validate_functor(act))
+                bad = FUNCTOR_VERDICTS[id(act)][1]
+                if bad and note("action of %r is not a functor: %s" % (maps[f], bad[0])):
                     return problems
     for g, f in corpus.composable_pairs(site):
-        if broken & {f, g, site.compose(g, f)}:
+        if broken & {f, g, cat.compose(g, f)}:
             continue
         cell = diagram.cell(g, f)
         composite = fc.compose_functors(diagram.action(f), diagram.action(g))
-        if cell.source != composite or cell.target != diagram.action(site.compose(g, f)):
-            if note("cell at (%r, %r) has wrong endpoints" % (g, f)):
+        if cell.source != composite or cell.target != diagram.action(cat.compose(g, f)):
+            if note("cell at (%r, %r) has wrong endpoints" % (maps[g], maps[f])):
                 return problems
             continue
         s, t = cell.source, cell.target
@@ -120,16 +133,17 @@ def reference_pairs(diagram, max_problems):
             verdicts[key] = (cell, fc.validate_nat(cell))
         bad = verdicts[key][1]
         if bad:
-            if note("cell at (%r, %r) is not natural: %s" % (g, f, bad[0])):
+            if note("cell at (%r, %r) is not natural: %s" % (maps[g], maps[f], bad[0])):
                 return problems
             continue
         if not all(cell.source.target.is_iso(c) for c in cell.components):
-            if note("cell at (%r, %r) is not invertible" % (g, f)):
+            if note("cell at (%r, %r) is not invertible" % (maps[g], maps[f])):
                 return problems
-        if (site.is_identity(f) or site.is_identity(g)) and any(
+        if (f in cat.identity or g in cat.identity) and any(
                 c != composite.target.identity[composite.obj_map[x]]
                 for x, c in enumerate(cell.components)):
-            if note("cell with an identity leg at (%r, %r) is not the identity" % (g, f)):
+            if note("cell with an identity leg at (%r, %r) is not the identity"
+                    % (maps[g], maps[f])):
                 return problems
     return problems
 
@@ -145,7 +159,7 @@ def reference_pseudo(diagram, max_problems=20):
 def reference_coherence(diagram, max_problems):
     """Coherence triple by triple and object by object, in (f, g, h) order.
 
-    The maps are numbered so that the loop hashes small tuples, not maps;
+    The loop reads the site's composition table, keyed by map numbers;
     triples reading an action with wrong endpoints, or whose pastings do
     not compose, are skipped.
     """
@@ -156,37 +170,33 @@ def reference_coherence(diagram, max_problems):
         problems.append(msg)
         return len(problems) >= max_problems
 
-    maps = site.maps
-    index = {f: i for i, f in enumerate(maps)}
-    out_of = {a: [i for i, f in enumerate(maps) if site.src(f) == a] for a in site.objects}
-    acts = [diagram.action(f) for f in maps]
-    broken = {i for i, f in enumerate(maps)
-              if acts[i].source != diagram.level(site.tgt(f))
-              or acts[i].target != diagram.level(site.src(f))}
-    after, cells = {}, {}
-    for g, f in corpus.composable_pairs(site):
-        key = (index[g], index[f])
-        after[key] = index[site.compose(g, f)]
-        if not broken & {key[0], key[1], after[key]}:
-            cells[key] = diagram.components(g, f)
+    cat, maps = site.cat, site.maps
+    out_of = {a: [i for i in range(len(maps)) if cat.src[i] == a] for a in site.objects}
+    acts = [diagram.action(f) for f in range(len(maps))]
+    broken = {i for i in range(len(maps))
+              if acts[i].source != diagram.level(cat.tgt[i])
+              or acts[i].target != diagram.level(cat.src[i])}
+    after, cells = cat.comp, {}
+    for key, gf in after.items():
+        if not broken & {key[0], key[1], gf}:
+            cells[key] = diagram.components(*key)
     for fi, f in enumerate(maps):
-        comp = diagram.level(site.src(f)).comp
+        comp = diagram.level(cat.src[fi]).comp
         af = acts[fi].mor_map
-        for gi in out_of[site.tgt(f)]:
+        for gi in out_of[cat.tgt[fi]]:
             gf = after[(gi, fi)]
-            for hi in out_of[site.tgt(maps[gi])]:
+            for hi in out_of[cat.tgt[gi]]:
                 hg = after[(hi, gi)]
                 if broken and broken & {fi, gi, hi, gf, hg, after[(hi, gf)]}:
                     continue
                 ah = acts[hi].obj_map
                 outer, inner = cells[(hi, gf)], cells[(gi, fi)]
                 outer2, inner2 = cells[(hg, fi)], cells[(hi, gi)]
-                pastings = [(comp.get((outer[y], inner[ah[y]])),
-                             comp.get((outer2[y], af[inner2[y]])))
-                            for y in range(len(ah))]
-                if any(None in pair for pair in pastings):
+                ones = [comp.get((outer[y], inner[ah[y]])) for y in range(len(ah))]
+                twos = [comp.get((outer2[y], af[inner2[y]])) for y in range(len(ah))]
+                if None in ones or None in twos:
                     continue
-                for y, (one, two) in enumerate(pastings):
+                for y, (one, two) in enumerate(zip(ones, twos)):
                     if one != two and note("coherence fails at (%r, %r, %r) on object %d"
                                            % (maps[hi], maps[gi], f, y)):
                         return problems
@@ -218,10 +228,11 @@ def test_max_problems_below_one_stops_at_the_first_coherence_failure():
 
 def test_is_identity_matches_the_identity_simplex():
     site = ps.OrdinalSite(3)
+    cat = site.cat
     for a in site.objects:
         for b in site.objects:
-            for f in site.hom(a, b):
-                assert site.is_identity(f) == (f == site.identity(a))
+            for f in cat.hom(a, b):
+                assert (f == cat.identity[a]) == (site.maps[f] == ds.identity_simplex(a))
 
 
 # -- generators, and the checks made on them ---------------------------------
@@ -252,30 +263,65 @@ def closure(gens, units, compose, composable):
 
 def test_site_generators_generate_every_map():
     site = ps.OrdinalSite(3)
+    cat = site.cat
     gens = site.generators()
     assert len(gens) == len(set(gens)) == 15
-    assert not any(site.is_identity(s) for s in gens)
+    assert not any(s in cat.identity for s in gens)
     maps = site.maps
     assert len(maps) == 121
     assert maps == sorted(maps, key=lambda f: (f.src_rank, f.tgt_rank, f.values))
-    reached = closure(gens, [site.identity(a) for a in site.objects], site.compose,
-                      lambda g, f: site.src(g) == site.tgt(f))
-    assert reached == set(maps)
+    assert [site.maps[s] for s in gens] == (
+        [ds.coface(i, n) for n in (1, 2, 3) for i in range(n + 1)]
+        + [ds.codegeneracy(i, n) for n in (0, 1, 2) for i in range(n + 1)])
+    reached = closure(gens, cat.identity, cat.compose, lambda g, f: cat.src[g] == cat.tgt[f])
+    assert reached == set(range(len(maps)))
 
 
-def test_compose_hands_back_the_sites_own_maps():
-    site = ps.OrdinalSite(2)
-    own = {id(f) for f in site.maps}
-    for g, f in corpus.composable_pairs(site):
-        gf = site.compose(g, f)
-        assert id(gf) in own and gf == ds.compose_simplex(g, f)
-        # a map built afresh hashes and compares as the site's own
-        assert hash(ds.SimplexMap(gf.src_rank, gf.tgt_rank, list(gf.values))) == hash(gf)
-    # maps outside the site are built and checked as before
-    g, f = ds.coface(0, 4), ds.coface(0, 3)
-    assert site.compose(g, f) == ds.compose_simplex(g, f)
-    with pytest.raises(ValueError, match="not composable"):
-        site.compose(f, f)
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_the_site_is_a_numbered_category_of_its_maps(k):
+    site = ps.OrdinalSite(k)
+    cat = site.cat
+    assert fc.validate_category(cat) == []
+    assert cat.n_obj == k + 1 and len(site.maps) == cat.n_mor
+    assert site.index == {f: i for i, f in enumerate(site.maps)}
+    assert [site.maps[i] for i in cat.identity] == [ds.identity_simplex(a) for a in range(k + 1)]
+    assert [(f.src_rank, f.tgt_rank) for f in site.maps] == list(zip(cat.src, cat.tgt))
+    assert list(cat.comp) == list(corpus.composable_pairs(site))
+    if k == 3:
+        assert (cat.n_mor, len(cat.comp)) == (121, 5374)
+    for (g, f), gf in cat.comp.items():
+        assert gf == site.index[ds.compose_simplex(site.maps[g], site.maps[f])]
+    gens = site.generators()
+    reached = closure(gens, cat.identity, cat.compose, lambda g, f: cat.src[g] == cat.tgt[f])
+    assert reached == set(range(cat.n_mor))
+    # a pair that does not compose is refused by the category
+    f = site.index[ds.coface(0, 1)]
+    with pytest.raises(ValueError, match="^morphisms %d after %d are not composable$" % (f, f)):
+        cat.compose(f, f)
+
+
+def test_tr2_and_its_reports_leave_the_site_table_unforced():
+    # the actions a report reads are found through the site's index, so no
+    # composite of the site is computed before validation asks for them
+    res = wg.tr2_strong_segalic(corpus.double("nerve"))
+    assert wg.tr2_face_report(res) == [] and wg.tr2_segal_report(res) == []
+    cat = res.diagram.site.cat
+    assert cat._rule is not None and cat._comp == {}
+    assert ps.validate_pseudo(res.diagram) == []
+    assert cat._rule is None and len(cat._comp) == 5374
+
+
+@pytest.mark.parametrize("f", [-1, 121, ds.coface(0, 1)], ids=["-1", "121", "SimplexMap"])
+def test_only_map_numbers_are_accepted(f):
+    # a negative number would wrap silently in the action list, and a
+    # SimplexMap label must get a ValueError, not a TypeError
+    d = twisted_swap(ps.OrdinalSite(3))
+    g = d.site.index[ds.codegeneracy(0, 0)]
+    named = "^%s$" % re.escape("site map %r is not one of the 121 map numbers" % (f,))
+    for read in (lambda: d.action(f), lambda: d.components(g, f), lambda: d.components(f, g),
+                 lambda: d.cell(g, f), lambda: d.cell(f, g)):
+        with pytest.raises(ValueError, match=named):
+            read()
 
 
 def generated(cat, gens):
@@ -347,10 +393,10 @@ def test_tr2_and_its_validation_compose_each_pair_of_actions_once(monkeypatch):
     monkeypatch.setattr(fc, "NatTransf", lambda *args: built.append(args) or nat(*args))
     assert ps.validate_pseudo(d, coherence=True) == []
     site = d.site
-    acts = {id(d.action(f)) for f in site.maps}
+    acts = {id(d.action(f)) for f in range(len(site.maps))}
     pairs = [(id(g), id(f)) for g, f in calls if id(g) in acts and id(f) in acts]
     legs = {(id(d.action(f)), id(d.action(g))) for g, f in corpus.composable_pairs(site)
-            if site.is_identity(f) or site.is_identity(g)}
+            if f in site.cat.identity or g in site.cat.identity}
     assert len(pairs) == len(set(pairs)) == len(legs) == 238
     assert set(pairs) == legs
     assert built == []
@@ -381,7 +427,7 @@ def cells_at(site, level, components):
 
 def legless_pairs(site):
     return [(g, f) for g, f in corpus.composable_pairs(site)
-            if not site.is_identity(f) and not site.is_identity(g)]
+            if f not in site.cat.identity and g not in site.cat.identity]
 
 
 def twisted_off_generators(site, seed):
@@ -445,7 +491,8 @@ def test_coherent_cells_failing_at_every_pair_are_found(level, failure):
 def test_a_cell_that_is_not_invertible_off_the_generators_is_found():
     # the first map s0 d1 s0 of [1] is neither a generator nor an identity
     g, f = ds.codegeneracy(0, 0), ds.SimplexMap(1, 1, (0, 0))
-    d = cells_at(ps.OrdinalSite(1), IDEMPOTENT, {(g, f): [1]})
+    site = ps.OrdinalSite(1)
+    d = cells_at(site, IDEMPOTENT, {(site.index[g], site.index[f]): [1]})
     expected = assert_matches_the_reference(d)
     assert expected[0] == "cell at (%r, %r) is not invertible" % (g, f)
 
@@ -456,10 +503,10 @@ def test_a_twist_seen_only_from_one_coface_is_found(v):
     # v: the cocycle law holds at every triple whose first map is another
     # generator, so of the generator walk only the triples from d see it
     site = ps.OrdinalSite(1)
-    d, s0 = ds.SimplexMap(0, 1, (v,)), ds.codegeneracy(0, 0)
+    d, s0 = site.index[ds.SimplexMap(0, 1, (v,))], site.index[ds.codegeneracy(0, 0)]
     expected = assert_matches_the_reference(
-        cells_at(site, Z2, {(s0, d): [1], (s0, site.compose(d, s0)): [1]}))
-    others = [s for s in site.generators() if s != d]
+        cells_at(site, Z2, {(s0, d): [1], (s0, site.cat.compose(d, s0)): [1]}))
+    others = [site.maps[s] for s in site.generators() if s != d]
     assert not any(p.endswith(", %r) on object 0" % (s,)) for p in expected for s in others)
 
 
@@ -470,15 +517,17 @@ def test_a_cell_seen_only_from_the_codegeneracy_is_found():
     # whose first map is s0; cofaces as first maps see nothing
     site = ps.OrdinalSite(1)
     levels = {0: fc.discrete(1), 1: IDEMPOTENT}
+    cat = site.cat
 
     def action(f):
-        return fc.FunctorMap(levels[f.tgt_rank], levels[f.src_rank], [0],
-                             [0] * levels[f.tgt_rank].n_mor)
+        return fc.FunctorMap(levels[cat.tgt[f]], levels[cat.src[f]], [0],
+                             [0] * levels[cat.tgt[f]].n_mor)
 
     pair = (ds.coface(1, 1), ds.codegeneracy(0, 0))
+    numbers = tuple(map(site.index.get, pair))
 
     expected = assert_matches_the_reference(ps.PseudoDiagram(
-        site, levels.__getitem__, action, lambda g, f: [1] if (g, f) == pair else None))
+        site, levels.__getitem__, action, lambda g, f: [1] if (g, f) == numbers else None))
     assert expected[0] == "cell at (%r, %r) is not invertible" % pair
 
 
@@ -489,11 +538,12 @@ def test_tf2_cell_with_a_stray_component_off_the_generators_is_found(diagrams):
     # generator nor an identity
     d = diagrams[("tf2", "cleavage")]
     g, f = ds.codegeneracy(0, 0), ds.SimplexMap(1, 1, (0, 0))
-    comps = list(d.cell(g, f).components)
+    pair = (d.site.index[g], d.site.index[f])
+    comps = list(d.cell(*pair).components)
     level = d.level(1)
     comps[0] = next(m for m in range(level.n_mor) if level.src[m] == level.src[comps[0]]
                     and level.tgt[m] != level.tgt[comps[0]])
-    expected = assert_matches_the_reference(recell(d, (g, f), comps))
+    expected = assert_matches_the_reference(recell(d, pair, comps))
     assert expected[0] == ("cell at (%r, %r) is not natural: component at object 0 has"
                            " wrong endpoints" % (g, f))
 
@@ -502,7 +552,11 @@ def test_tf2_cell_with_a_stray_component_off_the_generators_is_found(diagrams):
 def tf2_to_rank_2(diagrams):
     """Tr2 of tf2 on the ranks up to 2, where the exhaustive reference is quick."""
     d = diagrams[("tf2", "cleavage")]
-    return ps.PseudoDiagram(ps.OrdinalSite(2), d.level, d.action, d.components)
+    site = ps.OrdinalSite(2)
+    # the number in d's site of each map of the smaller site
+    number = [d.site.index[f] for f in site.maps]
+    return ps.PseudoDiagram(site, d.level, lambda f: d.action(number[f]),
+                            lambda g, f: d.components(number[g], number[f]))
 
 
 @pytest.mark.parametrize("end", ["target", "source"])
@@ -514,13 +568,13 @@ def test_a_component_with_one_wrong_end_off_the_generators_is_found(tf2_to_rank_
     # component of a cell at (g, f) with g into [0]: of the generator
     # checks only the coherence walk sees one end of it moved
     d = tf2_to_rank_2
-    g, f = pair
-    assert f not in d.site.generators() and not d.site.is_identity(f)
-    level = d.level(f.src_rank)
+    g, f = numbers = tuple(map(d.site.index.get, pair))
+    assert f not in d.site.generators() and f not in d.site.cat.identity
+    level = d.level(pair[1].src_rank)
     (c,) = d.components(g, f)
     keep, move = (level.src, level.tgt) if end == "target" else (level.tgt, level.src)
     stray = next(m for m in range(level.n_mor) if keep[m] == keep[c] and move[m] != move[c])
-    expected = assert_matches_the_reference(recell(d, pair, [stray]))
+    expected = assert_matches_the_reference(recell(d, numbers, [stray]))
     assert expected[0] == ("cell at (%r, %r) is not natural: component at object 0 has"
                            " wrong endpoints" % pair)
 
@@ -538,7 +592,7 @@ def test_a_wrong_end_is_the_only_fault_at_a_pair_off_the_generators(end):
         expected = assert_matches_the_reference(
             cells_at(site, level, {pair: [stray, level.identity[1]]}))
         assert expected[0] == ("cell at (%r, %r) is not natural: component at object 0 has"
-                               " wrong endpoints" % pair)
+                               " wrong endpoints" % tuple(map(site.maps.__getitem__, pair)))
 
 
 @pytest.mark.parametrize("strategy", ["cleavage", "retraction"])
@@ -554,13 +608,13 @@ def test_swap_action_broken_at_a_composite_matches_the_reference():
     # (1, 1), and the cells into it fail naturality only at morphism 2
     d = twisted_swap(ps.OrdinalSite(2))
     f_star = ds.SimplexMap(1, 1, (0, 0))
-    act = d.action(f_star)
+    act = d.action(d.site.index[f_star])
     gens = fc.generators(act.source)
     assert 2 not in gens and 1 in gens
     mor_map = list(act.mor_map)
     mor_map[2] = act.mor_map[1]
     broken = fc.FunctorMap(act.source, act.target, act.obj_map, mor_map)
-    bd = retarget(d, f_star, broken)
+    bd = retarget(d, d.site.index[f_star], broken)
     expected = reference_pseudo(bd, 10**6)
     assert "action of %r is not a functor: composition of (1, 1) is not preserved" % (
         f_star,) in expected
@@ -578,10 +632,10 @@ def test_a_square_failing_only_through_the_composite_action_is_found(g_star):
     # and only on morphisms
     d = twisted_swap(ps.OrdinalSite(2))
     level = d.level(0)
-    assert d.action(g_star) == fc.identity_functor(level)
+    assert d.action(d.site.index[g_star]) == fc.identity_functor(level)
     neg = fc.FunctorMap(level, level, range(2), [3 * (m // 3) + (-m) % 3 for m in range(6)])
-    expected = assert_matches_the_reference(retarget(d, g_star, neg))
-    for s in d.site.generators():
+    expected = assert_matches_the_reference(retarget(d, d.site.index[g_star], neg))
+    for s in map(d.site.maps.__getitem__, d.site.generators()):
         if s.tgt_rank == g_star.src_rank:
             assert ("cell at (%r, %r) is not natural: naturality square at morphism 1 does"
                     " not commute" % (g_star, s)) in expected
@@ -590,7 +644,7 @@ def test_a_square_failing_only_through_the_composite_action_is_found(g_star):
 def test_tf2_action_broken_off_the_generators_is_reported(diagrams):
     d = diagrams[("tf2", "cleavage")]
     f_star = ds.SimplexMap(2, 3, (0, 1, 3))
-    act = d.action(f_star)
+    act = d.action(d.site.index[f_star])
     cat = act.source
     h = next(m for m in range(cat.n_mor)
              if m not in fc.generators(cat) and m not in cat.identity)
@@ -598,7 +652,7 @@ def test_tf2_action_broken_off_the_generators_is_reported(diagrams):
     mor_map[h] = act.target.identity[act.obj_map[cat.src[h]]]
     broken = fc.FunctorMap(cat, act.target, act.obj_map, mor_map)
     assert reference_validate_functor(broken)
-    bd = retarget(d, f_star, broken)
+    bd = retarget(d, d.site.index[f_star], broken)
     assert ps.validate_pseudo(bd, coherence=False, max_problems=1) == [
         "action of %r is not a functor: %s" % (f_star, reference_validate_functor(broken)[0])]
 
@@ -609,7 +663,7 @@ def test_tf2_cell_failing_off_the_generators_is_reported(diagrams):
     d = diagrams[("tf2", "cleavage")]
     f_star = ds.SimplexMap(1, 1, (0, 0))
     g, f = ds.SimplexMap(0, 1, (0,)), ds.SimplexMap(1, 0, (0, 0))
-    act = d.action(f_star)
+    act = d.action(d.site.index[f_star])
     cat = act.source
     gens = fc.generators(cat)
     h = next(m for m in range(cat.n_mor) if m not in gens and m not in cat.identity)
@@ -619,8 +673,8 @@ def test_tf2_cell_failing_off_the_generators_is_reported(diagrams):
     mor_map = list(act.mor_map)
     mor_map[h] = wrong
     broken = fc.FunctorMap(cat, act.target, act.obj_map, mor_map)
-    bd = retarget(d, f_star, broken)
-    cell = bd.cell(g, f)
+    bd = retarget(d, d.site.index[f_star], broken)
+    cell = bd.cell(d.site.index[g], d.site.index[f])
     assert fc.validate_nat(cell) == ["naturality square at morphism %d does not commute" % h]
     assert ps.validate_pseudo(bd, coherence=False, max_problems=2) == [
         "action of %r is not a functor: %s" % (f_star, reference_validate_functor(broken)[0]),
@@ -633,12 +687,13 @@ def test_coherence_around_an_action_with_wrong_endpoints_matches_the_reference()
     # that reads it, before any law is judged
     d = twisted_constant(ps.OrdinalSite(2))
     f_star = ds.SimplexMap(1, 2, (0, 2))
-    bd = retarget(d, f_star, fc.identity_functor(fc.discrete(1)))
+    index = d.site.index
+    bd = retarget(d, index[f_star], fc.identity_functor(fc.discrete(1)))
     message = "^%s$" % re.escape("action of %r has wrong endpoints" % (f_star,))
     with pytest.raises(ValueError, match=message):
-        bd.action(f_star)
+        bd.action(index[f_star])
     with pytest.raises(ValueError, match=message):
-        bd.cell(ds.codegeneracy(0, 1), f_star)
+        bd.cell(index[ds.codegeneracy(0, 1)], index[f_star])
     for max_problems in (1, 20, 10**6):
         with pytest.raises(ValueError, match=message):
             ps.validate_pseudo(bd, max_problems=max_problems)
@@ -649,21 +704,23 @@ def test_an_action_with_wrong_endpoints_does_not_stop_the_report():
     # wrong level; pairs through it used to raise "functors are not
     # composable", and now the action itself is refused with its map
     levels = {0: fc.discrete(1), 1: fc.discrete(2)}
+    site = ps.OrdinalSite(1)
 
     def constant(a, b, obj):
         src, tgt = levels[a], levels[b]
         return fc.FunctorMap(src, tgt, [obj] * src.n_obj, [tgt.identity[obj]] * src.n_mor)
 
     def action(f):
+        f = site.maps[f]
         if f.values == (1,):
             return fc.identity_functor(levels[1])
         return constant(f.tgt_rank, f.src_rank, f.values[-1] if f.src_rank else 0)
 
-    d = ps.PseudoDiagram(ps.OrdinalSite(1), levels.__getitem__, action, lambda g, f: None)
+    d = ps.PseudoDiagram(site, levels.__getitem__, action, lambda g, f: None)
     f_star = ds.SimplexMap(0, 1, (1,))
     message = "^%s$" % re.escape("action of %r has wrong endpoints" % (f_star,))
     with pytest.raises(ValueError, match=message):
-        d.action(f_star)
+        d.action(site.index[f_star])
     for coherence in (True, False):
         with pytest.raises(ValueError, match=message):
             ps.validate_pseudo(d, coherence=coherence, max_problems=1)
@@ -672,7 +729,8 @@ def test_an_action_with_wrong_endpoints_does_not_stop_the_report():
 def test_a_cell_that_is_not_invertible_is_reported():
     # z is natural on the identity functor, but it has no inverse
     g, f = ds.codegeneracy(0, 0), ds.coface(1, 1)
-    d = cells_at(ps.OrdinalSite(1), IDEMPOTENT, {(g, f): [1]})
+    site = ps.OrdinalSite(1)
+    d = cells_at(site, IDEMPOTENT, {(site.index[g], site.index[f]): [1]})
     first = "cell at (%r, %r) is not invertible" % (g, f)
     assert ps.validate_pseudo(d, max_problems=1) == [first]
     report = ps.validate_pseudo(d)
@@ -710,42 +768,51 @@ def test_identities_act_as_identities_and_identity_leg_cells_are_identities():
         return [1, 2]
 
     d = ps.PseudoDiagram(site, lambda a: level, lambda f: swap, cell)
+    units = site.cat.identity
     for a in site.objects:
-        assert d.action(site.identity(a)) == fc.identity_functor(level)
+        assert d.action(units[a]) == fc.identity_functor(level)
     for g, f in corpus.composable_pairs(site):
         made = d.cell(g, f)
         assert made.source == fc.compose_functors(d.action(f), d.action(g))
-        assert made.target == d.action(site.compose(g, f))
-        if site.is_identity(f) or site.is_identity(g):
+        assert made.target == d.action(site.cat.compose(g, f))
+        if f in units or g in units:
             assert made.components == tuple(level.identity[x] for x in made.source.obj_map)
-    assert asked and not any(site.is_identity(f) or site.is_identity(g) for g, f in asked)
+    assert asked and not any(f in units or g in units for g, f in asked)
     # the generator at a pair with an identity leg and a first map that is
     # no generator: no check could see it, and the type does not let it in
-    pair = (site.identity(1), ds.SimplexMap(1, 1, (0, 0)))
+    pair = (units[1], site.index[ds.SimplexMap(1, 1, (0, 0))])
     z2 = ps.PseudoDiagram(site, lambda a: Z2, lambda f: fc.identity_functor(Z2),
                           lambda g, f: [1] if (g, f) == pair else None)
     assert z2.cell(*pair).components == (0,)
     assert ps.validate_pseudo(z2) == reference_pseudo(z2) == []
 
 
-def test_an_identity_leg_over_a_site_without_units_is_refused():
-    # here the identity of [1] after the coface skipping 0 is the other coface
-    class Skewed(ps.OrdinalSite):
-        def compose(self, g, f):
-            if self.is_identity(g) and f == ds.coface(0, 1):
-                return ds.coface(1, 1)
-            return super().compose(g, f)
+def skewed_diagram():
+    """A diagram over OrdinalSite(1) whose site has no units.
 
+    There the identity of [1] after the coface skipping 0 is the other
+    coface; the coface [0] -> [1] with value v picks object v of level 0.
+    """
+    site = ps.OrdinalSite(1)
+    cat, index = site.cat, site.index
+    g, f = cat.identity[1], index[ds.coface(0, 1)]
+    other = index[ds.coface(1, 1)]
+    site.cat = fc.FinCat(cat.n_obj, cat.src, cat.tgt, cat.identity,
+                         rule=lambda h, e: other if (h, e) == (g, f) else cat.compose(h, e))
     levels = {0: fc.discrete(2), 1: fc.discrete(1)}
-    # the coface [0] -> [1] with value v picks object v of level 0
-    d = ps.PseudoDiagram(Skewed(1), levels.__getitem__,
-                         lambda f: fc.FunctorMap(levels[1], levels[0], f.values, f.values),
-                         lambda g, f: None)
+    return ps.PseudoDiagram(site, levels.__getitem__,
+                            lambda e: fc.FunctorMap(levels[1], levels[0], site.maps[e].values,
+                                                    site.maps[e].values),
+                            lambda h, e: None), (g, f)
+
+
+def test_an_identity_leg_over_a_site_without_units_is_refused():
+    d, pair = skewed_diagram()
     g, f = ds.identity_simplex(1), ds.coface(0, 1)
     with pytest.raises(ValueError, match=re.escape(
             "identity-leg cell at (%r, %r): the composite action is not the action"
             " of the composite" % (g, f))):
-        d.cell(g, f)
+        d.cell(*pair)
 
 
 @pytest.mark.parametrize("obj_map, message", [
@@ -754,15 +821,16 @@ def test_an_identity_leg_over_a_site_without_units_is_refused():
              " but the source has 1 objects")], ids=["out of range", "length"])
 def test_a_malformed_action_is_named(obj_map, message):
     level = fc.discrete(1)
-    d = ps.PseudoDiagram(ps.OrdinalSite(1), lambda a: level,
+    site = ps.OrdinalSite(1)
+    d = ps.PseudoDiagram(site, lambda a: level,
                          lambda f: fc.FunctorMap(level, level, obj_map, [0]), lambda g, f: None)
     # the first map that is not an identity
     f = ds.SimplexMap(0, 1, (0,))
     named = "^%s$" % re.escape("action of %r: %s" % (f, message))
     with pytest.raises(ValueError, match=named):
-        d.action(f)
+        d.action(site.index[f])
     with pytest.raises(ValueError, match=named):
-        d.cell(ds.codegeneracy(0, 0), f)
+        d.cell(site.index[ds.codegeneracy(0, 0)], site.index[f])
     with pytest.raises(ValueError, match=named):
         ps.validate_pseudo(d)
 
@@ -781,10 +849,12 @@ def test_a_malformed_cell_is_named(components, message, pair, coherence):
     ident = fc.identity_functor(Z2)
     with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
         fc.validate_nat(fc.NatTransf(ident, ident, components))
-    d = cells_at(ps.OrdinalSite(1), Z2, {pair: components})
+    site = ps.OrdinalSite(1)
+    numbers = tuple(map(site.index.get, pair))
+    d = cells_at(site, Z2, {numbers: components})
     named = "^%s$" % re.escape("cell at (%r, %r): %s" % (pair + (message,)))
     with pytest.raises(ValueError, match=named):
-        d.cell(*pair)
+        d.cell(*numbers)
     with pytest.raises(ValueError, match=named):
         ps.validate_pseudo(d, coherence=coherence)
 
@@ -794,11 +864,13 @@ def test_a_cell_with_wrong_endpoints_and_no_components_is_reported_once():
     # cell now runs between its own actions, and no components is refused
     # once, where the cell is built
     pair = (ds.codegeneracy(0, 0), ds.SimplexMap(1, 1, (0, 0)))
-    d = cells_at(ps.OrdinalSite(1), Z2, {pair: []})
+    site = ps.OrdinalSite(1)
+    numbers = tuple(map(site.index.get, pair))
+    d = cells_at(site, Z2, {numbers: []})
     named = "^%s$" % re.escape("cell at (%r, %r): one component per source object is required"
                                % pair)
     with pytest.raises(ValueError, match=named):
-        d.cell(*pair)
+        d.cell(*numbers)
     for coherence in (True, False):
         with pytest.raises(ValueError, match=named):
             ps.validate_pseudo(d, coherence=coherence, max_problems=10**6)
@@ -828,10 +900,12 @@ def test_malformed_components_are_refused_before_a_cell_is_built(components, mes
 
     monkeypatch.setattr(fc, "NatTransf", no_cell)
     pair = (ds.codegeneracy(0, 0), ds.SimplexMap(1, 1, (0, 0)))
-    d = cells_at(ps.OrdinalSite(1), Z2, {pair: components})
+    site = ps.OrdinalSite(1)
+    numbers = tuple(map(site.index.get, pair))
+    d = cells_at(site, Z2, {numbers: components})
     named = "^%s$" % re.escape("cell at (%r, %r): %s" % (pair + (message,)))
     with pytest.raises(ValueError, match=named):
-        d.components(*pair)
+        d.components(*numbers)
     for coherence in (True, False):
         with pytest.raises(ValueError, match=named):
             ps.validate_pseudo(d, coherence=coherence)
@@ -839,25 +913,16 @@ def test_malformed_components_are_refused_before_a_cell_is_built(components, mes
 
 def test_identity_leg_components_over_a_site_without_units_are_refused(monkeypatch):
     # the identity of [1] after the coface skipping 0 is the other coface
-    class Skewed(ps.OrdinalSite):
-        def compose(self, g, f):
-            if self.is_identity(g) and f == ds.coface(0, 1):
-                return ds.coface(1, 1)
-            return super().compose(g, f)
-
-    levels = {0: fc.discrete(2), 1: fc.discrete(1)}
-    d = ps.PseudoDiagram(Skewed(1), levels.__getitem__,
-                         lambda f: fc.FunctorMap(levels[1], levels[0], f.values, f.values),
-                         lambda g, f: None)
+    d, pair = skewed_diagram()
     g, f = ds.identity_simplex(1), ds.coface(0, 1)
     nat, built = fc.NatTransf, []
     monkeypatch.setattr(fc, "NatTransf", lambda *args: built.append(args) or nat(*args))
     refused = "^%s$" % re.escape("identity-leg cell at (%r, %r): the composite action is not"
                                  " the action of the composite" % (g, f))
     with pytest.raises(ValueError, match=refused):
-        d.components(g, f)
+        d.components(*pair)
     with pytest.raises(ValueError, match=refused):
-        d.cell(g, f)
+        d.cell(*pair)
     assert built == []
 
 
@@ -869,7 +934,7 @@ def test_components_given_as_none_are_identities_read_without_composing(monkeypa
     swap = fc.FunctorMap(level, level, [1, 0], [3, 2, 1, 0])
     site = ps.OrdinalSite(1)
     d = ps.PseudoDiagram(site, lambda a: level,
-                         lambda f: swap if (f.tgt_rank - f.src_rank) % 2
+                         lambda f: swap if (site.cat.tgt[f] - site.cat.src[f]) % 2
                          else fc.identity_functor(level), lambda g, f: None)
     composed = []
     monkeypatch.setattr(fc, "compose_functors", lambda g, f: composed.append((g, f)))

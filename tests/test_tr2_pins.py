@@ -52,7 +52,7 @@ PINS = {
 def test_tr2_actions_and_cells_match_their_pins(name, strategy):
     d = wg.tr2_strong_segalic(corpus.double(name), strategy).diagram
     site = d.site
-    maps = [f for a in site.objects for b in site.objects for f in site.hom(a, b)]
+    maps = range(len(site.maps))
     actions = digest((d.action(f).obj_map, d.action(f).mor_map) for f in maps)
     cells = digest(d.components(g, f) for g, f in corpus.composable_pairs(site))
     assert (actions, cells) == PINS[(name, strategy)]

@@ -176,12 +176,13 @@ def test_ranks_outside_the_truncation_are_named(nerve):
 def test_nerve_action_is_functorial_exhaustively_on_the_nerve(nerve):
     x, _ = nerve
     site = ps.OrdinalSite(3)
+    maps = site.maps
     for a in site.objects:
-        assert x.nerve_action(site.identity(a)) == \
+        assert x.nerve_action(maps[site.cat.identity[a]]) == \
             fc.identity_functor(x.level(a))
     for g, f in corpus.composable_pairs(site):
-        assert x.nerve_action(site.compose(g, f)) == \
-            fc.compose_functors(x.nerve_action(f), x.nerve_action(g))
+        assert x.nerve_action(maps[site.cat.compose(g, f)]) == \
+            fc.compose_functors(x.nerve_action(maps[f]), x.nerve_action(maps[g]))
 
 
 @pytest.mark.parametrize("which", ["family", "tf2", "micro"]
@@ -200,7 +201,8 @@ def test_nerve_action_functorial_on_generating_maps(request, which):
         for g in maps:
             if f.tgt_rank != g.src_rank:
                 continue
-            assert x.nerve_action(site.compose(g, f)) == \
+            gf = site.maps[site.cat.compose(site.index[g], site.index[f])]
+            assert x.nerve_action(gf) == \
                 fc.compose_functors(x.nerve_action(f), x.nerve_action(g))
 
 
@@ -394,22 +396,23 @@ def test_tr2_family_cells_on_generating_pairs(family_tr2, strategy):
     maps += [ds.SimplexMap(1, 2, (0, 1)), ds.SimplexMap(1, 2, (1, 2)),
              ds.SimplexMap(1, 0, (0, 0)), ds.SimplexMap(0, 2, (2,)),
              ds.SimplexMap(0, 1, (1,)), ds.SimplexMap(2, 1, (0, 1, 1))]
-    for f in maps:
-        for g in maps:
-            if f.tgt_rank != g.src_rank:
+    for f in map(site.index.get, maps):
+        for g in map(site.index.get, maps):
+            if site.cat.tgt[f] != site.cat.src[g]:
                 continue
             cell = res.diagram.cell(g, f)
             assert cell.source == fc.compose_functors(res.diagram.action(f),
                                                       res.diagram.action(g))
-            assert cell.target == res.diagram.action(site.compose(g, f))
+            assert cell.target == res.diagram.action(site.cat.compose(g, f))
             assert fc.validate_nat(cell) == []
             assert is_nat_iso(cell)
 
 
 def test_tr2_family_has_a_nontrivial_cell_through_level_zero(family_tr2):
     res = family_tr2["cleavage"]
-    f = ds.SimplexMap(1, 0, (0, 0))
-    g = ds.SimplexMap(0, 2, (1,))
+    index = res.diagram.site.index
+    f = index[ds.SimplexMap(1, 0, (0, 0))]
+    g = index[ds.SimplexMap(0, 2, (1,))]
     cell = res.diagram.cell(g, f)
     idents = set(res.base.x1.identity)
     assert any(c not in idents for c in cell.components)
@@ -420,7 +423,7 @@ def is_strict(diagram):
     site = diagram.site
     for g, f in corpus.composable_pairs(site):
         composite = fc.compose_functors(diagram.action(f), diagram.action(g))
-        if composite != diagram.action(site.compose(g, f)):
+        if composite != diagram.action(site.cat.compose(g, f)):
             return False
         cell = diagram.cell(g, f)
         if any(c != composite.target.identity[composite.obj_map[x]]
@@ -450,6 +453,7 @@ def test_tr2_tf2_full_coherence(tf2_tr2, strategy):
 def answering(res, f_star, g_star):
     """res with a diagram that answers the site map f_star with g_star's action."""
     d = res.diagram
+    f_star, g_star = d.site.index[f_star], d.site.index[g_star]
     tampered = ps.PseudoDiagram(d.site, d.level,
                                 lambda f: d.action(g_star if f == f_star else f),
                                 lambda g, f: d.cell(g, f).components)
@@ -698,8 +702,9 @@ def test_validate_double_map_lists_failed_squares_without_raising(family):
 
 def level_zero_rebasing(res):
     """The Tr2 diagram's faces [0] -> [1] and degeneracy [1] -> [0]."""
-    d = res.diagram
-    return [d.action(ds.coface(i, 1)) for i in (0, 1)], d.action(ds.codegeneracy(0, 0))
+    d, index = res.diagram, res.diagram.site.index
+    return ([d.action(index[ds.coface(i, 1)]) for i in (0, 1)],
+            d.action(index[ds.codegeneracy(0, 0)]))
 
 
 def test_tr2_rebases_level_zero_of_the_family(family, family_tr2):

@@ -224,13 +224,14 @@ def pi1_map(p_src, p_tgt, on_points, on_arrows):
     return fun
 
 
-def hom_fiber(a, i, j, class_of):
+def hom_fiber(a, i, j):
     """(full subcategory of the arrows from point class i to j, inclusion).
 
-    class_of maps each point to its iso class, as ``obj_class_of`` does; a
-    class outside them raises ValueError.
+    Point classes are ``fincat.iso_classes(a.points)``, numbered as in
+    ``Pi1.obj_class_of``; a class outside them raises ValueError.
     """
-    count = len(set(class_of))
+    classes, class_of = fc.iso_classes(a.points)
+    count = len(classes)
     for c in (i, j):
         if not 0 <= c < count:
             raise ValueError("point class %d is not one of the %d point classes" % (c, count))
@@ -246,10 +247,10 @@ def is_2equivalence(a, b, p_src, p_tgt, on_points, on_arrows):
     fibers_ok = True
     for i in range(len(p_src.obj_classes)):
         for j in range(len(p_src.obj_classes)):
-            sub_x, incl_x = hom_fiber(a, i, j, p_src.obj_class_of)
+            sub_x, incl_x = hom_fiber(a, i, j)
             if sub_x.n_obj == 0:
                 continue
-            sub_y, incl_y = hom_fiber(b, pf.obj(i), pf.obj(j), p_tgt.obj_class_of)
+            sub_y, incl_y = hom_fiber(b, pf.obj(i), pf.obj(j))
             maps = []
             for what, incl, into, on in (
                     ("arrow", incl_x.obj_map, incl_y.obj_map, on_arrows.obj_map),

@@ -138,7 +138,6 @@ class FairDiagram:
         self.p = p
         self._chains = {ds.parse_ordinal("o-o-o"): p.pair_arrows,
                         ds.parse_ordinal("o=o=o"): p.pair_units}
-        self._actions = {}
         self._disc = None
 
     def shapes(self):
@@ -172,12 +171,7 @@ class FairDiagram:
         return self.p.points if shape.dots == 1 else self.chain(shape).cat
 
     def action(self, fat):
-        """Functor induced on levels, against the direction of the map."""
-        if fat not in self._actions:
-            self._actions[fat] = self._build_action(fat)
-        return self._actions[fat]
-
-    def _build_action(self, fat):
+        """Functor induced on levels, against the direction of the map; built on every request."""
         src, tgt, p = fat.src, fat.tgt, self.p
         if tgt.dots == 1:
             return fc.identity_functor(p.points)
@@ -397,7 +391,7 @@ def hom_fiber_fair(d, a, b):
 
     Returns (category, inclusion into the arrows).
     """
-    return an.hom_fiber(d.p, a, b, fc.iso_classes(d.p.points)[1])
+    return an.hom_fiber(d.p, a, b)
 
 
 # ---------------------------------------------------------------------------

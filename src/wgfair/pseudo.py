@@ -90,11 +90,12 @@ class PseudoDiagram:
     size, answers an identity with the identity functor, and raises
     ValueError("action of f has wrong endpoints") for a functor between the
     wrong levels and ValueError("action of f: ...") with ``fincat``'s
-    wording for maps out of shape.  ``components`` answers a pair with an
-    identity leg with identities, without asking cell_fn, and raises
-    ValueError("cell at (g, f): ...") with ``fincat.validate_nat``'s
-    wording when the components are not one id per object.  ``cell`` builds
-    the ``NatTransf`` from them between the cell's own two actions.
+    wording for maps out of shape.  ``components`` (so ``cell``) refuses a
+    pair that does not compose with ValueError("site maps g after f are not
+    composable"), answers a pair with an identity leg with identities,
+    without asking cell_fn, and raises ValueError("cell at (g, f): ...")
+    with ``fincat.validate_nat``'s wording when the components are not one
+    id per object; ``cell`` builds the ``NatTransf`` between its two actions.
     """
 
     def __init__(self, site, level_fn, action_fn, cell_fn):
@@ -128,6 +129,8 @@ class PseudoDiagram:
         """Components of cell(g, f) as a tuple: one morphism id per object of level(tgt g)."""
         af, ag = self.action(f), self.action(g)
         maps, cat = self.site.maps, self.site.cat
+        if cat.src[g] != cat.tgt[f]:
+            raise ValueError("site maps %r after %r are not composable" % (maps[g], maps[f]))
         leg = f == cat.identity[cat.src[f]] or g == cat.identity[cat.src[g]]
         comps = None if leg else self._cell_fn(g, f)
         if comps is None:

@@ -182,8 +182,8 @@ def validate_catwg2(x):
     if not flag:
         problems.append("axiom (a): level zero is not homotopically discrete"
                         " (witness morphism %d)" % wit)
-    # axiom (b): from_generators builds levels two and three as the strict
-    # chains of composable tuples over (d0, d1), so the Segal maps are
+    # axiom (b): from_generators builds the pairs and chain(3) the triples as
+    # strict chains of composable tuples over (d0, d1), so the Segal maps are
     # identities and there is nothing to enumerate
     if flag:
         sd = segal_data(x)
@@ -477,7 +477,7 @@ def hom_fiber(x, a, b):
 
     Returns (category, inclusion into level one).
     """
-    return an.hom_fiber(_anchored(x), a, b, fc.iso_classes(x.x0)[1])
+    return an.hom_fiber(_anchored(x), a, b)
 
 
 def is_2equivalence_double(fmap):

@@ -1,0 +1,74 @@
+"""Malformed input to the index shapes and to ``fincat`` is refused by name.
+
+Every instance the models build passes these checks, so each case below
+makes its input by hand to fail exactly one of them, and the message is
+matched in full.  The checks are plain raises, not asserts, so they hold
+under ``python -O`` as well.
+"""
+
+import re
+
+import pytest
+
+from wgfair import anchored as an
+from wgfair import deltasite as ds
+from wgfair import fincat as fc
+
+o = ds.parse_ordinal
+
+# objects 0 and 1, morphisms id0, id1 and a : 0 -> 1
+ARROW = dict(n_obj=2, src=(0, 1, 0), tgt=(0, 1, 1), identity=(0, 1),
+             comp={(0, 0): 0, (1, 1): 1, (2, 0): 2, (1, 2): 2})
+
+
+def category(**changes):
+    """The free arrow with some of its tables replaced."""
+    return fc.FinCat(**{**ARROW, **changes})
+
+
+def identities(*sizes):
+    return [fc.identity_functor(fc.discrete(n)) for n in sizes]
+
+
+RAISES = [
+    ("simplex map values", lambda: ds.SimplexMap(1, 1, (0,)),
+     "need one value per source index"),
+    ("simplex maps not composable", lambda: ds.compose_simplex(ds.coface(0, 1), ds.coface(0, 2)),
+     "ordinal maps are not composable"),
+    ("no dots", lambda: ds.ColoredOrdinal(0, ()), "at least one dot is required"),
+    ("colored edge", lambda: ds.ColoredOrdinal(2, {1}), "colored edge out of range"),
+    ("dot map values", lambda: ds.validate_fat_map(o("o"), o("o-o"), (0, 1)),
+     "need one value per source dot"),
+    ("dot value", lambda: ds.validate_fat_map(o("o"), o("o"), (1,)), "dot value out of range"),
+    ("dot map repeats", lambda: ds.FatMap(o("o-o"), o("o-o"), (1, 1)),
+     "dot map is not strictly increasing at edge 0"),
+    ("colored maps not composable",
+     lambda: ds.compose_fat(ds.fat_identity(o("o")), ds.fat_identity(o("o-o"))),
+     "colored maps are not composable"),
+    ("category tables", lambda: fc.validate_category(category(tgt=(0, 1))),
+     "table lengths disagree"),
+    ("functors not composable", lambda: fc.compose_functors(*identities(1, 2)),
+     "functors are not composable"),
+    ("functors not parallel", lambda: fc.validate_nat(fc.NatTransf(*identities(1, 2), (0,))),
+     "the two functors are not parallel"),
+    ("chain constraints", lambda: fc.chain_fiber_product([fc.discrete(1)] * 2, [], []),
+     "a chain of 2 factors needs 1 constraint pairs"),
+    ("no item", lambda: an.only([]), "expected exactly one item, found []"),
+    ("two items", lambda: an.only([3, 4]), "expected exactly one item, found [3, 4]"),
+]
+
+
+@pytest.mark.parametrize("make, message", [c[1:] for c in RAISES], ids=[c[0] for c in RAISES])
+def test_malformed_input_is_refused_with_its_message(make, message):
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        make()
+
+
+def test_malformed_category_reports_each_broken_law():
+    # object 0's identity is the arrow a : 0 -> 1
+    assert fc.validate_category(category(identity=(2, 1)))[0] == \
+        "identity of object 0 is not an endomorphism of it"
+    # a after id0 is recorded as id0
+    assert "composite 0 of (2, 0) has wrong endpoints" in \
+        fc.validate_category(category(comp={**ARROW["comp"], (2, 0): 0}))
+    assert fc.validate_category(category()) == []

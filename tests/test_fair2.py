@@ -143,13 +143,13 @@ def test_evaluation_builds_actions_on_demand(family, monkeypatch):
     # the builders force no action; each validator builds the five unit
     # generators' actions and, with the sweep skipped, nothing else
     built = []
-    build = f2.FairDiagram._build_action
+    build = f2.FairDiagram.action
 
     def counted(self, fat):
         built.append(fat)
         return build(self, fat)
 
-    monkeypatch.setattr(f2.FairDiagram, "_build_action", counted)
+    monkeypatch.setattr(f2.FairDiagram, "action", counted)
     d = f2.pi_star(family[0])
     dd = f2.discretize_fair(d)
     f2.build_fair(d.p)

@@ -324,6 +324,19 @@ def test_only_map_numbers_are_accepted(f):
             read()
 
 
+@pytest.mark.parametrize("make", [lambda: wg.tr2_strong_segalic(corpus.double("nerve")).diagram,
+                                  lambda: twisted_swap(ps.OrdinalSite(3))],
+                         ids=["tr2 nerve", "swap"])
+def test_components_and_cell_refuse_a_pair_that_does_not_compose(make):
+    # [0] -> [1] after [1] -> [2]: the swap diagram's cell_fn would answer it
+    d = make()
+    g, f = ds.coface(0, 1), ds.coface(0, 2)
+    named = "^%s$" % re.escape("site maps %r after %r are not composable" % (g, f))
+    for read in (d.components, d.cell):
+        with pytest.raises(ValueError, match=named):
+            read(d.site.index[g], d.site.index[f])
+
+
 def generated(cat, gens):
     return closure(gens, cat.identity, cat.compose, lambda g, f: cat.src[g] == cat.tgt[f])
 

@@ -32,9 +32,6 @@ class SimplexMap:
         if any(self.values[i] > self.values[i + 1] for i in range(self.src_rank)):
             raise ValueError("values must be weakly increasing")
 
-    def __call__(self, i):
-        return self.values[i]
-
 
 def identity_simplex(n):
     return SimplexMap(n, n, range(n + 1))

@@ -11,6 +11,9 @@ their factors).  ``compose`` and ``inverse`` only ever work entry by entry
 and remember the entries they compute, so they never force the table;
 reading ``comp`` yields the complete plain dict, built once on first read in
 the order of a full enumeration (for each f, the g composable after it).
+A fiber product also carries an inverse rule: its morphism is inverted by
+inverting each component in its factor, so ``inverse`` builds no hom table
+and forces no composite there.
 ``iso_classes`` asks ``is_iso`` only of morphisms between two classes it
 has not joined yet, so it forces no composite inside a class; like
 ``generators``, the classes are computed once per category and kept on it.
@@ -37,14 +40,19 @@ class FinCat:
 
     Give either ``comp``, the full table, or ``rule(g, f)``, which returns
     the composite of a composable pair.  A rule-backed category memoizes
-    the entries ``compose``/``inverse`` ask for; its ``comp`` property
-    fills in the whole table on first read and keeps it.
+    the entries ``compose`` asks for; its ``comp`` property fills in the
+    whole table on first read and keeps it.
+
+    ``inverse`` scans the hom set back for a two-sided inverse, unless an
+    ``inverse_rule(m)`` is given, which returns the inverse of m or None;
+    either way each answer is kept.  Inverses in a category are unique, so
+    a correct rule gives what the scan would.
     """
 
-    __slots__ = ("n_obj", "src", "tgt", "identity", "_comp", "_rule", "_hom", "_inv", "_gens",
-                 "_isos")
+    __slots__ = ("n_obj", "src", "tgt", "identity", "_comp", "_rule", "_inverse_rule", "_hom",
+                 "_inv", "_gens", "_isos")
 
-    def __init__(self, n_obj, src, tgt, identity, comp=None, rule=None):
+    def __init__(self, n_obj, src, tgt, identity, comp=None, rule=None, inverse_rule=None):
         if (comp is None) == (rule is None):
             raise ValueError("give exactly one of a composition table and a rule")
         self.n_obj = n_obj
@@ -53,6 +61,7 @@ class FinCat:
         self.identity = tuple(identity)
         self._comp = {} if comp is None else dict(comp)
         self._rule = rule
+        self._inverse_rule = inverse_rule
         self._hom = None
         self._inv = {}
         self._gens = None
@@ -123,13 +132,16 @@ class FinCat:
             return self._inv[m]
         if not 0 <= m < len(self.src):
             raise ValueError("morphism %r is not one of the %d morphisms" % (m, len(self.src)))
-        x, y = self.src[m], self.tgt[m]
-        found = None
-        for n in self.hom(y, x):
-            if (self._entry(n, m) == self.identity[x]
-                    and self._entry(m, n) == self.identity[y]):
-                found = n
-                break
+        if self._inverse_rule is not None:
+            found = self._inverse_rule(m)
+        else:
+            x, y = self.src[m], self.tgt[m]
+            found = None
+            for n in self.hom(y, x):
+                if (self._entry(n, m) == self.identity[x]
+                        and self._entry(m, n) == self.identity[y]):
+                    found = n
+                    break
         self._inv[m] = found
         return found
 
@@ -596,10 +608,17 @@ def chain_fiber_product(factors, right_maps, left_maps):
     agree under them; composition is componentwise.  Labels and projection
     functors come along for free.
 
-    The product's composition is a rule, not a table: ``compose`` and
-    ``inverse`` compose the requested tuples through the factors' own
-    ``compose`` and remember the result, and reading ``cat.comp`` builds
-    the complete table (see the module docstring).
+    The product's composition is a rule, not a table: ``compose`` composes
+    the requested tuples through the factors' own ``compose`` and remembers
+    the result, and reading ``cat.comp`` builds the complete table (see the
+    module docstring).
+
+    ``inverse`` reads the factors' own ``inverse`` instead, which keep their
+    answers across every product built over them.  Composition and
+    identities are componentwise, so an inverse of a tuple must be the tuple
+    of the component inverses: the morphism is invertible exactly when every
+    component is and that tuple lies in the product (it always does when the
+    constraint maps are functors, which preserve inverses).
     """
     k = len(factors)
     if not (len(right_maps) == len(left_maps) == k - 1):
@@ -639,7 +658,16 @@ def chain_fiber_product(factors, right_maps, left_maps):
     def rule(gi, fi):
         return mor_id[tuple([c(g, f) for c, g, f in zip(composers, mors[gi], mors[fi])])]
 
-    cat = FinCat(len(objs), src, tgt, identity, rule=rule)
+    def inverse_rule(mi):
+        inv = []
+        for c, m in zip(factors, mors[mi]):
+            n = c.inverse(m)
+            if n is None:
+                return None
+            inv.append(n)
+        return mor_id.get(tuple(inv))
+
+    cat = FinCat(len(objs), src, tgt, identity, rule=rule, inverse_rule=inverse_rule)
     projections = [FunctorMap(cat, factors[i], obj_cols[i], mor_cols[i]) for i in range(k)]
     return FiberChain(cat, objs, mors, obj_id, mor_id, projections)
 
@@ -714,7 +742,12 @@ def retraction_pseudo_inverse(fun):
 
     Counit components FG => Id are identities on the image of F; off the
     image the smallest witnessing object and then the smallest iso are
-    chosen, so the result is deterministic.
+    chosen, so the result is deterministic.  The witnesses for y are the x
+    with F x in y's iso class (isos compose and invert, so each such F x
+    has an iso into y), read from the classes ``equivalence_flags`` kept.
+    Each chosen hom set's first iso is found in one pass over the target's
+    morphisms in id order, which stops once every y has its iso, so no hom
+    table is built.
 
     Precondition: source and target are categories (the ``FinCat``
     contract; the builders check their levels, and the hat and strict
@@ -730,16 +763,20 @@ def retraction_pseudo_inverse(fun):
         raise ValueError("need an injective-on-objects equivalence")
     a, b = fun.source, fun.target
     preim = {fun.obj_map[x]: x for x in range(a.n_obj)}
-    gobj, eps = [], []
-    for y in range(b.n_obj):
-        if y in preim:
-            gobj.append(preim[y])
-            eps.append(b.identity[y])
-        else:
-            found = next((x, m) for x in range(a.n_obj)
-                         for m in b.hom(fun.obj_map[x], y) if b.is_iso(m))
-            gobj.append(found[0])
-            eps.append(found[1])
+    class_of = iso_classes(b)[1]
+    witness = {}                   # iso class of b -> the least x with F x in it
+    for x, fx in enumerate(fun.obj_map):
+        witness.setdefault(class_of[fx], x)
+    gobj = [preim[y] if y in preim else witness[class_of[y]] for y in range(b.n_obj)]
+    eps = list(b.identity)
+    # off-image y -> F G y, until y's first iso from F G y is found
+    wanted = {y: fun.obj_map[gobj[y]] for y in range(b.n_obj) if y not in preim}
+    for m, y in enumerate(b.tgt):
+        if not wanted:
+            break
+        if wanted.get(y) == b.src[m] and b.is_iso(m):
+            eps[y] = m
+            del wanted[y]
     ident = set(b.identity)
     inverse = {e: b.inverse(e) for e in eps if e not in ident}
     mor_pre = {fm: n for n, fm in enumerate(fun.mor_map)}

@@ -24,7 +24,7 @@ def test_parse_and_text_roundtrip():
 
 def test_simplex_map_basics():
     f = ds.SimplexMap(2, 2, (0, 0, 2))
-    assert f(1) == 0 and f(2) == 2
+    assert f.values[1] == 0 and f.values[2] == 2
     assert ds.compose_simplex(ds.SimplexMap(1, 2, (0, 2)),
                               ds.SimplexMap(2, 1, (0, 0, 1))) == f
     with pytest.raises(ValueError):

@@ -5,6 +5,9 @@ per composable pair of tuples up front.  It is kept here only as the oracle
 for the on-demand composition of ``fincat.chain_fiber_product``.
 """
 
+import collections
+import random
+
 import pytest
 
 from wgfair import fair2 as f2
@@ -13,10 +16,13 @@ from wgfair import wgdouble as wg
 
 import corpus
 from corpus import free_arrow
+from test_fincat_reference import random_preorder, thin_times_cyclic
 
 # products with at most this many morphisms get every non-composable pair
 # checked; larger ones get one per (morphism, foreign object)
 EXHAUSTIVE_MOR = 200
+# products with more composable pairs than this get no eager table
+EAGER_PAIRS = 400_000
 
 
 def eager_chain_fiber_product(factors, right_maps, left_maps):
@@ -52,6 +58,14 @@ def eager_chain_fiber_product(factors, right_maps, left_maps):
     return cat, tuple(objs), tuple(mors)
 
 
+def check_inverses(lazy, oracle):
+    """Inverses and iso classes of a fresh product agree with the oracle's hom scan."""
+    for m in range(lazy.n_mor):
+        assert lazy.inverse(m) == oracle.inverse(m)
+    assert fc.iso_classes(lazy) == fc.iso_classes(oracle)
+    assert lazy._hom is None, "inverse/iso_classes must not build the hom table"
+
+
 def check_against_oracle(factors, right_maps, left_maps):
     chain = fc.chain_fiber_product(factors, right_maps, left_maps)
     oracle, obj_label, mor_label = eager_chain_fiber_product(factors, right_maps, left_maps)
@@ -61,9 +75,7 @@ def check_against_oracle(factors, right_maps, left_maps):
         (oracle.n_obj, oracle.src, oracle.tgt, oracle.identity)
 
     # entry-wise access first, while the table is still unforced
-    for m in range(lazy.n_mor):
-        assert lazy.inverse(m) == oracle.inverse(m)
-    assert fc.iso_classes(lazy) == fc.iso_classes(oracle)
+    check_inverses(lazy, oracle)
     for (g, f), h in oracle.comp.items():
         assert lazy.compose(g, f) == h
     n = lazy.n_mor
@@ -140,15 +152,47 @@ def _pullback_products():
                            [fc.FunctorMap(b2, d, (0, 0, 1, 1), (0, 0, 1, 1, 1, 1))])
 
 
+def _thin_times_cyclic_products():
+    # tags of Z/k with k >= 3 are invertible but mostly not their own inverses
+    rng = random.Random(28)
+    for _ in range(10):
+        thin_times_cyclic(random_preorder(rng, rng.randint(1, 4)), rng.randint(3, 5))
+
+
 @pytest.mark.parametrize("build", [
     _nerve_products, _family_fair_products, _wg_products(4), _wg_products(5),
     _wg_products(6), _micro_products, _pullback_products,
-], ids=["nerve", "family-fair", "wg4", "wg5", "wg6", "micro", "pullbacks"])
+    _thin_times_cyclic_products,
+], ids=["nerve", "family-fair", "wg4", "wg5", "wg6", "micro", "pullbacks",
+        "thin-times-cyclic"])
 def test_products_agree_with_the_eager_table(monkeypatch, build):
     products = recorded_products(monkeypatch, build)
     assert products
     for factors, right_maps, left_maps in products:
         check_against_oracle(factors, right_maps, left_maps)
+
+
+@pytest.mark.parametrize("assignment", [[0, 1, 1], [0, 0, 1, 1]])
+def test_inverses_over_a_base_with_isomorphisms(monkeypatch, assignment):
+    # discretize_fair raises on these instances (ROADMAP item 8), so the
+    # build stops before it.  Their hat chains reach 65,536 morphisms and
+    # 4,194,304 composable pairs; past EAGER_PAIRS the oracle is the hom scan
+    # through the product's own composition rule instead of the eager table
+    def build():
+        x, _ = wg.generate_from_surjection(fc.chaotic(2), assignment)
+        wg.segal_data(x)
+        f2.validate_fairwg(f2.pi_star(x))
+
+    products = recorded_products(monkeypatch, build)
+    assert len(products) == 26
+    for factors, right_maps, left_maps in products:
+        lazy = fc.chain_fiber_product(factors, right_maps, left_maps).cat
+        into = collections.Counter(lazy.tgt)
+        if sum(into[x] for x in lazy.src) <= EAGER_PAIRS:
+            oracle = eager_chain_fiber_product(factors, right_maps, left_maps)[0]
+        else:
+            oracle = fc.FinCat(lazy.n_obj, lazy.src, lazy.tgt, lazy.identity, rule=lazy._rule)
+        check_inverses(lazy, oracle)
 
 
 def test_retraction_touches_few_entries_of_hat3():

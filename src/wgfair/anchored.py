@@ -59,6 +59,14 @@ def raise_first(prefix, check, arg):
         raise ValueError(prefix + bad[0])
 
 
+def not_equivalence(what, fun):
+    """The line "<what> is not an equivalence (...)" with fun's flags; None when it is one."""
+    flags = fc.equivalence_flags(fun)
+    if not flags["is_equivalence"]:
+        return ("%s is not an equivalence (fully_faithful=%s, essentially_surjective=%s)"
+                % (what, flags["fully_faithful"], flags["essentially_surjective"]))
+
+
 def check_maps(maps):
     """ValueError naming the first (name, functor, source, target) that is not a functor between them."""
     for name, fun, source, target in maps:
@@ -201,9 +209,7 @@ def pi1(a, units):
                              " of classes at %r" % (key,))
         seen.add(key)
     cat = fc.FinCat(len(obj_classes), src, tgt, ident, table)
-    bad = fc.validate_category(cat)
-    if bad:
-        raise ValueError("descended category law fails: %s" % bad[0])
+    raise_first("descended category law fails: ", fc.validate_category, cat)
     return cat, obj_classes, ocof, arrow_classes, acof
 
 
@@ -218,9 +224,7 @@ def pi1_map(p_src, p_tgt, on_points, on_arrows):
         p_src.cat, p_tgt.cat,
         [p_tgt.obj_class_of[on_points.obj(cls[0])] for cls in p_src.obj_classes],
         [p_tgt.arrow_class_of[on_arrows.obj(cls[0])] for cls in p_src.arrow_classes])
-    bad = fc.validate_functor(fun)
-    if bad:
-        raise ValueError("induced map is not functorial: %s" % bad[0])
+    raise_first("induced map is not functorial: ", fc.validate_functor, fun)
     return fun
 
 
@@ -262,9 +266,7 @@ def is_2equivalence(a, b, p_src, p_tgt, on_points, on_arrows):
                                          " hom fiber (%d, %d)"
                                          % (what, e, i, j, on[e], pf.obj(i), pf.obj(j)))
                 maps.append([pos[on[e]] for e in incl])
-            rest = fc.FunctorMap(sub_x, sub_y, *maps)
-            if not fc.is_equivalence(rest):
-                fibers_ok = False
+            fibers_ok = fc.is_equivalence(fc.FunctorMap(sub_x, sub_y, *maps)) and fibers_ok
     surj = set(pf.obj_map) == set(range(p_tgt.cat.n_obj))
     return {
         "hom_fiber_equivalences": fibers_ok,
@@ -279,43 +281,30 @@ def is_2equivalence(a, b, p_src, p_tgt, on_points, on_arrows):
 # Transports along point isomorphisms, walks and sections
 
 
-def least_transport(level, f, accept):
-    """Least (object, cell) over invertible cells of level onto object f.
-
-    Only pairs passing accept(object, cell) count; None when none does.
-    """
-    best = None
-    for lam in range(level.n_mor):
-        if level.tgt[lam] != f or not level.is_iso(lam):
-            continue
-        g = level.src[lam]
-        if accept(g, lam) and (best is None or (g, lam) < best):
-            best = (g, lam)
-    return best
-
-
-def transport_table(disc, level, start, end, moved_end, message):
+def transport_table(points, level, start, end, moved_end, message):
     """Transports of every object f of level along each point iso phi : xo -> start(f).
 
-    disc is the discretization of the points.  The entry at (f, phi) is the
-    least (g, cell): g from xo to moved_end(f, xo), the cell invertible onto
-    f over phi and the iso between the ends.  A missing one raises
-    ValueError with message % (f, phi).
+    The xo are start(f)'s class among the points' kept iso classes
+    (``fincat.discrete_iso_classes``).  The entry at (f, phi) is the least
+    (g, cell): g from xo to moved_end(f, xo), the cell invertible onto f over
+    phi and the iso between the ends.  A missing one raises ValueError with
+    message % (f, phi).
     """
-    points, class_of = disc.quotient.source, disc.quotient.obj_map
-    table = {}
+    classes, class_of = fc.discrete_iso_classes(points)
+    src, tgt, table = level.src, level.tgt, {}
     for f in range(level.n_obj):
         sf = start.obj(f)
-        for xo in disc.classes[class_of[sf]]:
+        for xo in classes[class_of[sf]]:
             phi = only(points.hom(xo, sf))
             if xo == sf:
                 table[(f, phi)] = (f, level.identity[f])
                 continue
             te = moved_end(f, xo)
             psi = only(points.hom(te, end.obj(f)))
-            best = least_transport(level, f, lambda g, lam: (
-                start.obj(g) == xo and end.obj(g) == te
-                and start.mor(lam) == phi and end.mor(lam) == psi))
+            best = min(((src[lam], lam) for lam in range(level.n_mor)
+                        if tgt[lam] == f and level.is_iso(lam)
+                        and start.obj(src[lam]) == xo and end.obj(src[lam]) == te
+                        and start.mor(lam) == phi and end.mor(lam) == psi), default=None)
             if best is None:
                 raise ValueError(message % (f, phi))
             table[(f, phi)] = best

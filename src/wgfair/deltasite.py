@@ -25,6 +25,8 @@ class SimplexMap:
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(self.values))
+        if not all(isinstance(v, int) for v in (self.src_rank, self.tgt_rank) + self.values):
+            raise ValueError("the simplex map holds an entry that is not an id")
         if len(self.values) != self.src_rank + 1:
             raise ValueError("need one value per source index")
         if any(not 0 <= v <= self.tgt_rank for v in self.values):
@@ -63,6 +65,8 @@ class ColoredOrdinal:
 
     def __post_init__(self):
         object.__setattr__(self, "colored", frozenset(self.colored))
+        if not all(isinstance(v, int) for v in (self.dots, *self.colored)):
+            raise ValueError("the colored ordinal holds an entry that is not an id")
         if self.dots < 1:
             raise ValueError("at least one dot is required")
         if any(not 0 <= e < self.dots - 1 for e in self.colored):
@@ -77,6 +81,8 @@ class ColoredOrdinal:
 
 
 def parse_ordinal(text):
+    if not isinstance(text, str):
+        raise ValueError("malformed ordinal text %r" % (text,))
     if not text or text[0] != "o":
         raise ValueError("ordinal text must start with a dot")
     dots, colored, i = 1, set(), 1
@@ -108,6 +114,8 @@ def validate_fat_map(src, tgt, dotmap):
     dotmap = tuple(dotmap)
     if len(dotmap) != src.dots:
         raise ValueError("need one value per source dot")
+    if not all(isinstance(v, int) for v in dotmap):
+        raise ValueError("the dot map holds an entry that is not an id")
     if any(not 0 <= v < tgt.dots for v in dotmap):
         raise ValueError("dot value out of range")
     problems = []

@@ -309,12 +309,9 @@ def validate_fair2(d):
     named = set()
     for name, fat in unit_generator_maps():
         named.add(fat)
-        flags = fc.equivalence_flags(d.action(fat))
-        if not flags["is_equivalence"]:
-            problems.append(
-                "the %s map is not an equivalence (fully_faithful=%s,"
-                " essentially_surjective=%s)"
-                % (name, flags["fully_faithful"], flags["essentially_surjective"]))
+        line = an.not_equivalence("the %s map" % name, d.action(fat))
+        if line:
+            problems.append(line)
     # the sweep runs unless the points are discrete and every generator is
     # an equivalence, the case in which it provably finds nothing
     if not problems:
@@ -352,13 +349,10 @@ def validate_fairwg(d):
     for shape in d.shapes():
         if shape.dots < 3:
             continue
-        flags = fc.equivalence_flags(class_chain(d, shape)[1])
-        if not flags["is_equivalence"]:
-            problems.append(
-                "axiom (c): induced Segal map at %s is not an equivalence"
-                " (fully_faithful=%s, essentially_surjective=%s)"
-                % (shape.text(), flags["fully_faithful"],
-                   flags["essentially_surjective"]))
+        line = an.not_equivalence("axiom (c): induced Segal map at %s" % shape.text(),
+                                  class_chain(d, shape)[1])
+        if line:
+            problems.append(line)
     for name, fat in unit_generator_maps():
         if not fc.is_equivalence(d.action(fat)):
             problems.append("axiom (d): the %s map is not an equivalence" % name)
@@ -374,23 +368,14 @@ class FairPi1(an.Pi1):
 
 
 def pi1_fair(d):
-    """Fundamental category: iso classes levelwise, composition descended.
-
-    Verifies on the way that composition descends single-valuedly, that the
-    pairs level is the strict fiber product of classes, and that the units
-    give well-defined identities; any failure raises ValueError rather than
-    guessing.
-    """
+    """Fundamental category, checked as ``wgdouble.pi1_double``'s; the units give the identities."""
     p = d.p
     units = [(p.value.obj(w), p.as_arrow.obj(w)) for w in range(p.units.n_obj)]
     return FairPi1(*an.pi1(p, units))
 
 
 def hom_fiber_fair(d, a, b):
-    """Full subcategory of arrows from point class a to point class b.
-
-    Returns (category, inclusion into the arrows).
-    """
+    """(full subcategory of the arrows from point class a to point class b, inclusion)."""
     return an.hom_fiber(d.p, a, b)
 
 
@@ -469,11 +454,7 @@ def pi1_fair_map(fmap):
 
 
 def is_2equivalence_fair(fmap):
-    """Hom-fiber equivalences plus fundamental-category equivalence.
-
-    Same shape of verdicts as the double-category version: the relaxed one
-    only asks the fundamental map to be surjective on objects.
-    """
+    """The verdicts of ``wgdouble.is_2equivalence_double`` for a map of fair structures."""
     x, y = fmap.source, fmap.target
     p_src = pi1_fair(x)
     p_tgt = p_src if y is x else pi1_fair(y)
@@ -484,16 +465,17 @@ def is_2equivalence_fair(fmap):
 # Rebasing onto the point classes
 
 
-def _dragged(section, class_of, xo, sf, t):
+def _dragged(classes, class_of, xo, sf, t):
     # both endpoints of a transported arrow move: the target is carried by
-    # the same class permutation that moves sf to xo (a pair of section
-    # swaps), and stays put when it lives in a different class.  Fixing the
-    # target instead leaves the rebased composition non-associative as soon
-    # as a composite lands in the unit image.
+    # the same class permutation that moves sf to xo (a pair of swaps with
+    # the class's least member, the one a discretization's section picks),
+    # and stays put when it lives in a different class.  Fixing the target
+    # instead leaves the rebased composition non-associative as soon as a
+    # composite lands in the unit image.
     c = class_of[sf]
     if class_of[t] != c:
         return t
-    sec = section.obj(c)
+    sec = classes[c][0]
     for y in (sf, xo):
         if t == sec:
             t = y
@@ -512,13 +494,13 @@ def build_fair_cleavage(p):
     transport along some point isomorphism; that is an honest obstruction
     of the instance, not a bug.
     """
-    disc = fc.discretize(p.points)
+    classes, class_of = fc.iso_classes(p.points)
     arrows = an.transport_table(
-        disc, p.arrows, p.src, p.tgt, lambda f, xo: _dragged(
-            disc.section, disc.quotient.obj_map, xo, p.src.obj(f), p.tgt.obj(f)),
+        p.points, p.arrows, p.src, p.tgt, lambda f, xo: _dragged(
+            classes, class_of, xo, p.src.obj(f), p.tgt.obj(f)),
         "no transport of arrow %d along point isomorphism %d")
     # a unit starts and ends at its value, so both ends move together
-    units = an.transport_table(disc, p.units, p.value, p.value, lambda w, xo: xo,
+    units = an.transport_table(p.points, p.units, p.value, p.value, lambda w, xo: xo,
                                "no transport of unit %d along point isomorphism %d")
     return arrows, units
 

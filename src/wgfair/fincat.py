@@ -130,7 +130,7 @@ class FinCat:
         """Two-sided inverse of m, or None; ValueError when m is not a morphism id."""
         if m in self._inv:
             return self._inv[m]
-        if not 0 <= m < len(self.src):
+        if not isinstance(m, int) or not 0 <= m < len(self.src):
             raise ValueError("morphism %r is not one of the %d morphisms" % (m, len(self.src)))
         if self._inverse_rule is not None:
             found = self._inverse_rule(m)
@@ -168,25 +168,32 @@ def thin_from_preorder(n, pairs):
     reflexive and transitive; ValueError naming n or the first offending
     pair or object otherwise.
     """
-    if n < 0:
+    if not isinstance(n, int) or n < 0:
         raise ValueError("n must be at least 0, not %r" % (n,))
-    labels = sorted(set(pairs))
-    for (x, y) in labels:
-        if not (0 <= x < n and 0 <= y < n):
-            raise ValueError("pair %r is outside 0..%d" % ((x, y), n - 1))
-    mor_id = {t: i for i, t in enumerate(labels)}
-    for x in range(n):
-        if (x, x) not in mor_id:
-            raise ValueError("preorder is not reflexive at %d" % x)
-    leaving = [[] for _ in range(n)]
-    for m, (x, y) in enumerate(labels):
-        leaving[x].append((m, y))
-    comp = {}
-    for f, (x, y) in enumerate(labels):
-        for g, z in leaving[y]:
-            if (x, z) not in mor_id:
-                raise ValueError("preorder is not transitive: (%d, %d) is missing" % (x, z))
-            comp[(g, f)] = mor_id[(x, z)]
+    pairs = list(pairs)
+    try:
+        labels = sorted(set(pairs))
+        for (x, y) in labels:
+            if not (0 <= x < n and 0 <= y < n):
+                raise ValueError("pair %r is outside 0..%d" % ((x, y), n - 1))
+        mor_id = {t: i for i, t in enumerate(labels)}
+        for x in range(n):
+            if (x, x) not in mor_id:
+                raise ValueError("preorder is not reflexive at %d" % x)
+        leaving = [[] for _ in range(n)]
+        for m, (x, y) in enumerate(labels):
+            leaving[x].append((m, y))
+        comp = {}
+        for f, (x, y) in enumerate(labels):
+            for g, z in leaving[y]:
+                if (x, z) not in mor_id:
+                    raise ValueError("preorder is not transitive: (%d, %d) is missing" % (x, z))
+                comp[(g, f)] = mor_id[(x, z)]
+    except TypeError:
+        # an entry that is not an int fails a comparison or indexes a list
+        bad = next(t for t in pairs
+                   if not (isinstance(t, tuple) and all(isinstance(v, int) for v in t)))
+        raise ValueError("pair %r is outside 0..%d" % (bad, n - 1)) from None
     return FinCat(n, [t[0] for t in labels], [t[1] for t in labels],
                   [mor_id[(x, x)] for x in range(n)], comp)
 
@@ -369,9 +376,17 @@ def is_homotopically_discrete(cat):
     return True, None
 
 
+def discrete_iso_classes(cat):
+    """``iso_classes(cat)``; ValueError naming a witness unless cat is homotopically discrete."""
+    flag, witness = is_homotopically_discrete(cat)
+    if not flag:
+        raise ValueError("not homotopically discrete, witness morphism %d" % witness)
+    return iso_classes(cat)
+
+
 @dataclass
 class Discretization:
-    classes: list
+    """Discrete category on the iso classes, quotient and section; the classes are kept on the source."""
     discrete: FinCat
     quotient: "FunctorMap"
     section: "FunctorMap"
@@ -382,11 +397,9 @@ def discretize(cat):
 
     The section picks the least object of each class, and quotient . section
     is the identity.  Rejects categories that are not homotopically discrete.
+    A reader of the classes alone calls ``discrete_iso_classes`` instead.
     """
-    flag, witness = is_homotopically_discrete(cat)
-    if not flag:
-        raise ValueError("not homotopically discrete, witness morphism %d" % witness)
-    classes, class_of = iso_classes(cat)
+    classes, class_of = discrete_iso_classes(cat)
     d = discrete(len(classes))
     quotient = FunctorMap(cat, d, class_of,
                           [class_of[cat.src[m]] for m in range(cat.n_mor)])
@@ -397,7 +410,7 @@ def discretize(cat):
         # d's morphism c is the identity of its object c
         if back.obj_map[c] != c or back.mor_map[c] != c:
             raise ValueError("section law fails at class %d" % c)
-    return Discretization(classes, d, quotient, section)
+    return Discretization(d, quotient, section)
 
 
 @dataclass
@@ -709,7 +722,7 @@ def chain_map(source, target, components):
 
 
 def full_subcategory(cat, objects):
-    """(subcategory, inclusion) on the given objects, kept in sorted order."""
+    """(subcategory, inclusion) on the given objects, kept in sorted order; it composes through cat."""
     objects = sorted(set(objects))
     for x in objects:
         if x not in range(cat.n_obj):
@@ -719,14 +732,11 @@ def full_subcategory(cat, objects):
     keep = [m for m in range(cat.n_mor)
             if cat.src[m] in obj_new and cat.tgt[m] in obj_new]
     mor_new = {m: i for i, m in enumerate(keep)}
-    comp = cat.comp
     sub = FinCat(len(objects),
                  [obj_new[cat.src[m]] for m in keep],
                  [obj_new[cat.tgt[m]] for m in keep],
                  [mor_new[cat.identity[x]] for x in objects],
-                 {(mor_new[g], mor_new[f]): mor_new[h]
-                  for (g, f), h in comp.items()
-                  if g in mor_new and f in mor_new})
+                 rule=lambda g, f: mor_new[cat.compose(keep[g], keep[f])])
     incl = FunctorMap(sub, cat, objects, keep)
     return sub, incl
 

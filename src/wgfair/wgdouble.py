@@ -188,12 +188,9 @@ def validate_catwg2(x):
     if flag:
         sd = segal_data(x)
         for k, muhat in ((2, sd.muhat2), (3, sd.muhat3)):
-            flags = fc.equivalence_flags(muhat)
-            if not flags["is_equivalence"]:
-                problems.append(
-                    "axiom (c): induced level-%d Segal map is not an equivalence"
-                    " (fully_faithful=%s, essentially_surjective=%s)"
-                    % (k, flags["fully_faithful"], flags["essentially_surjective"]))
+            line = an.not_equivalence("axiom (c): induced level-%d Segal map" % k, muhat)
+            if line:
+                problems.append(line)
     else:
         problems.append("axiom (c): skipped, level zero could not be discretized")
     return problems
@@ -215,7 +212,7 @@ def build_cleavage(x):
     """
     # the target stays put, so its cell component is an identity
     return an.transport_table(
-        fc.discretize(x.x0), x.x1, x.d1, x.d0, lambda f, xo: x.d0.obj(f),
+        x.x0, x.x1, x.d1, x.d0, lambda f, xo: x.d0.obj(f),
         "no transport of horizontal arrow %d along vertical isomorphism %d")
 
 
@@ -287,9 +284,7 @@ def tr2_strong_segalic(x, strategy="cleavage"):
     number; only the nerve action reads a map's label.  Rejects instances
     that fail the globularity axioms.
     """
-    problems = validate_catwg2(x)
-    if problems:
-        raise ValueError("not weakly globular: %s" % problems[0])
+    an.raise_first("not weakly globular: ", validate_catwg2, x)
     sd = segal_data(x)
     retr = segal_retractions(x, strategy)
     site = ps.OrdinalSite(3)
@@ -473,10 +468,7 @@ def pi1_map(fmap):
 
 
 def hom_fiber(x, a, b):
-    """Full subcategory of level one on arrows from class a to class b.
-
-    Returns (category, inclusion into level one).
-    """
+    """(full subcategory of level one on the arrows from class a to class b, inclusion)."""
     return an.hom_fiber(_anchored(x), a, b)
 
 
@@ -554,9 +546,7 @@ def pi1_base_functor(aux, p):
     obj_map = [aux["assignment"][cls[0]] for cls in p.obj_classes]
     mor_map = [aux["triples"][cls[0]][1] for cls in p.arrow_classes]
     fun = fc.FunctorMap(p.cat, base, obj_map, mor_map)
-    bad = fc.validate_functor(fun)
-    if bad:
-        raise ValueError("comparison onto the base is not a functor: %s" % bad[0])
+    an.raise_first("comparison onto the base is not a functor: ", fc.validate_functor, fun)
     return fun
 
 

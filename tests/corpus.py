@@ -27,8 +27,18 @@ def cyclic3():
                      {(i, j): (i + j) % 3 for i in range(3) for j in range(3)})
 
 
+# surjections onto the chaotic category on two objects, whose base has a
+# non-identity isomorphism (the finding of ROADMAP item 8)
+ISO_BASES = {"iso base 011": [0, 1, 1], "iso base 0011": [0, 0, 1, 1]}
+
+
 def surjection(name):
-    """(instance, aux) from the generators: "nerve", "family", "tf2" or "seed <n>"."""
+    """(instance, aux) from the generators.
+
+    name is "nerve", "family", "tf2", an ``ISO_BASES`` key or "seed <n>".
+    """
+    if name in ISO_BASES:
+        return wg.generate_from_surjection(fc.chaotic(2), ISO_BASES[name])
     if name == "nerve":
         return wg.from_base_category(free_arrow())
     if name == "family":
@@ -40,7 +50,7 @@ def surjection(name):
 
 def double(name):
     """The named double category: "micro" or a name ``surjection`` takes."""
-    if name == "tf2":
+    if name == "tf2" or name in ISO_BASES:
         return surjection(name)[0]
     return cli.build_instance(name.replace("seed ", "wg"))
 

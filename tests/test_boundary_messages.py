@@ -53,6 +53,27 @@ RAISES = [
      "the two functors are not parallel"),
     ("chain constraints", lambda: fc.chain_fiber_product([fc.discrete(1)] * 2, [], []),
      "a chain of 2 factors needs 1 constraint pairs"),
+    ("simplex map entry", lambda: ds.SimplexMap(1, 2, ("a", 1)),
+     "the simplex map holds an entry that is not an id"),
+    ("simplex map fraction", lambda: ds.SimplexMap(1, 2, (0.5, 1)),
+     "the simplex map holds an entry that is not an id"),
+    ("simplex map rank", lambda: ds.SimplexMap(None, 2, (0, 1)),
+     "the simplex map holds an entry that is not an id"),
+    ("dot count", lambda: ds.ColoredOrdinal("3", frozenset()),
+     "the colored ordinal holds an entry that is not an id"),
+    ("colored edge fraction", lambda: ds.ColoredOrdinal(3, {0.5}),
+     "the colored ordinal holds an entry that is not an id"),
+    ("dot map entry", lambda: ds.FatMap(o("o"), o("o-o"), ("x",)),
+     "the dot map holds an entry that is not an id"),
+    ("ordinal text", lambda: ds.parse_ordinal(3), "malformed ordinal text 3"),
+    ("preorder size", lambda: fc.thin_from_preorder("2", [(0, 0), (1, 1)]),
+     "n must be at least 0, not '2'"),
+    ("preorder entry", lambda: fc.thin_from_preorder(2, [("a", 0)]),
+     "pair ('a', 0) is outside 0..1"),
+    ("preorder fraction", lambda: fc.thin_from_preorder(2, [(0, 0), (1, 1), (0.5, 1)]),
+     "pair (0.5, 1) is outside 0..1"),
+    ("inverse of a non-id", lambda: fc.discrete(2).inverse("a"),
+     "morphism 'a' is not one of the 2 morphisms"),
     ("no item", lambda: an.only([]), "expected exactly one item, found []"),
     ("two items", lambda: an.only([3, 4]), "expected exactly one item, found [3, 4]"),
 ]

@@ -289,6 +289,13 @@ def test_micro_counterexample_fails_axiom_c_and_pi1():
         f2.pi1_fair(d)
 
 
+def test_micro_axiom_c_lines_read_the_same_on_the_double_side():
+    # both models word a failed Segal map through anchored.not_equivalence
+    assert wg.validate_catwg2(wg.micro_counterexample()) == [
+        "axiom (c): induced level-%d Segal map is not an equivalence"
+        " (fully_faithful=True, essentially_surjective=False)" % k for k in (2, 3)]
+
+
 def test_non_hd_points_fail_axiom_a():
     # everything the free arrow, identity structure maps, first-component
     # compositions: a lawful presentation whose points are not hd

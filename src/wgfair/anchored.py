@@ -237,8 +237,8 @@ def hom_fiber(a, i, j):
     classes, class_of = fc.iso_classes(a.points)
     count = len(classes)
     for c in (i, j):
-        if not 0 <= c < count:
-            raise ValueError("point class %d is not one of the %d point classes" % (c, count))
+        if not isinstance(c, int) or not 0 <= c < count:
+            raise ValueError("point class %r is not one of the %d point classes" % (c, count))
     objs = [f for f in range(a.arrows.n_obj)
             if class_of[a.src.obj(f)] == i and class_of[a.tgt.obj(f)] == j]
     return fc.full_subcategory(a.arrows, objs)

@@ -15,8 +15,9 @@ window sends edge j of a over the path of b from f(j) to f(j+1); dot maps
 are strictly increasing, so that path is never empty and no fold needs an
 identity.  For g : b -> c, the path of c under an edge of a is the
 concatenation of the paths of c under the edges of b it covers, so
-action(g . f) = action(f) . action(g) reduces to three facts, each checked
-by ``from_presentation``:
+action(g . f) = action(f) . action(g) reduces to three facts.  Every
+presentation is built by ``_assemble``, which checks them on levels and
+functors its caller vouches for, units sitting at their value included:
 
 - both compositions are strictly associative, so folding a row of folded
   rows is folding the concatenated row;
@@ -29,8 +30,7 @@ by ``from_presentation``:
   composed, gives what pushing the whole run once gives.
 
 ``build_fair`` therefore builds actions on demand only; the exhaustive
-comparison over every composable pair of window maps lives in the test
-suite as the oracle.
+comparison over every composable pair of window maps is a test oracle.
 """
 
 from __future__ import annotations
@@ -71,12 +71,12 @@ def from_presentation(points, arrows, units, src, tgt, value, as_arrow,
     """Assemble a fair presentation from generating data, checking laws.
 
     The compose callables give the composite of a strictly composable pair
-    in diagram order, objects and morphisms separately.  There are no unit
-    laws to check; associativity, anchor compatibility and the unit
-    embedding being a semi-functor all raise ValueError with a witness.
-    Points, arrows and units must be categories, since
-    ``fincat.validate_functor`` decides the functor checks on generators: a
-    level that is not raises, naming it and its first law.
+    in diagram order, objects and morphisms separately.  Checked here: the
+    levels are categories (``fincat.validate_functor`` decides on
+    generators, so a level that is not raises, naming it and its first law),
+    the anchors, unit embedding and compositions are functors, and units
+    start and end at their point; ``_assemble`` checks the rest.  There are
+    no unit laws; every failure raises ValueError with a witness.
     """
     for name, level in (("points", points), ("arrows", arrows), ("units", units)):
         an.raise_first("the %s are not a category: " % name, fc.validate_category, level)
@@ -85,11 +85,21 @@ def from_presentation(points, arrows, units, src, tgt, value, as_arrow,
     for name, anchor in (("start", src), ("end", tgt)):
         if fc.compose_functors(anchor, as_arrow) != value:
             raise ValueError("unit arrows do not %s at their point" % name)
+    return _assemble(points, arrows, units, src, tgt, value, as_arrow,
+                     *an.compose_pairs(arrows, tgt, src, compose_arrow_obj, compose_arrow_mor, ""),
+                     *an.compose_pairs(units, value, value, compose_unit_obj, compose_unit_mor,
+                                       "unit "))
 
-    pair_arrows, comp_arrows = an.compose_pairs(
-        arrows, tgt, src, compose_arrow_obj, compose_arrow_mor, "")
-    pair_units, comp_units = an.compose_pairs(
-        units, value, value, compose_unit_obj, compose_unit_mor, "unit ")
+
+def _assemble(points, arrows, units, src, tgt, value, as_arrow,
+              pair_arrows, comp_arrows, pair_units, comp_units):
+    """The presentation, once the laws its compositions can still break hold.
+
+    The caller guarantees what ``from_presentation`` checks first, and pair
+    chains over (tgt, src) and (value, value).  Checked here, in order:
+    composites start and end where their factors do, unit composites stay
+    over their point, both compositions associate, as_arrow is a semi-functor.
+    """
     pr = pair_arrows.projections
     if fc.compose_functors(src, comp_arrows) != fc.compose_functors(src, pr[0]):
         raise ValueError("composition does not start where the first factor starts")
@@ -226,7 +236,7 @@ def build_fair(p):
     """Evaluate a presentation on the window, lazily.
 
     Levels and actions are built when first asked for.  Functoriality needs
-    no check here: it follows from the laws ``from_presentation`` enforces
+    no check here: it follows from the laws ``_assemble`` enforces
     (see the module docstring).
     """
     return FairDiagram(p)
@@ -237,15 +247,16 @@ def pi_star(x):
 
     Points read off level zero and arrows off level one; the units are the
     vertical objects again, sitting at themselves and on their identity
-    arrows s0.  Arrows compose through the strict pair level, units by
-    keeping the first of a pair.  Returns the evaluated fair diagram.
+    arrows s0.  Arrows compose through x's own pairs and comp, units keep
+    the first of a pair.  ``from_generators``, the only constructor, checked
+    what ``from_presentation`` would (categories, functors, s0 a section of
+    d0 and d1) and the unit laws, which give the semi-functor law;
+    ``_assemble`` re-checks the rest.  Returns the evaluated diagram.
     """
-    p = from_presentation(
-        x.x0, x.x1, x.x0, x.d1, x.d0, fc.identity_functor(x.x0), x.s0,
-        lambda f, g: x.comp.obj(x.pairs.obj_id[(f, g)]),
-        lambda m, n: x.comp.mor(x.pairs.mor_id[(m, n)]),
-        lambda w1, w2: w1, lambda m, n: m)
-    return build_fair(p)
+    ident = fc.identity_functor(x.x0)
+    units = fc.chain_fiber_product([x.x0, x.x0], [ident], [ident])
+    return build_fair(_assemble(x.x0, x.x1, x.x0, x.d1, x.d0, ident, x.s0,
+                                x.pairs, x.comp, units, units.projections[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -560,32 +571,20 @@ def pair_retractions(d, strategy="cleavage"):
 def discretize_fair(d, strategy="cleavage"):
     """Rebase a weakly globular fair structure onto its point classes.
 
-    The arrow and unit levels stay what they were; only the anchors move to
-    the class quotient and the compositions are re-based through the chosen
-    pair retractions.  On an input whose points are already discrete the
-    result is the input again.  The output is assembled through the full
-    law checks, so a strategy whose retraction breaks associativity or the
-    unit embedding surfaces as a ValueError, not as silent damage.
+    The arrows and units stay d's, already checked; the anchors move to the
+    discrete point classes, the pair chains are ``pair_retractions``' hats,
+    and each composition is d's after nu, a functor (it conjugates by
+    invertible cells along a fully faithful muhat).  On discrete points the
+    result is the input again.  ``_assemble`` re-checks what a retraction
+    can break, associativity and the unit embedding, raising ValueError.
     """
-    p = d.p
-    disc = d.discretization()
+    p, disc = d.p, d.discretization()
     retr = pair_retractions(d, strategy)
-    gamma = disc.quotient
-
-    # the rebased pair chains re-enumerate exactly the class-composable
-    # tuples, so the labels below agree with the walked chains
-    def rebased(pairs, nu, comp):
-        """(obj, mor): the composite of a class-composable pair, through nu."""
-        return (lambda a, b: comp.obj(nu.obj(pairs.obj_id[(a, b)])),
-                lambda m, n: comp.mor(nu.mor(pairs.mor_id[(m, n)])))
-
-    out = from_presentation(
+    return build_fair(_assemble(
         disc.discrete, p.arrows, p.units,
-        fc.compose_functors(gamma, p.src), fc.compose_functors(gamma, p.tgt),
-        fc.compose_functors(gamma, p.value), p.as_arrow,
-        *rebased(retr.arrow_pairs, retr.nu_arrows, p.comp_arrows),
-        *rebased(retr.unit_pairs, retr.nu_units, p.comp_units))
-    return build_fair(out)
+        *[fc.compose_functors(disc.quotient, a) for a in (p.src, p.tgt, p.value)], p.as_arrow,
+        retr.arrow_pairs, fc.compose_functors(p.comp_arrows, retr.nu_arrows),
+        retr.unit_pairs, fc.compose_functors(p.comp_units, retr.nu_units)))
 
 
 # ---------------------------------------------------------------------------

@@ -109,21 +109,22 @@ class FinCat:
         return self._hom.get((x, y), ())
 
     def _entry(self, g, f):
-        """The composite g after f from the table or the rule, or None."""
+        """The composite g after f from the table or the rule, or None (also for a non-id)."""
         h = self._comp.get((g, f))
         if h is None and self._rule is not None:
-            n = len(self.src)
-            if 0 <= g < n and 0 <= f < n and self.src[g] == self.tgt[f]:
+            try:
+                composable = 0 <= g and 0 <= f and self.src[g] == self.tgt[f]
+            except (IndexError, TypeError):    # g or f is not a morphism id
+                return None
+            if composable:
                 h = self._comp[(g, f)] = self._rule(g, f)
         return h
 
     def compose(self, g, f):
         """g after f; ValueError if the pair is not composable."""
         h = self._comp.get((g, f))
-        if h is None:
-            h = self._entry(g, f)
-            if h is None:
-                raise ValueError("morphisms %d after %d are not composable" % (g, f))
+        if h is None and (h := self._entry(g, f)) is None:
+            raise ValueError("morphisms %r after %r are not composable" % (g, f))
         return h
 
     def inverse(self, m):

@@ -51,7 +51,7 @@ class WGDouble:
     def chain(self, k):
         """The strict chain of composable k-tuples, k in 1..3; triples are built on first use."""
         if k not in (1, 2, 3):
-            raise ValueError("rank %d has no chain of composable tuples (ranks 1 to 3 do)" % k)
+            raise ValueError("rank %r has no chain of composable tuples (ranks 1 to 3 do)" % (k,))
         if k not in self._chains:
             self._chains[k] = fc.chain_fiber_product([self.x1] * 3, [self.d0] * 2, [self.d1] * 2)
         return self._chains[k]
@@ -589,7 +589,7 @@ def generate_random_wg(seed, max_base_objects=3, max_fiber=2):
     be at least 1; ValueError naming the bound otherwise.
     """
     for name, bound in (("max_base_objects", max_base_objects), ("max_fiber", max_fiber)):
-        if bound < 1:
+        if not isinstance(bound, int) or bound < 1:
             raise ValueError("%s must be at least 1, not %r" % (name, bound))
     rng = random.Random(seed)
     n = rng.randint(1, max_base_objects)

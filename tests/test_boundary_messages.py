@@ -12,7 +12,9 @@ import pytest
 
 from wgfair import anchored as an
 from wgfair import deltasite as ds
+from wgfair import fair2 as f2
 from wgfair import fincat as fc
+from wgfair import wgdouble as wg
 
 o = ds.parse_ordinal
 
@@ -28,6 +30,18 @@ def category(**changes):
 
 def identities(*sizes):
     return [fc.identity_functor(fc.discrete(n)) for n in sizes]
+
+
+def by_rule():
+    """The point, composing by rule instead of by table."""
+    return fc.FinCat(1, (0,), (0,), (0,), rule=lambda g, f: 0)
+
+
+def terminal():
+    return wg.generate_random_wg(0, 1, 1)[0]
+
+
+RANK = "rank 'a' has no chain of composable tuples (ranks 1 to 3 do)"
 
 
 RAISES = [
@@ -74,6 +88,25 @@ RAISES = [
      "pair (0.5, 1) is outside 0..1"),
     ("inverse of a non-id", lambda: fc.discrete(2).inverse("a"),
      "morphism 'a' is not one of the 2 morphisms"),
+    ("composite of a non-id", lambda: category().compose("a", 0),
+     "morphisms 'a' after 0 are not composable"),
+    ("composite of a fraction", lambda: category().compose(0.5, 0),
+     "morphisms 0.5 after 0 are not composable"),
+    ("rule composite of a non-id", lambda: by_rule().compose("a", 0),
+     "morphisms 'a' after 0 are not composable"),
+    ("rule composite of a fraction", lambda: by_rule().compose(0, 0.5),
+     "morphisms 0 after 0.5 are not composable"),
+    ("chain rank", lambda: terminal().chain("a"), RANK),
+    ("level rank", lambda: terminal().level("a"), RANK),
+    ("level map rank", lambda: wg.level_map(wg.identity_double_map(terminal()), "a"), RANK),
+    ("point class", lambda: an.hom_fiber(f2.pi_star(terminal()).p, "a", 0),
+     "point class 'a' is not one of the 1 point classes"),
+    ("point class fraction", lambda: f2.hom_fiber_fair(f2.pi_star(terminal()), 0, 0.5),
+     "point class 0.5 is not one of the 1 point classes"),
+    ("fiber bound", lambda: wg.generate_random_wg(1, max_fiber="2"),
+     "max_fiber must be at least 1, not '2'"),
+    ("fiber bound fraction", lambda: wg.generate_random_wg(1, max_fiber=1.5),
+     "max_fiber must be at least 1, not 1.5"),
     ("no item", lambda: an.only([]), "expected exactly one item, found []"),
     ("two items", lambda: an.only([3, 4]), "expected exactly one item, found [3, 4]"),
 ]

@@ -3,7 +3,9 @@
 Each instance owns its chains: the builders build only the pair chains
 composition needs, a double category builds its triples on first use and
 keeps them, and a fair diagram starts from its presentation's pair chains.
-A spy on ``fincat.chain_fiber_product`` counts the builds.
+pi* reuses the double category's pairs and builds only the unit pairs, and
+the rebasing reads the hats its pair retractions built.  A spy on
+``fincat.chain_fiber_product`` counts the builds.
 """
 
 import pytest
@@ -38,7 +40,8 @@ def test_each_builder_builds_only_its_pair_chains(builds):
     assert ids(builds) == ids([x.pairs])
     del builds[:]
     p = f2.pi_star(x).p
-    assert ids(builds) == ids([p.pair_arrows, p.pair_units])
+    assert ids(builds) == ids([p.pair_units])
+    assert p.pair_arrows is x.pairs and p.comp_arrows is x.comp
 
 
 def test_the_triples_are_built_once_on_first_use(builds):
@@ -58,12 +61,31 @@ def test_a_fair_diagram_starts_from_the_pair_chains(builds):
     assert builds == []
 
 
-def test_the_fair_rebasing_pass_builds_thirty_chains(builds):
+def test_the_fair_rebasing_pass_builds_twenty_seven_chains(builds):
     # pi* of the family, validate_fairwg, discretize_fair, validate_fair2:
-    # no chain of triples, and no pair chain built twice for one presentation
+    # no chain of triples, and no pair chain built twice for one presentation;
+    # the four repeats are class chains of d (ROADMAP item 7)
     x = corpus.double("family")
     del builds[:]
     d = f2.pi_star(x)
     f2.validate_fairwg(d)
     f2.validate_fair2(f2.discretize_fair(d, "cleavage"))
-    assert len(builds) == 30
+    assert len(builds) == 27
+    assert len({(c.obj_label, c.mor_label) for c in builds}) == 23
+
+
+def test_the_rebased_pair_chains_are_the_retraction_hats(builds, monkeypatch):
+    d = f2.pi_star(corpus.double("family"))
+    made = []
+    real = f2.pair_retractions
+
+    def spy(d, strategy):
+        made.append(real(d, strategy))
+        return made[-1]
+
+    monkeypatch.setattr(f2, "pair_retractions", spy)
+    del builds[:]
+    p = f2.discretize_fair(d, "cleavage").p
+    (retr,) = made
+    assert p.pair_arrows is retr.arrow_pairs and p.pair_units is retr.unit_pairs
+    assert ids(builds) == ids([p.pair_arrows, p.pair_units])

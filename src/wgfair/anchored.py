@@ -362,7 +362,12 @@ def sections(strategy, muhats, walks):
                for mu, (nu, comps) in zip(muhats, walks())]
     else:
         raise ValueError("unknown strategy %r" % (strategy,))
-    for mu, (nu, _) in zip(muhats, out):
+    check_sections(muhats, [nu for nu, _ in out], strategy)
+    return out
+
+
+def check_sections(muhats, nus, strategy):
+    """Raise ValueError unless each nu . muhat is the identity on the nose."""
+    for mu, nu in zip(muhats, nus):
         if fc.compose_functors(nu, mu) != fc.identity_functor(mu.source):
             raise ValueError("section law fails for the %s strategy" % strategy)
-    return out

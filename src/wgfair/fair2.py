@@ -166,22 +166,28 @@ class FairDiagram:
 
     def chain(self, shape):
         """Edgewise fiber product of a shape with at least one edge."""
-        if shape not in self._chains:
-            if shape.dots < 2:
-                raise ValueError("the one-dot shape %s has no edges, so no chain" % shape.text())
-            n = shape.dots - 1
-            cats = [self.p.units if i in shape.colored else self.p.arrows for i in range(n)]
-            self._chains[shape] = fc.single_chain(cats[0]) if n == 1 else \
-                fc.chain_fiber_product(
-                    cats, [self.right_anchor(shape, i) for i in range(n - 1)],
-                    [self.left_anchor(shape, i + 1) for i in range(n - 1)])
+        try:
+            return self._chains[shape]
+        except (KeyError, TypeError):    # not built yet, or not a shape
+            if not isinstance(shape, ds.ColoredOrdinal):
+                raise ValueError("%r is not a colored ordinal" % (shape,)) from None
+        if shape.dots < 2:
+            raise ValueError("the one-dot shape %s has no edges, so no chain" % shape.text())
+        n = shape.dots - 1
+        cats = [self.p.units if i in shape.colored else self.p.arrows for i in range(n)]
+        self._chains[shape] = fc.single_chain(cats[0]) if n == 1 else fc.chain_fiber_product(
+            cats, [self.right_anchor(shape, i) for i in range(n - 1)],
+            [self.left_anchor(shape, i + 1) for i in range(n - 1)])
         return self._chains[shape]
 
     def level(self, shape):
-        return self.p.points if shape.dots == 1 else self.chain(shape).cat
+        one_dot = isinstance(shape, ds.ColoredOrdinal) and shape.dots == 1
+        return self.p.points if one_dot else self.chain(shape).cat
 
     def action(self, fat):
         """Functor induced on levels, against the direction of the map; built on every request."""
+        if not isinstance(fat, ds.FatMap):
+            raise ValueError("%r is not a colored map" % (fat,))
         src, tgt, p = fat.src, fat.tgt, self.p
         if tgt.dots == 1:
             return fc.identity_functor(p.points)
@@ -340,8 +346,9 @@ def validate_fair2(d):
 
 def class_chain(d, shape):
     """(edgewise fiber product over the point classes, embedding of the strict level)."""
-    q, joins = d.discretization().quotient, range(shape.dots - 2)
-    return an.segal_map(d.chain(shape),
+    strict, q = d.chain(shape), d.discretization().quotient
+    joins = range(shape.dots - 2)
+    return an.segal_map(strict,
                         [fc.compose_functors(q, d.right_anchor(shape, i)) for i in joins],
                         [fc.compose_functors(q, d.left_anchor(shape, i + 1)) for i in joins])
 
@@ -423,6 +430,7 @@ def validate_fair_map(fmap):
 
 def level_map_fair(fmap, shape):
     """The induced functor on the level of a colored ordinal; each component read must fit."""
+    fmap.source.level(shape)    # refuses a value that is not a colored ordinal
     names = ["units" if i in shape.colored else "arrows" for i in range(shape.dots - 1)]
     for name in dict.fromkeys(names or ["points"]):
         fc._check_functor_shape(getattr(fmap, "on_" + name), name)
@@ -518,68 +526,63 @@ def build_fair_cleavage(p):
 
 @dataclass
 class FairRetractions:
-    strategy: str
     arrow_pairs: fc.FiberChain
-    muhat_arrows: fc.FunctorMap
     nu_arrows: fc.FunctorMap
-    counit_arrows: fc.NatTransf
     unit_pairs: fc.FiberChain
-    muhat_units: fc.FunctorMap
     nu_units: fc.FunctorMap
-    counit_units: fc.NatTransf
 
 
-def pair_retractions(d, strategy="cleavage"):
-    """Chosen retractions of the pair embeddings over the point classes.
+def pair_retractions(d):
+    """Sections of the pair embeddings over the point classes, by cleavage.
 
-    Both the arrow pairs and the unit pairs get a section nu with
-    nu . muhat the identity on the nose and an invertible counit
-    muhat . nu => Id.  Strategy "cleavage" anchors the first component of a
-    pair and transports the second to start exactly where the first ends; a
-    unit arrow is transported inside the unit semi-category instead and
-    re-embedded, which is what later makes the unit embedding survive the
-    rebasing.  "retraction" is the generic minimal-identity retraction.
+    The only strategy: the arrow and unit pairs of ``class_chain`` each get
+    a section nu with nu . muhat the identity on the nose.  It anchors the
+    first component of a pair and transports the second to start exactly
+    where the first ends; a unit arrow is transported inside the unit
+    semi-category instead and re-embedded, which is what later makes the
+    unit embedding survive the rebasing.
     """
     p = d.p
     shapes = [ds.parse_ordinal("o-o-o"), ds.parse_ordinal("o=o=o")]
     (hat_a, mu_a), (hat_u, mu_u) = [class_chain(d, s) for s in shapes]
+    arrows, units = build_fair_cleavage(p)
+    # the least unit sitting on each unit arrow
+    unit_of = {}
+    for w in range(p.units.n_obj):
+        unit_of.setdefault(p.as_arrow.obj(w), w)
 
-    def walks():
-        arrows, units = build_fair_cleavage(p)
-        # the least unit sitting on each unit arrow
-        unit_of = {}
-        for w in range(p.units.n_obj):
-            unit_of.setdefault(p.as_arrow.obj(w), w)
+    def unit_step(w, anchor):
+        return units[(w, an.only(p.points.hom(anchor, p.value.obj(w))))]
 
-        def unit_step(w, anchor):
-            return units[(w, an.only(p.points.hom(anchor, p.value.obj(w))))]
+    def arrow_step(a, anchor):
+        w = unit_of.get(a)
+        if w is None:
+            return arrows[(a, an.only(p.points.hom(anchor, p.src.obj(a))))]
+        w2, iot = unit_step(w, anchor)
+        return p.as_arrow.obj(w2), p.as_arrow.mor(iot)
 
-        def arrow_step(a, anchor):
-            w = unit_of.get(a)
-            if w is None:
-                return arrows[(a, an.only(p.points.hom(anchor, p.src.obj(a))))]
-            w2, iot = unit_step(w, anchor)
-            return p.as_arrow.obj(w2), p.as_arrow.mor(iot)
-
-        return [an.walk_section(p.arrows, p.tgt, hat_a, d.chain(shapes[0]), arrow_step),
-                an.walk_section(p.units, p.value, hat_u, d.chain(shapes[1]), unit_step)]
-
-    (nu_a, ca), (nu_u, cu) = an.sections(strategy, [mu_a, mu_u], walks)
-    return FairRetractions(strategy, hat_a, mu_a, nu_a, ca, hat_u, mu_u, nu_u, cu)
+    nus = [an.walk_section(p.arrows, p.tgt, hat_a, d.chain(shapes[0]), arrow_step)[0],
+           an.walk_section(p.units, p.value, hat_u, d.chain(shapes[1]), unit_step)[0]]
+    an.check_sections([mu_a, mu_u], nus, "cleavage")
+    return FairRetractions(hat_a, nus[0], hat_u, nus[1])
 
 
 def discretize_fair(d, strategy="cleavage"):
     """Rebase a weakly globular fair structure onto its point classes.
 
-    The arrows and units stay d's, already checked; the anchors move to the
-    discrete point classes, the pair chains are ``pair_retractions``' hats,
-    and each composition is d's after nu, a functor (it conjugates by
+    strategy "cleavage", the only one, takes ``pair_retractions``; any other
+    value raises first.  The arrows and units stay d's, already checked; the
+    anchors move to the discrete point classes, the pair chains are the
+    hats, and each composition is d's after nu, a functor (it conjugates by
     invertible cells along a fully faithful muhat).  On discrete points the
-    result is the input again.  ``_assemble`` re-checks what a retraction
-    can break, associativity and the unit embedding, raising ValueError.
+    result is the input again, the one result the retired "retraction"
+    strategy gave (``tests/test_assembly_reference.py`` records it), and
+    ``_assemble`` re-checks what a section can break, raising ValueError.
     """
+    if strategy != "cleavage":
+        raise ValueError("unknown strategy %r" % (strategy,))
     p, disc = d.p, d.discretization()
-    retr = pair_retractions(d, strategy)
+    retr = pair_retractions(d)
     return build_fair(_assemble(
         disc.discrete, p.arrows, p.units,
         *[fc.compose_functors(disc.quotient, a) for a in (p.src, p.tgt, p.value)], p.as_arrow,

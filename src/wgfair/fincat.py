@@ -106,33 +106,43 @@ class FinCat:
             for m in range(self.n_mor):
                 table.setdefault((self.src[m], self.tgt[m]), []).append(m)
             self._hom = {k: tuple(v) for k, v in table.items()}
-        return self._hom.get((x, y), ())
+        try:
+            return self._hom[(x, y)]
+        except (KeyError, TypeError):    # no morphisms x -> y, or no objects x, y
+            if x in range(self.n_obj) and y in range(self.n_obj):
+                return ()
+        raise ValueError("objects %r, %r are not both among the %d objects" % (x, y, self.n_obj))
 
     def _entry(self, g, f):
         """The composite g after f from the table or the rule, or None (also for a non-id)."""
-        h = self._comp.get((g, f))
-        if h is None and self._rule is not None:
-            try:
-                composable = 0 <= g and 0 <= f and self.src[g] == self.tgt[f]
-            except (IndexError, TypeError):    # g or f is not a morphism id
-                return None
-            if composable:
-                h = self._comp[(g, f)] = self._rule(g, f)
+        try:
+            h = self._comp.get((g, f))
+            composable = h is None and self._rule is not None and \
+                0 <= g and 0 <= f and self.src[g] == self.tgt[f]
+        except (IndexError, TypeError):    # g or f is not a morphism id
+            return None
+        if composable:
+            h = self._comp[(g, f)] = self._rule(g, f)
         return h
 
     def compose(self, g, f):
         """g after f; ValueError if the pair is not composable."""
-        h = self._comp.get((g, f))
+        try:
+            h = self._comp.get((g, f))
+        except TypeError:    # an unhashable g or f, which _entry turns down
+            h = None
         if h is None and (h := self._entry(g, f)) is None:
             raise ValueError("morphisms %r after %r are not composable" % (g, f))
         return h
 
     def inverse(self, m):
         """Two-sided inverse of m, or None; ValueError when m is not a morphism id."""
-        if m in self._inv:
+        try:
             return self._inv[m]
-        if not isinstance(m, int) or not 0 <= m < len(self.src):
-            raise ValueError("morphism %r is not one of the %d morphisms" % (m, len(self.src)))
+        except (KeyError, TypeError):    # not asked before, or not a morphism id
+            if not isinstance(m, int) or not 0 <= m < len(self.src):
+                raise ValueError("morphism %r is not one of the %d morphisms"
+                                 % (m, len(self.src))) from None
         if self._inverse_rule is not None:
             found = self._inverse_rule(m)
         else:
@@ -724,11 +734,12 @@ def chain_map(source, target, components):
 
 def full_subcategory(cat, objects):
     """(subcategory, inclusion) on the given objects, kept in sorted order; it composes through cat."""
-    objects = sorted(set(objects))
+    objects = list(objects)
     for x in objects:
         if x not in range(cat.n_obj):
             raise ValueError("object %r is not among the %d objects of the category"
                              % (x, cat.n_obj))
+    objects = sorted(set(objects))
     obj_new = {x: i for i, x in enumerate(objects)}
     keep = [m for m in range(cat.n_mor)
             if cat.src[m] in obj_new and cat.tgt[m] in obj_new]

@@ -63,8 +63,11 @@ class WGDouble:
         composes each arrow string over the intervals cut out by f and
         inserts identity arrows on collapsed intervals.
         """
-        if f in self._nerve:
+        try:
             return self._nerve[f]
+        except (KeyError, TypeError):    # not built yet, or not an ordinal map
+            if not isinstance(f, ds.SimplexMap):
+                raise ValueError("%r is not an ordinal map" % (f,)) from None
         m, n = f.src_rank, f.tgt_rank
         vals = f.values
         spans = list(zip(vals, vals[1:]))

@@ -7,9 +7,19 @@ callables and run it through the whole of ``from_presentation``, which
 enumerated the pair chains again and re-checked every level and map.  That
 path is kept here as the oracle, word for word and with its own law checks,
 so that it shares no code with ``_assemble``: on every instance of the
-corpus, under both strategies, the two give the same presentation and the
-same window level sizes, or raise the same message.
+corpus the two give the same presentation and the same window level sizes,
+or raise the same message.
+
+The closure path also keeps the record of the retired fair "retraction"
+strategy, which took the generic minimal-identity retraction
+(``fincat.retraction_pseudo_inverse``) of each pair embedding as its
+section.  Rebuilt here from public pieces, it gives what the library's
+cleavage rebasing gives when the points are discrete and raises otherwise:
+on the corpus with the messages the library gave, and on a sweep of 68
+instances.
 """
+
+import collections
 
 import pytest
 
@@ -74,11 +84,27 @@ def reference_pi_star(x):
     return f2.build_fair(p)
 
 
+def cleavage_sections(d):
+    """The library's pair chains and sections, [(hat, nu)] for arrows and units."""
+    retr = f2.pair_retractions(d)
+    return [(retr.arrow_pairs, retr.nu_arrows), (retr.unit_pairs, retr.nu_units)]
+
+
+def retraction_sections(d):
+    """The retired strategy's: the minimal-identity retraction of each class-chain embedding."""
+    return [(hat, fc.retraction_pseudo_inverse(muhat).backward)
+            for hat, muhat in (f2.class_chain(d, ds.parse_ordinal(shape))
+                               for shape in ("o-o-o", "o=o=o"))]
+
+
+SECTIONS = {"cleavage": cleavage_sections, "retraction": retraction_sections}
+
+
 def reference_discretize_fair(d, strategy):
     """The rebasing through compose callables that read each pair through nu."""
     p = d.p
     disc = d.discretization()
-    retr = f2.pair_retractions(d, strategy)
+    (arrow_pairs, nu_arrows), (unit_pairs, nu_units) = SECTIONS[strategy](d)
     gamma = disc.quotient
 
     def rebased(pairs, nu, comp):
@@ -90,8 +116,8 @@ def reference_discretize_fair(d, strategy):
         disc.discrete, p.arrows, p.units,
         fc.compose_functors(gamma, p.src), fc.compose_functors(gamma, p.tgt),
         fc.compose_functors(gamma, p.value), p.as_arrow,
-        *rebased(retr.arrow_pairs, retr.nu_arrows, p.comp_arrows),
-        *rebased(retr.unit_pairs, retr.nu_units, p.comp_units))
+        *rebased(arrow_pairs, nu_arrows, p.comp_arrows),
+        *rebased(unit_pairs, nu_units, p.comp_units))
     return f2.build_fair(out)
 
 
@@ -119,9 +145,42 @@ def test_pi_star_assembles_what_the_closure_path_assembles(name):
     assert outcome(lambda: f2.pi_star(x)) == outcome(lambda: reference_pi_star(x))
 
 
+# what the retired "retraction" strategy raised on the corpus instances whose
+# points are not discrete; on the others it gave the cleavage rebasing
+RETIRED = {name: "composition is not associative at triple %r" % (triple,) for name, triple in (
+    ("family", (0, 3, 1)), ("tf2", (0, 2, 1)), ("seed 4", (0, 2, 1)), ("seed 5", (1, 6, 5)),
+    ("seed 6", (2, 6, 5)), ("iso base 011", (1, 6, 2)), ("iso base 0011", (0, 4, 1)))}
+
+
 @pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize("name", NAMES)
 def test_rebasing_assembles_what_the_closure_path_assembles(name, strategy):
+    # the retired strategy only ever matched the cleavage rebasing or raised
     x = corpus.double(name)
-    assert outcome(lambda: f2.discretize_fair(f2.pi_star(x), strategy)) == \
-        outcome(lambda: reference_discretize_fair(reference_pi_star(x), strategy))
+    expected = outcome(lambda: f2.discretize_fair(f2.pi_star(x)))
+    if strategy == "retraction" and name in RETIRED:
+        expected = {"raised": RETIRED[name]}
+    assert outcome(lambda: reference_discretize_fair(reference_pi_star(x), strategy)) == expected
+
+
+def sweep():
+    """(name, fair diagram): pi* of 65 doubles, then 3 categories as fair structures."""
+    for name in ["nerve", "family", "tf2", *corpus.seeds(range(60)), *corpus.ISO_BASES]:
+        yield name, f2.pi_star(corpus.double(name))
+    for name, base in (("free arrow", corpus.free_arrow()), ("Z/3", corpus.cyclic3()),
+                       ("discrete(1)", fc.discrete(1))):
+        yield "category " + name, f2.fair_from_category(base)
+
+
+def test_the_retired_retraction_rebasing_is_the_cleavage_one_or_raises():
+    kinds = collections.Counter()
+    for name, d in sweep():
+        points = d.p.points
+        discrete = points.n_mor == points.n_obj
+        got = outcome(lambda: reference_discretize_fair(d, "retraction"))
+        if discrete:
+            assert got == outcome(lambda: f2.discretize_fair(d)), name
+        else:
+            assert got["raised"].startswith("composition is not associative at triple"), name
+        kinds[discrete] += 1
+    assert kinds == {True: 24, False: 44}

@@ -41,7 +41,18 @@ def terminal():
     return wg.generate_random_wg(0, 1, 1)[0]
 
 
+def pairs_of_points():
+    """The pairs of the point with itself, a chain product composing by rule."""
+    ident = fc.identity_functor(fc.discrete(1))
+    return fc.chain_fiber_product([fc.discrete(1)] * 2, [ident], [ident]).cat
+
+
+def fair_terminal():
+    return f2.pi_star(terminal())
+
+
 RANK = "rank 'a' has no chain of composable tuples (ranks 1 to 3 do)"
+HOM = "objects %r, %r are not both among the 2 objects"
 
 
 RAISES = [
@@ -107,6 +118,33 @@ RAISES = [
      "max_fiber must be at least 1, not '2'"),
     ("fiber bound fraction", lambda: wg.generate_random_wg(1, max_fiber=1.5),
      "max_fiber must be at least 1, not 1.5"),
+    ("unhashable composite", lambda: category().compose([0], 0),
+     "morphisms [0] after 0 are not composable"),
+    ("unhashable rule composite", lambda: by_rule().compose(0, [0]),
+     "morphisms 0 after [0] are not composable"),
+    ("unhashable product composite", lambda: pairs_of_points().compose([0], 0),
+     "morphisms [0] after 0 are not composable"),
+    ("unhashable inverse", lambda: category().inverse([0]),
+     "morphism [0] is not one of the 3 morphisms"),
+    ("unhashable product inverse", lambda: pairs_of_points().inverse([0]),
+     "morphism [0] is not one of the 1 morphisms"),
+    ("unhashable hom", lambda: category().hom([0], 1), HOM % ([0], 1)),
+    ("hom out of range", lambda: category().hom(5, 7), HOM % (5, 7)),
+    ("hom of a non-id", lambda: category().hom("a", 0), HOM % ("a", 0)),
+    ("unhashable subcategory object", lambda: fc.full_subcategory(category(), [[0]]),
+     "object [0] is not among the 2 objects of the category"),
+    ("shape text", lambda: fair_terminal().chain("o-o"), "'o-o' is not a colored ordinal"),
+    ("unhashable shape", lambda: fair_terminal().chain([1]), "[1] is not a colored ordinal"),
+    ("level shape text", lambda: fair_terminal().level("o"), "'o' is not a colored ordinal"),
+    ("action map text", lambda: fair_terminal().action("x"), "'x' is not a colored map"),
+    ("class chain shape text", lambda: f2.class_chain(fair_terminal(), "o-o-o"),
+     "'o-o-o' is not a colored ordinal"),
+    ("fair level map shape text",
+     lambda: f2.level_map_fair(f2.identity_fair_map(fair_terminal()), "o-o"),
+     "'o-o' is not a colored ordinal"),
+    ("nerve action map text", lambda: terminal().nerve_action("x"), "'x' is not an ordinal map"),
+    ("unhashable nerve action map", lambda: terminal().nerve_action([1]),
+     "[1] is not an ordinal map"),
     ("no item", lambda: an.only([]), "expected exactly one item, found []"),
     ("two items", lambda: an.only([3, 4]), "expected exactly one item, found [3, 4]"),
 ]
@@ -126,3 +164,20 @@ def test_malformed_category_reports_each_broken_law():
     assert "composite 0 of (2, 0) has wrong endpoints" in \
         fc.validate_category(category(comp={**ARROW["comp"], (2, 0): 0}))
     assert fc.validate_category(category()) == []
+
+
+def test_refusals_leave_the_hits_alone():
+    # an empty hom set between objects is still empty, and a refused value
+    # leaves the caches answering as before
+    cat = category()
+    assert cat.hom(1, 0) == () and cat.hom(0, 1) == (2,)
+    d = fair_terminal()
+    pairs = d.chain(o("o-o-o"))
+    with pytest.raises(ValueError):
+        d.chain([1])
+    assert d.chain(o("o-o-o")) is pairs and d.level(o("o")) is d.p.points
+    x = terminal()
+    unit = x.nerve_action(ds.codegeneracy(0, 1))
+    with pytest.raises(ValueError):
+        x.nerve_action([1])
+    assert x.nerve_action(ds.codegeneracy(0, 1)) is unit

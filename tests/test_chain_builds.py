@@ -79,8 +79,8 @@ def test_the_rebased_pair_chains_are_the_retraction_hats(builds, monkeypatch):
     made = []
     real = f2.pair_retractions
 
-    def spy(d, strategy):
-        made.append(real(d, strategy))
+    def spy(d):
+        made.append(real(d))
         return made[-1]
 
     monkeypatch.setattr(f2, "pair_retractions", spy)

@@ -1,5 +1,7 @@
 """Fair structures: presentation laws, window evaluation, rebasing, maps."""
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -353,17 +355,6 @@ def test_discretize_tf2(tf2_fair):
     assert f2.validate_fair2(f2.discretize_fair(tf2_fair)) == []
 
 
-def test_retraction_strategy_finding(family_fair, tf2_fair):
-    # the generic retraction is a lawful section of the pair embedding but
-    # its rebased composition is not associative; kept as a recorded finding
-    with pytest.raises(ValueError,
-                       match=r"not associative at triple \(0, 3, 1\)"):
-        f2.discretize_fair(family_fair, strategy="retraction")
-    with pytest.raises(ValueError,
-                       match=r"not associative at triple \(0, 2, 1\)"):
-        f2.discretize_fair(tf2_fair, strategy="retraction")
-
-
 def test_rebasing_obstruction_over_a_chaotic_base():
     # fibers {0,1} and {2} over the two-object chaotic base: the instance is
     # weakly globular fair, yet no choice of pair section can make the
@@ -378,17 +369,24 @@ def test_rebasing_obstruction_over_a_chaotic_base():
         f2.discretize_fair(d)
 
 
-def test_unknown_strategy_is_rejected(family_fair):
-    with pytest.raises(ValueError, match="unknown strategy"):
-        f2.discretize_fair(family_fair, strategy="bogus")
+def test_unknown_strategy_is_rejected(family_fair, monkeypatch):
+    # the retired generic "retraction" strategy is refused like any other
+    # name, before a section or a chain is built
+    calls = []
+    for module, name in ((f2, "pair_retractions"), (fc, "chain_fiber_product")):
+        monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name))
+    for strategy in ("bogus", "retraction"):
+        message = "unknown strategy %r" % (strategy,)
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            f2.discretize_fair(family_fair, strategy=strategy)
+    assert calls == []
 
 
 def test_cleavage_section_law(family_fair):
     retr = f2.pair_retractions(family_fair)
-    assert fc.compose_functors(retr.nu_arrows, retr.muhat_arrows) == \
-        fc.identity_functor(retr.muhat_arrows.source)
-    assert fc.compose_functors(retr.nu_units, retr.muhat_units) == \
-        fc.identity_functor(retr.muhat_units.source)
+    for shape, nu in (("o-o-o", retr.nu_arrows), ("o=o=o", retr.nu_units)):
+        muhat = f2.class_chain(family_fair, ds.parse_ordinal(shape))[1]
+        assert fc.compose_functors(nu, muhat) == fc.identity_functor(muhat.source)
 
 
 # -- maps of fair structures -------------------------------------------------

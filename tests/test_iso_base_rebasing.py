@@ -1,10 +1,11 @@
 """A recorded finding, not wanted behaviour: the fair rebasing fails on bases with isomorphisms.
 
 Both ``corpus.ISO_BASES`` instances are weakly globular, and pi* of each
-passes the weakly globular fair axioms, yet ``discretize_fair`` raises under
-both strategies, at ``from_presentation``'s associativity check on objects.
-This test pins the messages as they stand; ROADMAP item 8 makes the
-rebasing total or names the failing class, and its test replaces this one.
+passes the weakly globular fair axioms, yet ``discretize_fair`` raises at
+the associativity check on objects.  This test pins the messages as they
+stand (the retired "retraction" strategy's are pinned in
+``tests/test_assembly_reference.py``); ROADMAP item 8 makes the rebasing
+total or names the failing class, and its test replaces this one.
 Tr2 of both instances validates as well, but ``validate_pseudo`` of it takes
 tens of seconds, so it is left out here.
 """
@@ -18,12 +19,7 @@ from wgfair import wgdouble as wg
 
 import corpus
 
-TRIPLES = {
-    ("iso base 011", "cleavage"): (1, 6, 1),
-    ("iso base 011", "retraction"): (1, 6, 2),
-    ("iso base 0011", "cleavage"): (0, 6, 8),
-    ("iso base 0011", "retraction"): (0, 4, 1),
-}
+TRIPLES = {"iso base 011": (1, 6, 1), "iso base 0011": (0, 6, 8)}
 
 
 @pytest.mark.parametrize("name", list(corpus.ISO_BASES))
@@ -32,7 +28,6 @@ def test_weakly_globular_instance_whose_rebasing_fails(name):
     assert wg.validate_catwg2(x) == []
     d = f2.pi_star(x)
     assert f2.validate_fairwg(d) == []
-    for strategy in ("cleavage", "retraction"):
-        message = "composition is not associative at triple %r" % (TRIPLES[(name, strategy)],)
-        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
-            f2.discretize_fair(d, strategy)
+    message = "composition is not associative at triple %r" % (TRIPLES[name],)
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        f2.discretize_fair(d)

@@ -8,9 +8,11 @@ morphism and component and composed with identity cells too,
 expression, and ``fincat.iso_classes`` ran its union-find on every call.
 The docstrings of the new code give why it computes the same thing.  The
 old code is kept here verbatim, only as the oracle.  It runs on every call
-Tr2 makes on the corpus under both strategies, on every call the pair
-retractions of pi* of the family and of its rebasing make, and on seeded
-cones with one or two entries of a leg moved.
+Tr2 makes on the corpus under both of its strategies, on every call the
+fair pair sections of pi* of the family and of its rebasing make (the
+library's cleavage walks, and the retired fair "retraction" strategy's
+generic retractions as ``tests/test_assembly_reference.py`` rebuilds
+them), and on seeded cones with one or two entries of a leg moved.
 """
 
 import collections
@@ -24,6 +26,7 @@ from wgfair import fincat as fc
 from wgfair import wgdouble as wg
 
 import corpus
+from test_assembly_reference import retraction_sections
 
 
 def reference_iso_classes(cat):
@@ -237,6 +240,8 @@ STRATEGIES = ["cleavage", "retraction"]
 
 # the section each strategy computes for the two Segal maps muhat2, muhat3
 SECTION_OF = {"cleavage": "walk_section", "retraction": "retraction_pseudo_inverse"}
+# the fair side's, for the arrow and unit pair embeddings
+FAIR_SECTIONS = {"cleavage": f2.pair_retractions, "retraction": retraction_sections}
 
 
 @pytest.mark.parametrize("name", DOUBLES)
@@ -258,9 +263,9 @@ def test_fair_pair_sections_agree_with_the_reference(checked, strategy):
     # its rebasing has discrete points, so its hats are the strict pairs
     calls, bad = checked
     d = f2.pi_star(corpus.double("family"))
-    f2.pair_retractions(d, strategy)
+    FAIR_SECTIONS[strategy](d)
     rebased = f2.discretize_fair(d, "cleavage")
-    f2.pair_retractions(rebased, strategy)
+    FAIR_SECTIONS[strategy](rebased)
     # two sections per pair_retractions; discretize_fair walks two more
     assert calls[SECTION_OF[strategy]] == {"cleavage": 6, "retraction": 4}[strategy]
     assert calls["mediating_functor"] >= 4

@@ -348,24 +348,6 @@ def walk_section(level, end, hat, strict, step):
     return nu, [hat.mor_id[lams] for _, lams in walks]
 
 
-def sections(strategy, muhats, walks):
-    """(nu, counit muhat . nu => Id) per embedding muhat, with nu . muhat = Id.
-
-    "cleavage" takes (nu, counit components) from walks(), "retraction" the
-    generic minimal-identity retraction.
-    """
-    if strategy == "retraction":
-        out = [(r.backward, r.counit) for r in map(fc.retraction_pseudo_inverse, muhats)]
-    elif strategy == "cleavage":
-        out = [(nu, fc.NatTransf(fc.compose_functors(mu, nu),
-                                 fc.identity_functor(mu.target), comps))
-               for mu, (nu, comps) in zip(muhats, walks())]
-    else:
-        raise ValueError("unknown strategy %r" % (strategy,))
-    check_sections(muhats, [nu for nu, _ in out], strategy)
-    return out
-
-
 def check_sections(muhats, nus, strategy):
     """Raise ValueError unless each nu . muhat is the identity on the nose."""
     for mu, nu in zip(muhats, nus):

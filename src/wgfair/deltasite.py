@@ -15,6 +15,13 @@ from dataclasses import dataclass
 from itertools import combinations
 
 
+def _ids(convert, values, what):
+    try:
+        return convert(values)
+    except TypeError:
+        raise ValueError("%s %r are not a collection of ids" % (what, values)) from None
+
+
 @dataclass(frozen=True)
 class SimplexMap:
     """Weakly increasing map {0..src_rank} -> {0..tgt_rank}."""
@@ -24,9 +31,12 @@ class SimplexMap:
     values: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
+        object.__setattr__(self, "values", _ids(tuple, self.values, "the simplex map values"))
         if not all(isinstance(v, int) for v in (self.src_rank, self.tgt_rank) + self.values):
             raise ValueError("the simplex map holds an entry that is not an id")
+        # one value or more lies in 0..tgt_rank, so only the source rank can be below 0
+        if self.src_rank < 0:
+            raise ValueError("source rank %d is below 0" % self.src_rank)
         if len(self.values) != self.src_rank + 1:
             raise ValueError("need one value per source index")
         if any(not 0 <= v <= self.tgt_rank for v in self.values):
@@ -41,11 +51,15 @@ def identity_simplex(n):
 
 def coface(i, k):
     """The injection [k-1] -> [k] that skips i."""
+    if i not in range(k + 1):
+        raise ValueError("coface index %r is outside 0..%d" % (i, k))
     return SimplexMap(k - 1, k, tuple(v for v in range(k + 1) if v != i))
 
 
 def codegeneracy(i, k):
     """The surjection [k+1] -> [k] that repeats i."""
+    if i not in range(k + 1):
+        raise ValueError("codegeneracy index %r is outside 0..%d" % (i, k))
     return SimplexMap(k + 1, k, tuple(v if v <= i else v - 1 for v in range(k + 2)))
 
 
@@ -64,7 +78,7 @@ class ColoredOrdinal:
     colored: frozenset
 
     def __post_init__(self):
-        object.__setattr__(self, "colored", frozenset(self.colored))
+        object.__setattr__(self, "colored", _ids(frozenset, self.colored, "the colored edges"))
         if not all(isinstance(v, int) for v in (self.dots, *self.colored)):
             raise ValueError("the colored ordinal holds an entry that is not an id")
         if self.dots < 1:
@@ -109,9 +123,16 @@ def classes(obj):
     return out
 
 
+def _check_ends(src, tgt):
+    for end, obj in (("source", src), ("target", tgt)):
+        if not isinstance(obj, ColoredOrdinal):
+            raise ValueError("the %s end %r is not a colored ordinal" % (end, obj))
+
+
 def validate_fat_map(src, tgt, dotmap):
     """Problems with dotmap as a colored map src -> tgt (empty list = valid)."""
-    dotmap = tuple(dotmap)
+    _check_ends(src, tgt)
+    dotmap = _ids(tuple, dotmap, "the dot map values")
     if len(dotmap) != src.dots:
         raise ValueError("need one value per source dot")
     if not all(isinstance(v, int) for v in dotmap):
@@ -136,7 +157,7 @@ class FatMap:
     dotmap: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "dotmap", tuple(self.dotmap))
+        object.__setattr__(self, "dotmap", _ids(tuple, self.dotmap, "the dot map values"))
         problems = validate_fat_map(self.src, self.tgt, self.dotmap)
         if problems:
             raise ValueError(problems[0])
@@ -169,11 +190,9 @@ def collapse(x):
 
 def enumerate_hom(src, tgt):
     """All colored maps src -> tgt, ordered lexicographically by dot map."""
-    out = []
-    for comb in combinations(range(tgt.dots), src.dots):
-        if not validate_fat_map(src, tgt, comb):
-            out.append(FatMap(src, tgt, comb))
-    return out
+    _check_ends(src, tgt)
+    return [FatMap(src, tgt, comb) for comb in combinations(range(tgt.dots), src.dots)
+            if not validate_fat_map(src, tgt, comb)]
 
 
 MAX_DOTS = 4

@@ -48,6 +48,8 @@ class OrdinalSite:
     """
 
     def __init__(self, max_level=3):
+        if not isinstance(max_level, int) or max_level < 0:
+            raise ValueError("max_level must be at least 0, not %r" % (max_level,))
         self.max_level = max_level
         self.objects = list(range(max_level + 1))
         self.maps = maps = [ds.SimplexMap(m, n, values) for m in self.objects for n in self.objects

@@ -236,13 +236,17 @@ def segal_retractions(x, strategy="cleavage"):
     exactly where the previous one ends; components that are identity
     arrows are absorbed into the identity at the anchor instead of
     transported, and the connecting cells assemble into the counit.
-    "retraction" uses the generic minimal-identity retraction.  Either way
-    nu_k . muhat_k is the identity on the nose and the counit
-    muhat_k . nu_k => Id is an invertible natural transformation.
+    "retraction" uses the generic minimal-identity retraction; any other
+    strategy is refused before any work.  Either way nu_k . muhat_k is the
+    identity on the nose and the counit muhat_k . nu_k => Id is invertible.
     """
+    if strategy not in ("cleavage", "retraction"):
+        raise ValueError("unknown strategy %r" % (strategy,))
     sd = segal_data(x)
-
-    def walks():
+    muhats = [sd.muhat2, sd.muhat3]
+    if strategy == "retraction":
+        out = [(r.backward, r.counit) for r in map(fc.retraction_pseudo_inverse, muhats)]
+    else:
         table = build_cleavage(x)
         s0img = {x.s0.obj(o): o for o in range(x.x0.n_obj)}
 
@@ -251,10 +255,13 @@ def segal_retractions(x, strategy="cleavage"):
                 return x.s0.obj(anchor), x.s0.mor(an.only(x.x0.hom(anchor, s0img[a])))
             return table[(a, an.only(x.x0.hom(anchor, x.d1.obj(a))))]
 
-        return [an.walk_section(x.x1, x.d0, hat, x.chain(k), step)
-                for k, hat in ((2, sd.hat2), (3, sd.hat3))]
-
-    (nu2, c2), (nu3, c3) = an.sections(strategy, [sd.muhat2, sd.muhat3], walks)
+        walks = [an.walk_section(x.x1, x.d0, hat, x.chain(k), step)
+                 for k, hat in ((2, sd.hat2), (3, sd.hat3))]
+        out = [(nu, fc.NatTransf(fc.compose_functors(mu, nu),
+                                 fc.identity_functor(mu.target), comps))
+               for mu, (nu, comps) in zip(muhats, walks)]
+    an.check_sections(muhats, [nu for nu, _ in out], strategy)
+    (nu2, c2), (nu3, c3) = out
     return Retractions(strategy, nu2, c2, nu3, c3)
 
 
@@ -285,8 +292,10 @@ def tr2_strong_segalic(x, strategy="cleavage"):
     inverse of rank k's counit seen through the action; any other map has
     none, and the cells paste these isos.  All of these are kept by site map
     number; only the nerve action reads a map's label.  Rejects instances
-    that fail the globularity axioms.
+    that fail the globularity axioms; an unknown strategy is refused first.
     """
+    if strategy not in ("cleavage", "retraction"):
+        raise ValueError("unknown strategy %r" % (strategy,))
     an.raise_first("not weakly globular: ", validate_catwg2, x)
     sd = segal_data(x)
     retr = segal_retractions(x, strategy)

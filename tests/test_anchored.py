@@ -3,7 +3,7 @@
 Both models reach these checks only through instances that already passed
 their builders, where most of them cannot fail; the anchored data below is
 made by hand so that each check fails on its own.  The same goes for the
-section law of ``anchored.sections``.
+section law of ``anchored.check_sections``.
 """
 
 import pytest
@@ -99,9 +99,9 @@ def test_a_map_that_moves_the_unit_is_not_functorial():
 
 
 def test_a_section_that_is_no_left_inverse_is_refused():
-    # the walk's section of the identity embedding swaps the two objects
+    # the section of the identity embedding swaps the two objects
     two = fc.discrete(2)
     mu = fc.identity_functor(two)
     swap = fc.FunctorMap(two, two, [1, 0], [1, 0])
     with pytest.raises(ValueError, match="^section law fails for the cleavage strategy$"):
-        an.sections("cleavage", [mu], lambda: [(swap, list(two.identity))])
+        an.check_sections([mu], [swap], "cleavage")

@@ -14,6 +14,7 @@ from wgfair import anchored as an
 from wgfair import deltasite as ds
 from wgfair import fair2 as f2
 from wgfair import fincat as fc
+from wgfair import pseudo as ps
 from wgfair import wgdouble as wg
 
 o = ds.parse_ordinal
@@ -147,6 +148,25 @@ RAISES = [
      "[1] is not an ordinal map"),
     ("no item", lambda: an.only([]), "expected exactly one item, found []"),
     ("two items", lambda: an.only([3, 4]), "expected exactly one item, found [3, 4]"),
+    ("coface of rank 0", lambda: ds.coface(0, 0), "source rank -1 is below 0"),
+    ("identity of rank -1", lambda: ds.identity_simplex(-1), "source rank -1 is below 0"),
+    ("coface index", lambda: ds.coface(5, 2), "coface index 5 is outside 0..2"),
+    ("codegeneracy index", lambda: ds.codegeneracy(3, 1), "codegeneracy index 3 is outside 0..1"),
+    ("simplex map without values", lambda: ds.SimplexMap(0, 0, None),
+     "the simplex map values None are not a collection of ids"),
+    ("colored ordinal without edges", lambda: ds.ColoredOrdinal(2, None),
+     "the colored edges None are not a collection of ids"),
+    ("dot map source text", lambda: ds.FatMap("o", o("o-o"), (0,)),
+     "the source end 'o' is not a colored ordinal"),
+    ("dot map target text", lambda: ds.validate_fat_map(o("o"), "o-o", (0,)),
+     "the target end 'o-o' is not a colored ordinal"),
+    ("dot map without values", lambda: ds.FatMap(o("o"), o("o"), None),
+     "the dot map values None are not a collection of ids"),
+    ("hom set target", lambda: ds.enumerate_hom(o("o"), None),
+     "the target end None is not a colored ordinal"),
+    ("site level", lambda: ps.OrdinalSite(-1), "max_level must be at least 0, not -1"),
+    ("site level fraction", lambda: ps.OrdinalSite(1.5), "max_level must be at least 0, not 1.5"),
+    ("site level none", lambda: ps.OrdinalSite(None), "max_level must be at least 0, not None"),
 ]
 
 
@@ -181,3 +201,10 @@ def test_refusals_leave_the_hits_alone():
     with pytest.raises(ValueError):
         x.nerve_action([1])
     assert x.nerve_action(ds.codegeneracy(0, 1)) is unit
+
+
+def test_the_least_shapes_stay_valid():
+    # the refusals above stop just short of these
+    assert ps.OrdinalSite(0).maps == [ds.identity_simplex(0)]
+    assert ds.coface(1, 1).values == (0,) and ds.codegeneracy(1, 1).values == (0, 1, 1)
+    assert ds.enumerate_hom(o("o"), o("o")) == [ds.fat_identity(o("o"))]

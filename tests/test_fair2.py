@@ -298,6 +298,35 @@ def test_micro_axiom_c_lines_read_the_same_on_the_double_side():
         " (fully_faithful=True, essentially_surjective=False)" % k for k in (2, 3)]
 
 
+TOWER = corpus.builders(["nerve", "family", "tf2", "micro"] + corpus.seeds((4, 5, 6))
+                        + list(corpus.ISO_BASES))
+
+
+def failing_plain_shapes(double_lines, fair_lines):
+    """The plain shapes of the failing Segal maps: the double side's by rank, the fair side's."""
+    ranks = [int(line.split("level-")[1].split()[0])
+             for line in double_lines if line.startswith("axiom (c)")]
+    shapes = [line.split(" at ")[1].split()[0]
+              for line in fair_lines if line.startswith("axiom (c)")]
+    return ["o" + "-o" * k for k in ranks], [s for s in shapes if "=" not in s]
+
+
+@pytest.mark.parametrize("name", TOWER)
+def test_one_segal_tower_for_both_models(name):
+    # the double side's Segal data is the fair side's class chain of pi* at
+    # the plain shapes, and the two validators fail axiom (c) at the same ranks
+    x = TOWER[name]()
+    d = f2.pi_star(x)
+    sd = wg.segal_data(x)
+    for hat, muhat, shape in ((sd.hat2, sd.muhat2, "o-o-o"), (sd.hat3, sd.muhat3, "o-o-o-o")):
+        fair_hat, fair_muhat = f2.class_chain(d, ds.parse_ordinal(shape))
+        assert (hat.obj_label, hat.mor_label) == (fair_hat.obj_label, fair_hat.mor_label)
+        assert (muhat.obj_map, muhat.mor_map) == (fair_muhat.obj_map, fair_muhat.mor_map)
+    by_rank, shapes = failing_plain_shapes(wg.validate_catwg2(x), f2.validate_fairwg(d))
+    assert by_rank == shapes
+    assert shapes == (["o-o-o", "o-o-o-o"] if name == "micro" else [])
+
+
 def test_non_hd_points_fail_axiom_a():
     # everything the free arrow, identity structure maps, first-component
     # compositions: a lawful presentation whose points are not hd

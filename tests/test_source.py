@@ -111,3 +111,17 @@ def test_module_state_is_found_at_every_level():
         "h = cache(g)",                     # 18
     ])
     assert module_state(ast.parse(source)) == [3, 5, 9, 11, 13, 14, 18]
+
+
+def test_every_anchored_function_is_read_by_both_models():
+    # anchored holds only the pieces both models share: a function one model
+    # alone calls belongs in that model's module
+    trees = dict(library_trees())
+    public = [node.name for node in trees["anchored.py"].body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+    unread = {}
+    for module in ("wgdouble.py", "fair2.py"):
+        read = {node.attr for node in ast.walk(trees[module]) if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name) and node.value.id == "an"}
+        unread[module] = [name for name in public if name not in read]
+    assert unread == {"wgdouble.py": [], "fair2.py": []}

@@ -373,10 +373,17 @@ def test_tf2_sections_move_something(tf2, strategy):
     assert any(c not in idents for c in r.counit2.components)
 
 
-def test_unknown_strategy_is_rejected(family):
-    x, _ = family
-    with pytest.raises(ValueError, match="unknown strategy"):
-        wg.segal_retractions(x, "guess")
+def test_unknown_strategy_is_rejected(monkeypatch):
+    # both entry points refuse before a chain is built, and micro, which is
+    # not weakly globular, still hears about the strategy first
+    instances = [corpus.double("seed 5"), wg.micro_counterexample()]
+    calls = []
+    monkeypatch.setattr(fc, "chain_fiber_product", lambda *args: calls.append(args))
+    for x in instances:
+        for run in (wg.segal_retractions, wg.tr2_strong_segalic):
+            with pytest.raises(ValueError, match="^unknown strategy 'bogus'$"):
+                run(x, "bogus")
+    assert calls == []
 
 
 # -- the strictified diagram -------------------------------------------------

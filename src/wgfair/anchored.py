@@ -122,10 +122,11 @@ def segal_map(strict, ends, starts):
 
 
 def check_components(source, target, components):
-    """ValueError unless each (tag, functor, level) runs between that level of source and target."""
+    """ValueError unless each (tag, functor, level) runs between, and fits, that level of the ends."""
     for tag, fun, level in components:
         if fun.source != getattr(source, level) or fun.target != getattr(target, level):
             raise ValueError("the %s component does not run between the ends' %s" % (tag, level))
+        fc._check_functor_shape(fun, tag)
 
 
 def map_problems(components, squares, compositions):
@@ -134,11 +135,10 @@ def map_problems(components, squares, compositions):
     squares (name, (a, b), (c, d)) ask a . b == c . d; compositions (tag,
     names, chain_x, chain_y, comp_x, comp_y, on) ask comp_y . (on x on) ==
     on . comp_x, unless a named square failed and pairs need not map to pairs.
-    A component whose maps do not fit its source raises ValueError naming it.
+    The components are those of a built map, whose shapes ``check_components`` checked.
     """
     problems = []
     for tag, fun in components:
-        fc._check_functor_shape(fun, tag)
         bad = fc.validate_functor(fun)
         if bad:
             problems.append("%s component is not a functor: %s" % (tag, bad[0]))
@@ -214,12 +214,7 @@ def pi1(a, units):
 
 
 def pi1_map(p_src, p_tgt, on_points, on_arrows):
-    """Functor induced on fundamental categories by a map of anchored data.
-
-    A component whose maps do not fit its source raises ValueError.
-    """
-    fc._check_functor_shape(on_points, "points")
-    fc._check_functor_shape(on_arrows, "arrows")
+    """Functor induced on fundamental categories by the components of a built map."""
     fun = fc.FunctorMap(
         p_src.cat, p_tgt.cat,
         [p_tgt.obj_class_of[on_points.obj(cls[0])] for cls in p_src.obj_classes],
@@ -245,7 +240,7 @@ def hom_fiber(a, i, j):
 
 
 def is_2equivalence(a, b, p_src, p_tgt, on_points, on_arrows):
-    """The verdicts of ``is_2equivalence_double`` for a map of anchored data."""
+    """The verdicts of ``is_2equivalence_double`` for the components of a built map."""
     pf = pi1_map(p_src, p_tgt, on_points, on_arrows)
     pflags = fc.equivalence_flags(pf)
     fibers_ok = True

@@ -22,6 +22,13 @@ def _ids(convert, values, what):
         raise ValueError("%s %r are not a collection of ids" % (what, values)) from None
 
 
+def _ensure(kind, message, *values):
+    """ValueError message % value at the first of the values that is not a kind."""
+    for value in values:
+        if not isinstance(value, kind):
+            raise ValueError(message % (value,))
+
+
 @dataclass(frozen=True)
 class SimplexMap:
     """Weakly increasing map {0..src_rank} -> {0..tgt_rank}."""
@@ -46,11 +53,13 @@ class SimplexMap:
 
 
 def identity_simplex(n):
+    _ensure(int, "rank %r is not an integer", n)
     return SimplexMap(n, n, range(n + 1))
 
 
 def coface(i, k):
     """The injection [k-1] -> [k] that skips i."""
+    _ensure(int, "rank %r is not an integer", k)
     if i not in range(k + 1):
         raise ValueError("coface index %r is outside 0..%d" % (i, k))
     return SimplexMap(k - 1, k, tuple(v for v in range(k + 1) if v != i))
@@ -58,6 +67,7 @@ def coface(i, k):
 
 def codegeneracy(i, k):
     """The surjection [k+1] -> [k] that repeats i."""
+    _ensure(int, "rank %r is not an integer", k)
     if i not in range(k + 1):
         raise ValueError("codegeneracy index %r is outside 0..%d" % (i, k))
     return SimplexMap(k + 1, k, tuple(v if v <= i else v - 1 for v in range(k + 2)))
@@ -65,6 +75,7 @@ def codegeneracy(i, k):
 
 def compose_simplex(g, f):
     """g after f."""
+    _ensure(SimplexMap, "%r is not an ordinal map", g, f)
     if f.tgt_rank != g.src_rank:
         raise ValueError("ordinal maps are not composable")
     return SimplexMap(f.src_rank, g.tgt_rank, [g.values[v] for v in f.values])
@@ -112,6 +123,7 @@ def parse_ordinal(text):
 
 def classes(obj):
     """Maximal colored runs of dots, in order."""
+    _ensure(ColoredOrdinal, "%r is not a colored ordinal", obj)
     out, cur = [], [0]
     for i in range(obj.dots - 1):
         if i in obj.colored:
@@ -167,11 +179,13 @@ class FatMap:
 
 
 def fat_identity(obj):
+    _ensure(ColoredOrdinal, "%r is not a colored ordinal", obj)
     return FatMap(obj, obj, range(obj.dots))
 
 
 def compose_fat(g, f):
     """g after f."""
+    _ensure(FatMap, "%r is not a colored map", g, f)
     if f.tgt != g.src:
         raise ValueError("colored maps are not composable")
     return FatMap(f.src, g.tgt, [g.dotmap[v] for v in f.dotmap])
@@ -181,6 +195,7 @@ def collapse(x):
     """Quotient by colored runs: an ordinal rank for objects, an ordinal map for maps."""
     if isinstance(x, ColoredOrdinal):
         return len(classes(x)) - 1
+    _ensure(FatMap, "%r is not a colored map", x)
     src_classes, tgt_classes = classes(x.src), classes(x.tgt)
     tgt_class_of = {d: w for w, cls in enumerate(tgt_classes) for d in cls}
     # colored edges go over colored edges, so a run lands in one run: read its first dot

@@ -401,8 +401,11 @@ def hom_fiber_fair(d, a, b):
 # Maps of fair structures
 
 
-@dataclass
+@dataclass(frozen=True)
 class FairMap:
+    """Point, arrow and unit components, frozen; construction refuses, by name, one
+    between the wrong levels or whose maps do not fit its level (``an.check_components``)."""
+
     source: FairDiagram
     target: FairDiagram
     on_points: fc.FunctorMap
@@ -429,11 +432,9 @@ def validate_fair_map(fmap):
 
 
 def level_map_fair(fmap, shape):
-    """The induced functor on the level of a colored ordinal; each component read must fit."""
+    """The induced functor on the level of a colored ordinal."""
     fmap.source.level(shape)    # refuses a value that is not a colored ordinal
     names = ["units" if i in shape.colored else "arrows" for i in range(shape.dots - 1)]
-    for name in dict.fromkeys(names or ["points"]):
-        fc._check_functor_shape(getattr(fmap, "on_" + name), name)
     if not names:
         return fmap.on_points
     return fc.chain_map(fmap.source.chain(shape), fmap.target.chain(shape),
@@ -449,9 +450,6 @@ def identity_fair_map(d):
 def compose_fair_maps(g, f):
     if g.source is not f.target and g.source.p is not f.target.p:
         raise ValueError("fair maps are not composable")
-    for m in (g, f):
-        for name in ("points", "arrows", "units"):
-            fc._check_functor_shape(getattr(m, "on_" + name), name)
     return FairMap(f.source, g.target,
                    fc.compose_functors(g.on_points, f.on_points),
                    fc.compose_functors(g.on_arrows, f.on_arrows),

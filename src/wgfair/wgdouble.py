@@ -377,7 +377,6 @@ def tr2_map(fmap, res_src, res_tgt):
         raise ValueError("the map does not run between the instances the two results strictify")
     sds, sdt = res_src.segal, res_tgt.segal
     to_classes = fc.compose_functors(level_map(fmap, 0), sds.gamma_section)
-    fc._check_functor_shape(fmap.f1, "arrows")
     comps = {0: fc.compose_functors(sdt.gamma, to_classes), 1: fmap.f1}
     for k, hat_s, hat_t in ((2, sds.hat2, sdt.hat2), (3, sds.hat3, sdt.hat3)):
         comps[k] = fc.chain_map(hat_s, hat_t, [fmap.f1] * k)
@@ -422,8 +421,11 @@ def tr2_segal_report(res):
 # Maps of double categories, hom fibers, the fundamental category
 
 
-@dataclass
+@dataclass(frozen=True)
 class DoubleMap:
+    """Vertical f0 and horizontal f1 components, frozen; construction refuses, by name, one
+    between the wrong levels or whose maps do not fit its level (``an.check_components``)."""
+
     source: WGDouble
     target: WGDouble
     f0: fc.FunctorMap
@@ -445,8 +447,7 @@ def validate_double_map(fmap):
 
 
 def level_map(fmap, k):
-    """The induced functor on level k; the component it reads must fit its source."""
-    fc._check_functor_shape(fmap.f1 if k else fmap.f0, "arrows" if k else "points")
+    """The induced functor on level k."""
     if k == 0:
         return fmap.f0
     return fc.chain_map(fmap.source.chain(k), fmap.target.chain(k), [fmap.f1] * k)

@@ -164,6 +164,19 @@ RAISES = [
      "the dot map values None are not a collection of ids"),
     ("hom set target", lambda: ds.enumerate_hom(o("o"), None),
      "the target end None is not a colored ordinal"),
+    ("coface rank text", lambda: ds.coface(0, "a"), "rank 'a' is not an integer"),
+    ("coface rank none", lambda: ds.coface(0, None), "rank None is not an integer"),
+    ("codegeneracy rank text", lambda: ds.codegeneracy(0, "a"), "rank 'a' is not an integer"),
+    ("identity rank text", lambda: ds.identity_simplex("a"), "rank 'a' is not an integer"),
+    ("simplex composite after none", lambda: ds.compose_simplex(None, ds.coface(0, 1)),
+     "None is not an ordinal map"),
+    ("simplex composite of none", lambda: ds.compose_simplex(ds.coface(0, 1), None),
+     "None is not an ordinal map"),
+    ("colored composite of none", lambda: ds.compose_fat(None, None), "None is not a colored map"),
+    ("collapse of text", lambda: ds.collapse("o"), "'o' is not a colored map"),
+    ("collapse of none", lambda: ds.collapse(None), "None is not a colored map"),
+    ("runs of text", lambda: ds.classes("o"), "'o' is not a colored ordinal"),
+    ("colored identity of text", lambda: ds.fat_identity("o"), "'o' is not a colored ordinal"),
     ("site level", lambda: ps.OrdinalSite(-1), "max_level must be at least 0, not -1"),
     ("site level fraction", lambda: ps.OrdinalSite(1.5), "max_level must be at least 0, not 1.5"),
     ("site level none", lambda: ps.OrdinalSite(None), "max_level must be at least 0, not None"),

@@ -238,6 +238,19 @@ def test_retraction_rejects_bad_input():
         fc.retraction_pseudo_inverse(chaotic_functor(2, 1, (0, 0)))
 
 
+def test_retraction_names_a_morphism_whose_transport_has_no_preimage():
+    # outside the FinCat contract: e : 0 -> 1 and e' : 1 -> 0 are inverse,
+    # but the table records e' . f for f : 0 -> 1 as e, which is no endomorphism of 0
+    src, tgt = (0, 1, 0, 1, 0), (0, 1, 1, 0, 1)
+    comp = {(0, 0): 0, (2, 0): 2, (4, 0): 4, (0, 3): 3, (2, 3): 1, (4, 3): 1,
+            (1, 1): 1, (3, 1): 3, (1, 2): 2, (3, 2): 0, (1, 4): 4, (3, 4): 2}
+    b = fc.FinCat(2, src, tgt, (0, 1), comp)
+    incl = fc.FunctorMap(fc.discrete(1), b, (0,), (0,))
+    assert fc.equivalence_flags(incl)["is_equivalence"]
+    with pytest.raises(ValueError, match="^transport of morphism 4 has 0 preimages, not one$"):
+        fc.retraction_pseudo_inverse(incl)
+
+
 @given(st.integers(1, 4), st.sets(st.tuples(st.integers(0, 3), st.integers(0, 3))))
 def test_thin_preorder_categories_are_valid(n, pairs):
     pairs = {(x, y) for (x, y) in pairs if x < n and y < n}

@@ -125,3 +125,42 @@ def test_every_anchored_function_is_read_by_both_models():
                 and isinstance(node.value, ast.Name) and node.value.id == "an"}
         unread[module] = [name for name in public if name not in read]
     assert unread == {"wgdouble.py": [], "fair2.py": []}
+
+
+def references(tree, attr):
+    """Dotted name of the classes and functions around each reference to attr."""
+    found = []
+
+    def visit(node, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, path + [child.name])
+                continue
+            if getattr(child, "attr", None) == attr or getattr(child, "id", None) == attr:
+                found.append(".".join(path))
+            visit(child, path)
+
+    visit(tree, [])
+    return found
+
+
+def test_functor_shapes_are_checked_where_a_map_is_built():
+    # a map checks its components' shapes once, when it is built, so none
+    # of its readers re-checks them; a diagram checks each action it makes
+    found = sorted("%s.%s" % (name[:-3], where) for name, tree in library_trees()
+                   if name != "fincat.py" for where in references(tree, "_check_functor_shape"))
+    assert found == ["anchored.check_components", "pseudo.PseudoDiagram.action"]
+
+
+def test_references_are_named_by_their_enclosing_scopes():
+    source = "\n".join([
+        "x = f.shape",
+        "class C:",
+        "    def m(self):",
+        "        shape(1)",
+        "        def inner():",
+        "            return g.shape",
+        "def h():",
+        "    return shaped",
+    ])
+    assert references(ast.parse(source), "shape") == ["", "C.m", "C.m.inner"]
